@@ -4,7 +4,7 @@ algebras: q-degrees, stable coefficients, and tails."""
 __version__ = "0.1.0"
 
 from .jones import (ColoredJonesResult, TorusKnot, checked_sum, colored_jones,
-                    maximizer_bruteforce, minimizer_bruteforce,
+                    jones_jet, maximizer_bruteforce, minimizer_bruteforce,
                     minimizer_closed_form, quadratic_forms)
 from .kostant import (kostant, kostant_closed_A2, kostant_closed_B2,
                       kostant_closed_G2, kostant_dp)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -47,7 +46,6 @@ class RunConfig:
     method: Optional[str] = None
     output: str = "json"
     seed: int = 0
-    threads: int = 1
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -77,19 +75,12 @@ def _emit_csv(rows, header: Sequence[str]) -> None:
         sys.stdout.write(",".join(str(x) for x in row) + "\n")
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("TORUS_TAILS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def cmd_jones(args) -> int:
     rs = get_root_system(args.algebra)
     knot = TorusKnot(*_parse_pair(args.knot))
     ray = _parse_weight(args.ray, rs.rank)
     cfg = RunConfig("jones", rs.name, (knot.a, knot.b), ray, n=args.n,
-                    output=args.format, seed=args.seed, threads=_threads())
+                    output=args.format, seed=args.seed)
     lam = tuple(args.n * c for c in ray)
     res = colored_jones(rs, knot, lam)
     if args.format == "csv":

@@ -1,9 +1,13 @@
 """Colored Jones polynomials of torus knots via the rewritten Jones-Rosso sum.
 
-J is assembled exactly: the summand for mu in S_{lambda,a} contributes
-m^mu * q^{f*(mu)} * prod_{alpha>0}(1 - q^{(mu+rho,alpha)}), and the result is
-divided exactly by prod_{alpha>0}(1 - q^{(lambda+rho,alpha)}).  Degrees are
-exact rationals; no truncation happens here.
+The summand for mu in S_{lambda,a} contributes
+m^mu * q^{f*(mu)} * prod_{alpha>0}(1 - q^{(mu+rho,alpha)}), and the sum is
+divided by prod_{alpha>0}(1 - q^{(lambda+rho,alpha)}).  ``colored_jones``
+assembles the whole polynomial and divides exactly, checking the remainder.
+``jones_jet`` gives the shifted J-hat only below a q-order: it sums just the
+summands with f*(mu) below delta* plus that order and divides by truncated
+geometric series.  Degrees are exact rationals and every coefficient either
+route returns is exact.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from math import gcd, lcm
 from typing import Callable
 
 from .lie import LieError, RootSystem, Weight
-from .mult import summation_set
+from .mult import plethysm_mult, summation_set
 from .qseries import SeriesDivisionError, TruncatedSeries
 
 
@@ -182,20 +186,35 @@ def _common_denominator(rs: RootSystem, knot: TorusKnot) -> int:
     return d
 
 
-def _mul_binomial(poly: dict[int, int], shift: int) -> dict[int, int]:
-    # poly * (1 - q^shift) on exponent-numerator dicts
+def _mul_binomial(poly: dict[int, int], shift: int,
+                  cutoff: int | None = None) -> dict[int, int]:
+    # poly * (1 - q^shift) on exponent-numerator dicts, dropping exponents
+    # >= cutoff
     out = dict(poly)
     for e, c in poly.items():
         k = e + shift
-        out[k] = out.get(k, 0) - c
+        if cutoff is None or k < cutoff:
+            out[k] = out.get(k, 0) - c
     return {e: c for e, c in out.items() if c}
 
 
-def _exact_div(poly: dict[int, int], m: int) -> dict[int, int]:
-    # poly / (1 - q^m), raising if the division is inexact
+def _add_into(acc: dict[int, int], term: dict[int, int]) -> None:
+    for e, c in term.items():
+        v = acc.get(e, 0) + c
+        if v:
+            acc[e] = v
+        else:
+            acc.pop(e, None)
+
+
+def _exact_div(poly: dict[int, int], m: int,
+               cutoff: int | None = None) -> dict[int, int]:
+    # poly / (1 - q^m).  Without a cutoff the division must be exact and a
+    # remainder raises; with one, the quotient is the power series
+    # poly * sum_j q^(jm) below q^cutoff, exact there if poly is
     if not poly:
         return {}
-    top = max(poly)
+    top = max(poly) if cutoff is None else cutoff - 1
     support = set(poly)
     for e in sorted(poly):
         k = e + m
@@ -207,9 +226,10 @@ def _exact_div(poly: dict[int, int], m: int) -> dict[int, int]:
         val = poly.get(e, 0) + quot.get(e - m, 0)
         if val:
             quot[e] = val
-    for e, val in quot.items():
-        if e > top - m and val:
-            raise SeriesDivisionError("Jones sum not divisible")
+    if cutoff is None:
+        for e, val in quot.items():
+            if e > top - m and val:
+                raise SeriesDivisionError("Jones sum not divisible")
     return quot
 
 
@@ -244,12 +264,7 @@ def colored_jones(rs: RootSystem, knot: TorusKnot, lam: Weight
         term = {int(base * denom): m}
         for p in prods:
             term = _mul_binomial(term, int(p * denom))
-        for e, c in term.items():
-            v = acc.get(e, 0) + c
-            if v:
-                acc[e] = v
-            else:
-                acc.pop(e, None)
+        _add_into(acc, term)
     for p in den_exps:
         acc = _exact_div(acc, int(p * denom))
     if not acc:
@@ -257,6 +272,83 @@ def colored_jones(rs: RootSystem, knot: TorusKnot, lam: Weight
     poly = TruncatedSeries.make(acc, denom, None)
     return ColoredJonesResult(knot, rs.name, lam, poly,
                               poly.min_degree(), poly.max_degree())
+
+
+def jones_jet(rs: RootSystem, knot: TorusKnot, lam: Weight, order: int
+              ) -> TruncatedSeries:
+    """J-hat = q^{-delta*} J below q^order, from the summands near mu_min.
+
+    Equals ``colored_jones(rs, knot, lam).shifted.truncated(order)`` without
+    forming the whole polynomial.  Each summand starts at q^{f*(mu)} and the
+    denominator expands as 1 + O(q), so only dominant mu with
+    f*(mu) < delta* + order contribute.  f* strictly increases along every
+    fundamental weight on the dominant cone (the Gram entries are positive
+    and b > a), so a row-by-row scan of the cone that stops each row, and
+    then the scan, at the first mu past that bound visits exactly those mu.
+    plethysm_mult vanishes off S_{lambda,a}, so no summation set is built;
+    points off the root-lattice coset of S are skipped without calling it.
+
+    The exact division's remainder check needs the whole numerator; the jet
+    certifies its anchor instead: its lowest term must be q^0 with
+    coefficient m^{mu_min}, else the minimizer table is wrong and
+    JonesError is raised.
+    """
+    if order < 1:
+        raise ValueError("jet order must be >= 1")
+    if not rs.is_dominant(lam):
+        raise LieError("color must be dominant")
+    a = knot.a
+    mu_min = minimizer_closed_form(rs, lam, a)
+    f_star, _ = quadratic_forms(rs, knot, lam)
+    # f*(i, j) - delta* = c11 i^2 + c12 i j + c22 j^2 + c1 i + c2 j + c0,
+    # read off f* by finite differences; (mu+rho, alpha) is linear in mu
+    fp = {(x, y): f_star((x, y)) for x in (-1, 0, 1) for y in (-1, 0, 1)}
+    form = [(fp[1, 0] + fp[-1, 0]) / 2 - fp[0, 0],
+            fp[1, 1] - fp[1, 0] - fp[0, 1] + fp[0, 0],
+            (fp[0, 1] + fp[0, -1]) / 2 - fp[0, 0],
+            (fp[1, 0] - fp[-1, 0]) / 2,
+            (fp[0, 1] - fp[0, -1]) / 2,
+            fp[0, 0] - f_star(mu_min)]
+    rho = rs.rho
+    roots = [(rs.inner((1, 0), al), rs.inner((0, 1), al), rs.inner(rho, al))
+             for al in rs.positive_roots]
+    den_exps = [rs.inner(tuple(lam[i] + rho[i] for i in range(2)), al)
+                for al in rs.positive_roots]
+    denom = lcm(*(c.denominator for c in form + den_exps),
+                *(c.denominator for r in roots for c in r))
+    c11, c12, c22, c1, c2, c0 = (int(c * denom) for c in form)
+    roots = [tuple(int(c * denom) for c in r) for r in roots]
+    bound = order * denom
+
+    acc: dict[int, int] = {}
+    i = 0
+    while True:
+        j = 0
+        while True:
+            base = c11 * i * i + c12 * i * j + c22 * j * j + c1 * i \
+                + c2 * j + c0
+            if base >= bound:
+                break
+            # S_{lambda,a} lies in the coset a*lambda + (root lattice)
+            m = rs.in_root_lattice((i - a * lam[0], j - a * lam[1])) \
+                and plethysm_mult(rs, lam, a, (i, j))
+            if m:
+                term = {base: m}
+                for r1, r2, r0 in roots:
+                    term = _mul_binomial(term, r1 * i + r2 * j + r0, bound)
+                _add_into(acc, term)
+            j += 1
+        if j == 0:   # row i starts past the bound, and so do all later rows
+            break
+        i += 1
+    for p in den_exps:
+        acc = _exact_div(acc, int(p * denom), bound)
+    lead = plethysm_mult(rs, lam, a, mu_min)
+    if not acc or min(acc) != 0 or acc[0] != lead:
+        raise JonesError(
+            f"jet of {knot} at {rs.name} lambda={lam} does not start with "
+            f"{lead}*q^0 at mu_min={mu_min} (minimizer inconsistency)")
+    return TruncatedSeries.make(acc, denom, bound)
 
 
 def checked_sum(rs: RootSystem, knot: TorusKnot, lam: Weight) -> TruncatedSeries:
@@ -290,12 +382,7 @@ def checked_sum(rs: RootSystem, knot: TorusKnot, lam: Weight) -> TruncatedSeries
         term = {int(base * denom): m}
         for p in prods:
             term = _mul_binomial(term, int(p * denom))
-        for e, c in term.items():
-            v = acc.get(e, 0) + c
-            if v:
-                acc[e] = v
-            else:
-                acc.pop(e, None)
+        _add_into(acc, term)
     out = TruncatedSeries.make(acc, denom, None)
     if out.is_zero or out.min_degree() != 0:
         raise JonesError("checked sum min-degree is not 0 "

@@ -44,6 +44,11 @@ class RootSystem:
     gram: tuple[tuple[Fraction, ...], ...]    # Gram matrix of fundamental wts
     fundamental_group_order: int
 
+    def __hash__(self) -> int:
+        # the lru_cache tables key on the root system; hashing every field
+        # would hash the Fraction Gram entries on each lookup
+        return hash(self.name)
+
     @property
     def rho(self) -> Weight:
         return (1,) * self.rank
@@ -122,12 +127,7 @@ class RootSystem:
 
     def orbit_pairs(self) -> tuple[tuple[Weight, int], ...]:
         """(rho - sigma(rho), (-1)^sigma) over the Weyl group, sorted."""
-        rho = self.rho
-        pairs = []
-        for mat, sign in self.weyl_elements:
-            im = _mat_apply(mat, rho)
-            pairs.append((tuple(rho[i] - im[i] for i in range(self.rank)), sign))
-        return tuple(sorted(pairs))
+        return _orbit_pairs(self)
 
     # -- weight systems ------------------------------------------------------
 
@@ -166,6 +166,16 @@ def _weyl_closure(rs: RootSystem) -> tuple[tuple[Matrix, int], ...]:
                     nxt.append(prod)
         frontier = nxt
     return tuple(sorted(found.items()))
+
+
+@lru_cache(maxsize=None)
+def _orbit_pairs(rs: RootSystem) -> tuple[tuple[Weight, int], ...]:
+    rho = rs.rho
+    pairs = []
+    for mat, sign in rs.weyl_elements:
+        im = _mat_apply(mat, rho)
+        pairs.append((tuple(rho[i] - im[i] for i in range(rs.rank)), sign))
+    return tuple(sorted(pairs))
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 Exponent = Union[int, Fraction]
 
@@ -173,12 +173,6 @@ class TruncatedSeries:
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
-
-    def _effective_min(self, order, terms) -> Optional[int]:
-        # smallest exponent this value could contribute: min term, else order
-        if terms:
-            return min(terms)
-        return order  # None for the true zero
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if (self.is_zero and self.order is None) or \
@@ -400,10 +394,3 @@ def pochhammer(a: Exponent, order: Exponent, step: Exponent = 1) -> TruncatedSer
 def euler_phi(order: Exponent) -> TruncatedSeries:
     """(q)_inf = (q; q)_inf."""
     return pochhammer(1, order)
-
-
-def product_of(factors: Iterable[TruncatedSeries]) -> TruncatedSeries:
-    out = TruncatedSeries.one()
-    for f in factors:
-        out = out * f
-    return out

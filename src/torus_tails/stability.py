@@ -18,7 +18,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .jones import TorusKnot, colored_jones, minimizer_closed_form
+from .jones import (TorusKnot, colored_jones, jones_jet,
+                    minimizer_closed_form)
 from .lie import LieError, RootSystem, Weight
 from .mult import lattice_hull, plethysm_mult
 from .quasipoly import FitError, QuasiPolynomial, fit_quasi_polynomial
@@ -311,28 +312,18 @@ def lemma_FG_inverse(tail: TailSeries, c: int, d: int,
 
 
 def jones_family(rs: RootSystem, knot: TorusKnot, ray: Weight,
-                 ns: Iterable[int]) -> dict[int, TruncatedSeries]:
+                 ns: Iterable[int], order: Optional[int] = None
+                 ) -> dict[int, TruncatedSeries]:
     """Shifted polynomials J-hat for colors n*ray.
 
-    Members are independent; TORUS_TAILS_THREADS > 1 computes them on a
-    bounded pool with a deterministic (n-ordered) reduction.
+    With ``order`` the members are the exact jets J-hat mod q^order from
+    ``jones_jet`` (rank 2 only); without it, the whole polynomials.
     """
-    import os
-
-    order = list(ns)
-
-    def member(n: int) -> TruncatedSeries:
-        return colored_jones(rs, knot, tuple(n * c for c in ray)).shifted
-
-    try:
-        width = max(1, int(os.environ.get("TORUS_TAILS_THREADS", "1")))
-    except ValueError:
-        width = 1
-    if width > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            return dict(zip(order, pool.map(member, order)))
-    return {n: member(n) for n in order}
+    if order is not None:
+        return {n: jones_jet(rs, knot, tuple(n * c for c in ray), order)
+                for n in ns}
+    return {n: colored_jones(rs, knot, tuple(n * c for c in ray)).shifted
+            for n in ns}
 
 
 def minimal_class_modulus(rs: RootSystem, ray: Weight, a: int, n0: int
@@ -490,7 +481,9 @@ def detect_jones_tail(rs: RootSystem, knot: TorusKnot, ray: Weight, n0: int,
         modulus, _, _ = minimal_class_modulus(rs, ray, knot.a, n0)
     base = n0 % modulus or modulus
     ns = range(base, n_max + 1, modulus)
-    fam = jones_family(rs, knot, ray, ns)
+    # detection reads below q^max(ns) only: stage 0 reads q^m for m < n, later
+    # stages are capped below cap_0 = max(ns), and so is the defect horizon
+    fam = jones_family(rs, knot, ray, ns, order=max(ns, default=1))
     return detect_cstability(fam, n0, modulus, k_max, q_order)
 
 
@@ -654,10 +647,6 @@ def _t_samples(rs, ray, a, hat, nu1, nu0, ns):
         target = tuple(hat[i] + n * nu1[i] + nu0[i] for i in range(2))
         out.append((n, Fraction(plethysm_mult(rs, lam_n, a, target))))
     return out
-
-
-def _t_samples_nonzero(rs, ray, a, hat, nu1, nu0, ns) -> bool:
-    return any(v != 0 for _, v in _t_samples(rs, ray, a, hat, nu1, nu0, ns))
 
 
 def _tail_mul_binomial(term: dict[int, QPSeries], off: int, xshift: int,

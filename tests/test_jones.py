@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from torus_tails import jones
 from torus_tails.jones import (JonesError, TorusKnot, checked_sum,
-                               colored_jones, maximizer_bruteforce,
+                               colored_jones, jones_jet, maximizer_bruteforce,
                                minimizer_bruteforce, minimizer_closed_form,
                                quadratic_forms)
 from torus_tails.lie import LieError, get_root_system
@@ -142,6 +143,35 @@ def test_checked_sum_divides_to_shifted():
             tuple(lam[i] + rho[i] for i in range(rs.rank)), al))
     assert out == colored_jones(rs, knot, lam).shifted
     assert out.min_degree() == 0
+
+
+@pytest.mark.parametrize("rs", [A2, B2, G2], ids=lambda rs: rs.name)
+def test_jet_equals_truncated_polynomial(rs):
+    for a, b in ((2, 3), (2, 5), (3, 4), (3, 5), (4, 5)):
+        knot = TorusKnot(a, b)
+        for ray in ((1, 0), (0, 1), (1, 1)):
+            for n in (1, 2, 3):
+                lam = (n * ray[0], n * ray[1])
+                full = colored_jones(rs, knot, lam).shifted
+                for order in (1, 7, 25):
+                    assert jones_jet(rs, knot, lam, order) == \
+                        full.truncated(order), (knot, lam, order)
+
+
+def test_jet_certificate_rejects_wrong_anchor(monkeypatch):
+    rs, knot, lam = A2, TorusKnot(2, 3), (3, 0)
+    assert minimizer_closed_form(rs, lam, knot.a) == (0, 3)
+    assert jones_jet(rs, knot, lam, 5).terms[0] == (0, -1)
+    with pytest.raises(ValueError):
+        jones_jet(rs, knot, lam, 0)
+    # f*(0,0) < f*(0,3) = f*(3,0) < f*(2,2): the lower anchor leaves q^0
+    # empty, the higher one puts the true lowest term below q^0, and (3,0)
+    # has the right degree but not the right coefficient
+    for wrong in ((0, 0), (2, 2), (3, 0)):
+        monkeypatch.setattr(jones, "minimizer_closed_form",
+                            lambda rs, lam, a, w=wrong: w)
+        with pytest.raises(JonesError):
+            jones_jet(rs, knot, lam, 5)
 
 
 def test_a1_smoke_family():

@@ -49,6 +49,18 @@ def test_orbit_identity_entry():
         assert ((0,) * rs.rank, 1) in rs.orbit_pairs()
 
 
+def test_orbit_pairs_cache_matches_fresh_computation():
+    for rs in (A1, A2, B2, G2):
+        rho = rs.rho
+        fresh = []
+        for mat, sign in rs.weyl_elements:
+            im = tuple(sum(row[j] * rho[j] for j in range(rs.rank))
+                       for row in mat)
+            fresh.append((tuple(rho[i] - im[i] for i in range(rs.rank)), sign))
+        assert rs.orbit_pairs() == tuple(sorted(fresh))
+        assert rs.orbit_pairs() is rs.orbit_pairs()
+
+
 def test_orbit_entries_are_positive_root_sums():
     # Kostant: rho - sigma(rho) is a sum of distinct positive roots
     for rs in (A2, B2, G2):

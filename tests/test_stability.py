@@ -11,7 +11,8 @@ from torus_tails.quasipoly import QuasiPolynomial
 from torus_tails.stability import (QPSeries, StabilityError, TailSeries,
                                    a1_theta_difference, a1_triple_product,
                                    degree_quasipoly_fit, detect_cstability,
-                                   jones_family, lemma_FG_inverse,
+                                   detect_jones_tail, jones_family,
+                                   lemma_FG_inverse,
                                    lemma_FG_transform, minimal_class_modulus,
                                    stable_coefficients, t4b_series,
                                    tail_closed_T2b, tail_closed_T4b,
@@ -76,6 +77,23 @@ def test_detect_trefoil_small_order(trefoil_family):
     tail1 = detect_cstability(trefoil_family, 1, 6, 1, 8)
     assert tail1.agrees_with(closed.scale(-1), 1, 8,
                              start=tail1.threshold or 7)
+
+
+@pytest.mark.parametrize("knot, ray, n0, n_max, q_order", [
+    ((2, 3), (1, 0), 6, 48, 5),
+    ((2, 3), (1, 0), 1, 48, 5),
+    # the family is too short for q^4 here; the jets must reproduce the
+    # tail the whole polynomials give all the same
+    ((4, 5), (1, 1), 1, 24, 4),
+])
+def test_detect_jones_tail_jets_match_full_family(knot, ray, n0, n_max,
+                                                  q_order):
+    knot = TorusKnot(*knot)
+    modulus = minimal_class_modulus(A2, ray, knot.a, n0)[0]
+    ns = range(n0 % modulus or modulus, n_max + 1, modulus)
+    full = detect_cstability(jones_family(A2, knot, ray, ns), n0, modulus, 1,
+                             q_order)
+    assert detect_jones_tail(A2, knot, ray, n0, n_max, 1, q_order) == full
 
 
 def test_partial_sum_defect_inequality(trefoil_family):
