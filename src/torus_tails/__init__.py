@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .jones import (ColoredJonesResult, TorusKnot, checked_sum, colored_jones,
                     jones_jet, maximizer_bruteforce, minimizer_bruteforce,
                     minimizer_closed_form, quadratic_forms)
-from .kostant import (kostant, kostant_closed_A2, kostant_closed_B2,
-                      kostant_closed_G2, kostant_dp)
+from .kostant import (kostant_closed_A2, kostant_closed_B2, kostant_closed_G2,
+                      kostant_dp)
 from .lie import RootSystem, Weight, get_root_system
 from .mult import (LatticeHull, lattice_hull, missing_point_bound_check,
                    missing_points, plethysm_adams_oracle, plethysm_mult,

@@ -15,14 +15,16 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from . import __version__
-from .jones import (TorusKnot, colored_jones, minimizer_bruteforce,
-                    minimizer_closed_form, quadratic_forms)
+from .jones import (JonesError, TorusKnot, colored_jones,
+                    minimizer_bruteforce, minimizer_closed_form,
+                    quadratic_forms)
 from .kostant import kostant, kostant_dp
 from .lie import LieError, get_root_system
 from .mult import (lattice_hull, missing_points, plethysm_mult,
                    summation_set)
 from .selfcheck import run_selftest
-from .stability import (detect_jones_tail, stable_coefficients,
+from .qseries import SeriesDivisionError
+from .stability import (detect_jones_tail, jones_family, stable_coefficients,
                         tail_closed_T2b, tail_closed_T4b,
                         tail_eval_stable_limit)
 
@@ -119,13 +121,14 @@ def cmd_tail(args) -> int:
                     x_order=args.x_order, q_order=args.q_order,
                     method=args.method, output=args.format, seed=args.seed)
     if args.method == "closed":
-        if knot.a == 2:
-            tail = tail_closed_T2b(knot.b, args.x_order, args.q_order)
-        elif knot.a == 4:
-            tail = tail_closed_T4b(knot.b, args.x_order, args.q_order)
-        else:
-            print(f"no closed tail for a={knot.a}", file=sys.stderr)
+        closed = {(2, (1, 0)): tail_closed_T2b, (4, (1, 1)): tail_closed_T4b}
+        fn = closed.get((knot.a, ray)) if rs.name == "A2" else None
+        if fn is None:
+            print(f"no closed tail for {rs.name} {knot} on ray "
+                  f"{','.join(map(str, ray))}: closed forms exist for A2 "
+                  f"T(2,b) on 1,0 and A2 T(4,b) on rho", file=sys.stderr)
             return EXIT_BAD_INPUT
+        tail = fn(knot.b, args.x_order, args.q_order)
     elif args.method == "stable-limit":
         tail = tail_eval_stable_limit(rs, knot, ray, args.n0, args.x_order,
                                       args.q_order, args.n_max)
@@ -143,9 +146,11 @@ def cmd_stable_coeffs(args) -> int:
     cfg = RunConfig("stable-coeffs", rs.name, (knot.a, knot.b), ray,
                     n_max=args.n_max, k_max=args.k_max, output=args.format,
                     seed=args.seed)
-    fam = {n: r for n, r in
-           ((n, colored_jones(rs, knot, tuple(n * c for c in ray)).shifted)
-            for n in range(1, args.n_max + 1))}
+    if args.k_max < 0:
+        raise ValueError("--k-max must be >= 0")
+    # a_k(n) for k <= k_max lies below q^(k_max+1); jets are rank 2 only
+    fam = jones_family(rs, knot, ray, range(1, args.n_max + 1),
+                       order=args.k_max + 1 if rs.rank == 2 else None)
     table = stable_coefficients(fam, args.k_max)
     if args.format == "csv":
         _emit_csv(((k, n, v) for (k, n), v in sorted(table.items())),
@@ -348,6 +353,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except (JonesError, SeriesDivisionError) as exc:
+        # ValueError subclasses, but they report an internal inconsistency
+        print(f"internal consistency error: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
     except (ValueError, LieError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

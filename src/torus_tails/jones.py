@@ -2,24 +2,27 @@
 
 The summand for mu in S_{lambda,a} contributes
 m^mu * q^{f*(mu)} * prod_{alpha>0}(1 - q^{(mu+rho,alpha)}), and the sum is
-divided by prod_{alpha>0}(1 - q^{(lambda+rho,alpha)}).  ``colored_jones``
-assembles the whole polynomial and divides exactly, checking the remainder.
-``jones_jet`` gives the shifted J-hat only below a q-order: it sums just the
-summands with f*(mu) below delta* plus that order and divides by truncated
-geometric series.  Degrees are exact rationals and every coefficient either
-route returns is exact.
+divided by prod_{alpha>0}(1 - q^{(lambda+rho,alpha)}).  Exponents are integer
+numerators over D = 2*a*gram_scale from the start: D*f*(mu) and
+D*(mu+rho, alpha) are integers computed with the scaled inner product of
+``lie``.  ``colored_jones`` and ``checked_sum`` share one assembly of the
+numerator; ``colored_jones`` then divides exactly, checking the remainder.
+``jones_jet`` gives the shifted J-hat only below a q-order: it assembles just
+the summands with f*(mu) below delta* plus that order and divides by
+truncated geometric series.  Degrees are exact rationals and every
+coefficient either route returns is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Callable
+from math import gcd
+from typing import Callable, Iterable
 
 from .lie import LieError, RootSystem, Weight
 from .mult import plethysm_mult, summation_set
-from .qseries import SeriesDivisionError, TruncatedSeries
+from .qseries import TruncatedSeries, div_binomial
 
 
 class JonesError(ValueError):
@@ -44,24 +47,45 @@ class TorusKnot:
 # -- degree quadratic forms ---------------------------------------------------
 
 
+def _exponent_denominator(rs: RootSystem, knot: TorusKnot) -> int:
+    """D = 2*a*gram_scale: D*f*(mu), D*f(mu) and D*(mu, alpha) are integers."""
+    return 2 * knot.a * rs.gram_scale
+
+
+def _degree_form(rs: RootSystem, knot: TorusKnot, lam: Weight, sign: int
+                 ) -> Callable[[Weight], int]:
+    """mu -> D*f*(mu) (sign -1) or D*f(mu) (sign +1), an integer."""
+    a, b = knot.a, knot.b
+    rho = rs.rho
+    lin = 2 * (b + sign * a)
+    const = -a * (a * b * rs.norm2_int(lam)
+                  + 2 * (a * b + sign) * rs.inner_int(lam, rho))
+
+    def form(mu: Weight) -> int:
+        return b * rs.norm2_int(mu) + lin * rs.inner_int(mu, rho) + const
+
+    return form
+
+
 def quadratic_forms(rs: RootSystem, knot: TorusKnot, lam: Weight
                     ) -> tuple[Callable[[Weight], Fraction],
                                Callable[[Weight], Fraction]]:
-    """(f*, f): the min- and max-degree forms of the Jones summand."""
-    a, b = knot.a, knot.b
-    rho = rs.rho
-    lam_part_min = -Fraction(a * b, 2) * rs.norm2(lam) \
-        - (a * b - 1) * rs.inner(lam, rho)
-    lam_part_max = -Fraction(a * b, 2) * rs.norm2(lam) \
-        - (a * b + 1) * rs.inner(lam, rho)
+    """(f*, f): the min- and max-degree forms of the Jones summand:
+
+    f*(mu) = b/(2a) |mu|^2 + (b/a - 1)(mu, rho)
+             - ab/2 |lambda|^2 - (ab - 1)(lambda, rho)
+
+    and f(mu) the same with b/a + 1 and ab + 1 in place of b/a - 1, ab - 1.
+    """
+    d = _exponent_denominator(rs, knot)
+    f_star_num = _degree_form(rs, knot, lam, -1)
+    f_max_num = _degree_form(rs, knot, lam, 1)
 
     def f_star(mu: Weight) -> Fraction:
-        return Fraction(b, 2 * a) * rs.norm2(mu) \
-            + (Fraction(b, a) - 1) * rs.inner(mu, rho) + lam_part_min
+        return Fraction(f_star_num(mu), d)
 
     def f_max(mu: Weight) -> Fraction:
-        return Fraction(b, 2 * a) * rs.norm2(mu) \
-            + (Fraction(b, a) + 1) * rs.inner(mu, rho) + lam_part_max
+        return Fraction(f_max_num(mu), d)
 
     return f_star, f_max
 
@@ -181,56 +205,40 @@ class ColoredJonesResult:
         }
 
 
-def _common_denominator(rs: RootSystem, knot: TorusKnot) -> int:
-    d = lcm(2 * knot.a, *(f.denominator for row in rs.gram for f in row))
-    return d
-
-
-def _mul_binomial(poly: dict[int, int], shift: int,
-                  cutoff: int | None = None) -> dict[int, int]:
-    # poly * (1 - q^shift) on exponent-numerator dicts, dropping exponents
-    # >= cutoff
-    out = dict(poly)
-    for e, c in poly.items():
-        k = e + shift
-        if cutoff is None or k < cutoff:
-            out[k] = out.get(k, 0) - c
-    return {e: c for e, c in out.items() if c}
-
-
-def _add_into(acc: dict[int, int], term: dict[int, int]) -> None:
-    for e, c in term.items():
-        v = acc.get(e, 0) + c
-        if v:
-            acc[e] = v
-        else:
-            acc.pop(e, None)
-
-
-def _exact_div(poly: dict[int, int], m: int,
+def _numerator(rs: RootSystem, knot: TorusKnot, lam: Weight,
+               summands: Iterable[tuple[Weight, int]], shift: int,
                cutoff: int | None = None) -> dict[int, int]:
-    # poly / (1 - q^m).  Without a cutoff the division must be exact and a
-    # remainder raises; with one, the quotient is the power series
-    # poly * sum_j q^(jm) below q^cutoff, exact there if poly is
-    if not poly:
-        return {}
-    top = max(poly) if cutoff is None else cutoff - 1
-    support = set(poly)
-    for e in sorted(poly):
-        k = e + m
-        while k <= top and k not in support:
-            support.add(k)
-            k += m
-    quot: dict[int, int] = {}
-    for e in sorted(support):
-        val = poly.get(e, 0) + quot.get(e - m, 0)
-        if val:
-            quot[e] = val
-    if cutoff is None:
-        for e, val in quot.items():
-            if e > top - m and val:
-                raise SeriesDivisionError("Jones sum not divisible")
-    return quot
+    """sum of m q^{f*(mu)} prod_{alpha>0}(1 - q^{(mu+rho,alpha)}) over the
+    (mu, m) in summands, as exponent numerators over D lowered by shift,
+    dropping exponents >= cutoff.
+
+    The product is expanded by the Weyl denominator identity
+    prod_{alpha>0}(1 - e^alpha) = sum_sigma (-1)^sigma e^{rho - sigma(rho)},
+    one term per entry of ``rs.orbit_pairs()``.
+    """
+    f_star = _degree_form(rs, knot, lam, -1)
+    two_a = 2 * knot.a
+    rho = rs.rho
+    pairs = rs.orbit_pairs()
+    acc: dict[int, int] = {}
+    for mu, m in summands:
+        if not m:
+            continue
+        base = f_star(mu) - shift
+        mr = tuple(mu[i] + rho[i] for i in range(rs.rank))
+        for w, sign in pairs:
+            e = base + two_a * rs.inner_int(mr, w)
+            if cutoff is None or e < cutoff:
+                acc[e] = acc.get(e, 0) + sign * m
+    return {e: c for e, c in acc.items() if c}
+
+
+def _denominator_shifts(rs: RootSystem, knot: TorusKnot, lam: Weight
+                        ) -> list[int]:
+    """D*(lambda+rho, alpha) over the positive roots alpha."""
+    rho = rs.rho
+    lr = tuple(lam[i] + rho[i] for i in range(rs.rank))
+    return [2 * knot.a * rs.inner_int(lr, al) for al in rs.positive_roots]
 
 
 def colored_jones(rs: RootSystem, knot: TorusKnot, lam: Weight
@@ -240,36 +248,12 @@ def colored_jones(rs: RootSystem, knot: TorusKnot, lam: Weight
         raise LieError("only rank <= 2 algebras are supported")
     if not rs.is_dominant(lam):
         raise LieError("color must be dominant")
-    a = knot.a
-    rho = rs.rho
-    f_star, _ = quadratic_forms(rs, knot, lam)
-    sset = summation_set(rs, lam, a)
-    exps: list[tuple[Weight, int, Fraction, list[Fraction]]] = []
-    denom = _common_denominator(rs, knot)
-    for mu, m in sorted(sset.items()):
-        if m == 0:
-            continue
-        base = f_star(mu)
-        prods = [rs.inner(tuple(mu[i] + rho[i] for i in range(rs.rank)), al)
-                 for al in rs.positive_roots]
-        denom = lcm(denom, base.denominator,
-                    *(p.denominator for p in prods))
-        exps.append((mu, m, base, prods))
-    den_exps = [rs.inner(tuple(lam[i] + rho[i] for i in range(rs.rank)), al)
-                for al in rs.positive_roots]
-    denom = lcm(denom, *(p.denominator for p in den_exps))
-
-    acc: dict[int, int] = {}
-    for _, m, base, prods in exps:
-        term = {int(base * denom): m}
-        for p in prods:
-            term = _mul_binomial(term, int(p * denom))
-        _add_into(acc, term)
-    for p in den_exps:
-        acc = _exact_div(acc, int(p * denom))
+    acc = _numerator(rs, knot, lam, summation_set(rs, lam, knot.a).items(), 0)
+    for m in _denominator_shifts(rs, knot, lam):
+        acc = div_binomial(acc, m)
     if not acc:
         raise JonesError("colored Jones polynomial vanished")
-    poly = TruncatedSeries.make(acc, denom, None)
+    poly = TruncatedSeries.make(acc, _exponent_denominator(rs, knot), None)
     return ColoredJonesResult(knot, rs.name, lam, poly,
                               poly.min_degree(), poly.max_degree())
 
@@ -299,56 +283,33 @@ def jones_jet(rs: RootSystem, knot: TorusKnot, lam: Weight, order: int
         raise LieError("color must be dominant")
     a = knot.a
     mu_min = minimizer_closed_form(rs, lam, a)
-    f_star, _ = quadratic_forms(rs, knot, lam)
-    # f*(i, j) - delta* = c11 i^2 + c12 i j + c22 j^2 + c1 i + c2 j + c0,
-    # read off f* by finite differences; (mu+rho, alpha) is linear in mu
-    fp = {(x, y): f_star((x, y)) for x in (-1, 0, 1) for y in (-1, 0, 1)}
-    form = [(fp[1, 0] + fp[-1, 0]) / 2 - fp[0, 0],
-            fp[1, 1] - fp[1, 0] - fp[0, 1] + fp[0, 0],
-            (fp[0, 1] + fp[0, -1]) / 2 - fp[0, 0],
-            (fp[1, 0] - fp[-1, 0]) / 2,
-            (fp[0, 1] - fp[0, -1]) / 2,
-            fp[0, 0] - f_star(mu_min)]
-    rho = rs.rho
-    roots = [(rs.inner((1, 0), al), rs.inner((0, 1), al), rs.inner(rho, al))
-             for al in rs.positive_roots]
-    den_exps = [rs.inner(tuple(lam[i] + rho[i] for i in range(2)), al)
-                for al in rs.positive_roots]
-    denom = lcm(*(c.denominator for c in form + den_exps),
-                *(c.denominator for r in roots for c in r))
-    c11, c12, c22, c1, c2, c0 = (int(c * denom) for c in form)
-    roots = [tuple(int(c * denom) for c in r) for r in roots]
-    bound = order * denom
+    f_star = _degree_form(rs, knot, lam, -1)
+    shift = f_star(mu_min)
+    d = _exponent_denominator(rs, knot)
+    bound = order * d
 
-    acc: dict[int, int] = {}
-    i = 0
-    while True:
-        j = 0
+    def summands():
+        i = 0
         while True:
-            base = c11 * i * i + c12 * i * j + c22 * j * j + c1 * i \
-                + c2 * j + c0
-            if base >= bound:
-                break
-            # S_{lambda,a} lies in the coset a*lambda + (root lattice)
-            m = rs.in_root_lattice((i - a * lam[0], j - a * lam[1])) \
-                and plethysm_mult(rs, lam, a, (i, j))
-            if m:
-                term = {base: m}
-                for r1, r2, r0 in roots:
-                    term = _mul_binomial(term, r1 * i + r2 * j + r0, bound)
-                _add_into(acc, term)
-            j += 1
-        if j == 0:   # row i starts past the bound, and so do all later rows
-            break
-        i += 1
-    for p in den_exps:
-        acc = _exact_div(acc, int(p * denom), bound)
+            j = 0
+            while f_star((i, j)) - shift < bound:
+                # S_{lambda,a} lies in the coset a*lambda + (root lattice)
+                if rs.in_root_lattice((i - a * lam[0], j - a * lam[1])):
+                    yield (i, j), plethysm_mult(rs, lam, a, (i, j))
+                j += 1
+            if j == 0:   # row i starts past the bound, and so do later rows
+                return
+            i += 1
+
+    acc = _numerator(rs, knot, lam, summands(), shift, bound)
+    for m in _denominator_shifts(rs, knot, lam):
+        acc = div_binomial(acc, m, bound)
     lead = plethysm_mult(rs, lam, a, mu_min)
     if not acc or min(acc) != 0 or acc[0] != lead:
         raise JonesError(
             f"jet of {knot} at {rs.name} lambda={lam} does not start with "
             f"{lead}*q^0 at mu_min={mu_min} (minimizer inconsistency)")
-    return TruncatedSeries.make(acc, denom, bound)
+    return TruncatedSeries.make(acc, d, bound)
 
 
 def checked_sum(rs: RootSystem, knot: TorusKnot, lam: Weight) -> TruncatedSeries:
@@ -360,30 +321,11 @@ def checked_sum(rs: RootSystem, knot: TorusKnot, lam: Weight) -> TruncatedSeries
     """
     if rs.rank != 2:
         raise LieError("checked sum is for the rank-2 algebras")
-    a, b = knot.a, knot.b
-    rho = rs.rho
-    mu_min = minimizer_closed_form(rs, lam, a)
-    sset = summation_set(rs, lam, a)
-    denom = _common_denominator(rs, knot)
-    terms: list[tuple[int, Fraction, list[Fraction]]] = []
-    for mu, m in sorted(sset.items()):
-        if m == 0:
-            continue
-        hat = tuple(mu[i] - mu_min[i] for i in range(rs.rank))
-        base = Fraction(b, 2 * a) * rs.norm2(hat) \
-            + (Fraction(b, a) - 1) * rs.inner(hat, rho) \
-            + Fraction(b, a) * rs.inner(hat, mu_min)
-        prods = [rs.inner(tuple(mu[i] + rho[i] for i in range(rs.rank)), al)
-                 for al in rs.positive_roots]
-        denom = lcm(denom, base.denominator, *(p.denominator for p in prods))
-        terms.append((m, base, prods))
-    acc: dict[int, int] = {}
-    for m, base, prods in terms:
-        term = {int(base * denom): m}
-        for p in prods:
-            term = _mul_binomial(term, int(p * denom))
-        _add_into(acc, term)
-    out = TruncatedSeries.make(acc, denom, None)
+    mu_min = minimizer_closed_form(rs, lam, knot.a)
+    shift = _degree_form(rs, knot, lam, -1)(mu_min)
+    acc = _numerator(rs, knot, lam, summation_set(rs, lam, knot.a).items(),
+                     shift)
+    out = TruncatedSeries.make(acc, _exponent_denominator(rs, knot), None)
     if out.is_zero or out.min_degree() != 0:
         raise JonesError("checked sum min-degree is not 0 "
                          "(minimizer inconsistency)")

@@ -125,8 +125,3 @@ def kostant_closed_G2(alpha: RootCoords) -> int:
         return _g2_h(v) - _g2_g(3 * v - u - 1)
     return _g2_h(v)
 
-
-def closed_form(name: str):
-    """Closed-form evaluator for an algebra tag, or None."""
-    return {"A2": kostant_closed_A2, "B2": kostant_closed_B2,
-            "G2": kostant_closed_G2}.get(name.upper())

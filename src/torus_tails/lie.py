@@ -5,14 +5,24 @@ with a coroot is just a coordinate.  The inner product normalization is pinned
 by hard-coded Gram matrices of the fundamental weights; the invariant tests
 check them against the quadratic forms (lambda,lambda) the degree formulas
 rely on.
+
+The hot loops run on integers.  Each root system derives from its ``gram``
+an integer Gram matrix ``gram_int = gram_scale * gram`` (the scale is the
+lcm of the denominators: A1 x2, A2 x3, B2 x2, G2 x1), so ``inner_int`` and
+``norm2_int`` are exact scaled inner products; ``inner`` and ``norm2`` divide
+by the scale and return ``Fraction``s.  Likewise ``root_coords_int`` gives
+the coordinates over the simple roots times ``root_det`` (the determinant of
+the simple-root matrix), so root-lattice membership and the dominance order
+are divisibility and sign tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from itertools import product
+from math import lcm
 
 Weight = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -43,6 +53,22 @@ class RootSystem:
     positive_roots_rc: tuple[Weight, ...]     # same roots in root coordinates
     gram: tuple[tuple[Fraction, ...], ...]    # Gram matrix of fundamental wts
     fundamental_group_order: int
+    # derived from gram and simple_roots in __post_init__, so that
+    # dataclasses.replace derives them again from the replaced fields
+    gram_scale: int = field(init=False, repr=False, compare=False)
+    gram_int: Matrix = field(init=False, repr=False, compare=False)
+    root_det: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        scale = lcm(*(Fraction(g).denominator for row in self.gram
+                      for g in row))
+        a = self.simple_roots
+        det = a[0][0] if self.rank == 1 else \
+            a[0][0] * a[1][1] - a[1][0] * a[0][1]
+        object.__setattr__(self, "gram_scale", scale)
+        object.__setattr__(self, "gram_int", tuple(
+            tuple(int(g * scale) for g in row) for row in self.gram))
+        object.__setattr__(self, "root_det", det)
 
     def __hash__(self) -> int:
         # the lru_cache tables key on the root system; hashing every field
@@ -58,24 +84,37 @@ class RootSystem:
     def inner(self, mu: Weight, nu: Weight) -> Fraction:
         if len(mu) != self.rank or len(nu) != self.rank:
             raise LieError(f"weights of wrong rank for {self.name}")
-        return Fraction(sum(self.gram[i][j] * mu[i] * nu[j]
-                            for i in range(self.rank)
-                            for j in range(self.rank)))
+        return Fraction(self.inner_int(mu, nu), self.gram_scale)
 
     def norm2(self, mu: Weight) -> Fraction:
         return self.inner(mu, mu)
 
+    def inner_int(self, mu: Weight, nu: Weight) -> int:
+        """gram_scale * (mu, nu), an integer."""
+        g = self.gram_int
+        if self.rank == 1:
+            return g[0][0] * mu[0] * nu[0]
+        return (g[0][0] * mu[0] + g[1][0] * mu[1]) * nu[0] \
+            + (g[0][1] * mu[0] + g[1][1] * mu[1]) * nu[1]
+
+    def norm2_int(self, mu: Weight) -> int:
+        """gram_scale * (mu, mu), an integer."""
+        return self.inner_int(mu, mu)
+
     # -- coordinates -------------------------------------------------------
+
+    def root_coords_int(self, mu: Weight) -> Weight:
+        """root_det * (coordinates of mu over the simple roots): integers."""
+        a = self.simple_roots
+        if self.rank == 1:
+            return (mu[0],)
+        return (mu[0] * a[1][1] - mu[1] * a[1][0],
+                a[0][0] * mu[1] - a[0][1] * mu[0])
 
     def to_root_coords(self, mu: Weight) -> tuple[Fraction, ...]:
         """Coordinates of mu over the simple-root basis (exact rationals)."""
-        a = self.simple_roots
-        if self.rank == 1:
-            return (Fraction(mu[0], a[0][0]),)
-        det = a[0][0] * a[1][1] - a[1][0] * a[0][1]
-        u = Fraction(mu[0] * a[1][1] - mu[1] * a[1][0], det)
-        v = Fraction(a[0][0] * mu[1] - a[0][1] * mu[0], det)
-        return (u, v)
+        return tuple(Fraction(c, self.root_det)
+                     for c in self.root_coords_int(mu))
 
     def from_root_coords(self, rc) -> Weight:
         out = [0] * self.rank
@@ -87,13 +126,14 @@ class RootSystem:
         return tuple(int(x) for x in out)
 
     def in_root_lattice(self, mu: Weight) -> bool:
-        return all(c.denominator == 1 for c in self.to_root_coords(mu))
+        d = self.root_det
+        return all(c % d == 0 for c in self.root_coords_int(mu))
 
     def dominates(self, lam: Weight, mu: Weight) -> bool:
         """mu <= lam: lam - mu is a nonnegative integer sum of simple roots."""
+        d = self.root_det
         diff = tuple(lam[i] - mu[i] for i in range(self.rank))
-        return all(c.denominator == 1 and c >= 0
-                   for c in self.to_root_coords(diff))
+        return all(c >= 0 and c % d == 0 for c in self.root_coords_int(diff))
 
     # -- Weyl group ---------------------------------------------------------
 
@@ -180,27 +220,20 @@ def _orbit_pairs(rs: RootSystem) -> tuple[tuple[Weight, int], ...]:
 
 @lru_cache(maxsize=None)
 def _weight_system(rs: RootSystem, lam: Weight) -> frozenset[Weight]:
-    # every weight of V_lambda is lam - (N-combination of simple roots) inside
-    # the convex hull of W*lam; enumerate the offset box bounded by the norm.
-    norm = rs.norm2(lam)
+    # every weight of V_lambda is W-conjugate to exactly one dominant
+    # mu <= lam.  Each fundamental weight has nonnegative root coordinates,
+    # so a dominant mu has rc(mu) >= mu_j rc(lambda_j), and mu <= lam gives
+    # rc(mu) <= rc(lam): that bounds mu_j.  Scan the box, add the orbits.
+    top = rs.root_coords_int(lam)
     bounds = []
-    for i in range(rs.rank):
-        li = tuple(1 if j == i else 0 for j in range(rs.rank))
-        # c_i = 2(lam-nu, lambda_i)/(alpha_i,alpha_i) <= 4|lam||lambda_i|/(a,a)
-        ai2 = rs.norm2(rs.simple_roots[i])
-        bound2 = 16 * norm * rs.norm2(li) / (ai2 * ai2)
-        bounds.append(isqrt(int(bound2)) + 2)
+    for j in range(rs.rank):
+        fund = rs.root_coords_int(tuple(int(i == j) for i in range(rs.rank)))
+        bounds.append(min(t // f for t, f in zip(top, fund) if f > 0))
+    mats = [mat for mat, _ in rs.weyl_elements]
     out = set()
-    if rs.rank == 1:
-        offsets = [(c,) for c in range(bounds[0] + 1)]
-    else:
-        offsets = [(c1, c2) for c1 in range(bounds[0] + 1)
-                   for c2 in range(bounds[1] + 1)]
-    for off in offsets:
-        nu = rs.from_root_coords(off)
-        nu = tuple(lam[i] - nu[i] for i in range(rs.rank))
-        if rs.dominates(lam, rs.dominant_conjugate(nu)):
-            out.add(nu)
+    for mu in product(*(range(b + 1) for b in bounds)):
+        if rs.dominates(lam, mu):
+            out.update(_mat_apply(mat, mu) for mat in mats)
     return frozenset(out)
 
 

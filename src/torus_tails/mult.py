@@ -4,6 +4,13 @@ The production paths are the Kostant alternating sum for weight
 multiplicities and the Weyl-group alternating sum for plethysm
 multiplicities.  Each has an independent oracle: Freudenthal's recursion for
 weights, and an Adams-operation character peeling for plethysms.
+
+Everything runs on the integer kernel of ``lie``: root coordinates scaled by
+``root_det`` and inner products scaled by ``gram_scale``.  ``summation_set``
+scatters sign * m_lambda^nu to mu = a*nu - (rho - sigma(rho)) over the pairs
+(sigma, nu) that define the set, so it needs no per-point Weyl-group sum;
+``plethysm_mult`` is the per-point route.  The Adams oracle peels
+psi_a(ch_lambda) once per (lambda, a) into a table kept in a bounded cache.
 """
 
 from __future__ import annotations
@@ -35,15 +42,16 @@ def weight_mult(rs: RootSystem, lam: Weight, mu: Weight) -> int:
 @lru_cache(maxsize=None)
 def _weight_mult(rs: RootSystem, lam: Weight, mu: Weight) -> int:
     rho = rs.rho
+    d = rs.root_det
     lr = tuple(lam[i] + rho[i] for i in range(rs.rank))
     total = 0
     for mat, sign in rs.weyl_elements:
         im = _apply(mat, lr)
         arg = tuple(im[i] - mu[i] - rho[i] for i in range(rs.rank))
-        rc = rs.to_root_coords(arg)
-        if any(c.denominator != 1 or c < 0 for c in rc):
+        rc = rs.root_coords_int(arg)
+        if any(c < 0 or c % d for c in rc):
             continue
-        total += sign * kostant(rs, tuple(int(c) for c in rc))
+        total += sign * kostant(rs, tuple(c // d for c in rc))
     return total
 
 
@@ -64,34 +72,38 @@ def _freudenthal_table(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
 
     The recursion only reads weights of strictly larger norm of mu+rho, so
     processing dominant weights in decreasing norm order is well-founded.
+    It runs on the scaled integer inner product: the Gram scale cancels in
+    2*num/den.
     """
     system = rs.weight_system(lam)
     rho = rs.rho
-    lr = tuple(lam[i] + rho[i] for i in range(rs.rank))
-    dominants = sorted(
-        {w for w in system if rs.is_dominant(w)},
-        key=lambda w: rs.norm2(tuple(w[i] + rho[i] for i in range(rs.rank))),
-        reverse=True)
+
+    def shifted_norm(w: Weight) -> int:
+        return rs.norm2_int(tuple(w[i] + rho[i] for i in range(rs.rank)))
+
+    dominants = sorted((w for w in system if rs.is_dominant(w)),
+                       key=shifted_norm, reverse=True)
+    top = shifted_norm(lam)
+    roots = [(alpha, rs.norm2_int(alpha)) for alpha in rs.positive_roots]
     table: dict[Weight, int] = {}
     for w in dominants:
         if w == lam:
             table[w] = 1
             continue
-        wr = tuple(w[i] + rho[i] for i in range(rs.rank))
-        den = rs.inner(lr, lr) - rs.inner(wr, wr)
-        num = Fraction(0)
-        for alpha in rs.positive_roots:
-            j = 1
+        num = 0
+        for alpha, step in roots:
+            # (w + j alpha, alpha) = (w, alpha) + j (alpha, alpha)
+            pairing = rs.inner_int(w, alpha)
+            higher = w
             while True:
-                higher = tuple(w[i] + j * alpha[i] for i in range(rs.rank))
+                higher = tuple(higher[i] + alpha[i] for i in range(rs.rank))
                 if higher not in system:
                     break
-                num += table[rs.dominant_conjugate(higher)] \
-                    * rs.inner(higher, alpha)
-                j += 1
-        val = 2 * num / den
-        assert val.denominator == 1
-        table[w] = int(val)
+                pairing += step
+                num += table[rs.dominant_conjugate(higher)] * pairing
+        val, rem = divmod(2 * num, top - shifted_norm(w))
+        assert rem == 0
+        table[w] = val
     return table
 
 
@@ -118,34 +130,40 @@ def plethysm_adams_oracle(rs: RootSystem, lam: Weight, a: int, mu: Weight,
     """Decompose psi_a(ch_lambda) by greedy highest-weight peeling.
 
     Uses only Freudenthal multiplicities and weight systems, staying
-    independent of the Weyl-alternating production path.
+    independent of the Weyl-alternating production path.  The size guard
+    runs on every call; the peel runs once per (lambda, a).
     """
     if a < 2:
         raise ValueError("Adams parameter a must be >= 2")
-    system = rs.weight_system(lam)
-    if len(system) > max_weights:
+    if len(rs.weight_system(lam)) > max_weights:
         raise OracleLimitError("oracle size limit")
-    table = _freudenthal_table(rs, lam)
-    virtual: dict[Weight, int] = {}
-    for nu in system:
-        m = table[rs.dominant_conjugate(nu)]
-        scaled = tuple(a * c for c in nu)
-        virtual[scaled] = virtual.get(scaled, 0) + m
+    return _adams_table(rs, lam, a).get(mu, 0)
+
+
+@lru_cache(maxsize=64)
+def _adams_table(rs: RootSystem, lam: Weight, a: int) -> dict[Weight, int]:
+    """Multiplicity of every irreducible V_mu in psi_a(ch_lambda).
+
+    psi_a(ch_lambda) = sum_nu m_lambda^nu e^(a nu) is W-invariant, so its
+    dominant part, m_lambda^nu at a*nu for dominant nu, determines it.
+    Peeling c * ch(V_top) changes only dominant weights below top, all of
+    them dominant weights of V_(a lambda); one pass over those in decreasing
+    height (w, rho) therefore meets each top after everything above it.
+    """
+    top = tuple(a * c for c in lam)
+    rho = rs.rho
+    virtual = {tuple(a * c for c in nu): m
+               for nu, m in _freudenthal_table(rs, lam).items()}
+    order = sorted(_freudenthal_table(rs, top),
+                   key=lambda w: (rs.inner_int(w, rho), w), reverse=True)
     result: dict[Weight, int] = {}
-    while True:
-        live = [w for w, c in virtual.items() if c != 0]
-        if not live:
-            break
-        top = max((w for w in live if rs.is_dominant(w)),
-                  key=lambda w: (rs.inner(w, rs.rho), w), default=None)
-        if top is None:
-            raise OracleLimitError("virtual character failed to peel")
-        c = virtual[top]
-        result[top] = c
-        peel = _freudenthal_table(rs, top)
-        for nu in rs.weight_system(top):
-            virtual[nu] = virtual.get(nu, 0) - c * peel[rs.dominant_conjugate(nu)]
-    return result.get(mu, 0)
+    for w in order:
+        c = virtual.get(w, 0)
+        if c:
+            result[w] = c
+            for nu, m in _freudenthal_table(rs, w).items():
+                virtual[nu] = virtual.get(nu, 0) - c * m
+    return result
 
 
 # -- the summation set and its lattice hull ----------------------------------
@@ -156,18 +174,29 @@ def summation_set(rs: RootSystem, lam: Weight, a: int,
     """S_{lambda,a} with plethysm multiplicities.
 
     Defined geometrically: union over sigma of sigma(rho)-rho + a*Pi_lambda,
-    intersected with the dominant cone.  Members whose multiplicity vanishes
-    are retained by default (the set is support-agnostic).
+    intersected with the dominant cone.  The multiplicities are scattered
+    over the same pairs: mu = a*nu - (rho - sigma(rho)) receives
+    (-1)^sigma * m_lambda^nu, and these sum to the ``plethysm_mult`` identity
+    at every mu.  Members whose multiplicity cancels to 0 are retained by
+    default (the set is support-agnostic).
     """
     if not rs.is_dominant(lam):
         raise LieError("highest weight must be dominant")
-    points: set[Weight] = set()
-    for w, _ in rs.orbit_pairs():
-        for nu in rs.weight_system(lam):
+    if a < 2:
+        raise ValueError("Adams parameter a must be >= 2")
+    pairs = rs.orbit_pairs()
+    # a*nu_i - w_i >= 0 for some pair needs a*nu_i >= min(w_i)
+    low = min(c for w, _ in pairs for c in w)
+    out: dict[Weight, int] = {}
+    for nu in rs.weight_system(lam):
+        if any(a * c < low for c in nu):
+            continue
+        m = weight_mult(rs, lam, nu)
+        for w, sign in pairs:
             mu = tuple(a * nu[i] - w[i] for i in range(rs.rank))
             if rs.is_dominant(mu):
-                points.add(mu)
-    out = {mu: plethysm_mult(rs, lam, a, mu) for mu in sorted(points)}
+                out[mu] = out.get(mu, 0) + sign * m
+    out = dict(sorted(out.items()))
     if not keep_zero:
         out = {mu: m for mu, m in out.items() if m != 0}
     return out
@@ -183,10 +212,12 @@ class LatticeHull:
     translates: tuple[Weight, ...]   # a*lam + sigma(rho) - rho
 
     def in_lattice(self, mu: Weight) -> bool:
+        # root coordinates in a*Z, scaled by root_det
+        step = self.rs.root_det * self.a
         for base in self.translates:
-            rc = self.rs.to_root_coords(
+            rc = self.rs.root_coords_int(
                 tuple(mu[i] - base[i] for i in range(self.rs.rank)))
-            if all(c.denominator == 1 and int(c) % self.a == 0 for c in rc):
+            if all(c % step == 0 for c in rc):
                 return True
         return False
 
@@ -194,7 +225,7 @@ class LatticeHull:
         if not self.rs.is_dominant(mu):
             return False
         top = tuple(self.a * c for c in self.lam)
-        rc = self.rs.to_root_coords(
+        rc = self.rs.root_coords_int(
             tuple(top[i] - mu[i] for i in range(self.rs.rank)))
         return all(c >= 0 for c in rc)
 
@@ -205,7 +236,7 @@ class LatticeHull:
         bounds = []
         for i in range(rs.rank):
             li = tuple(1 if j == i else 0 for j in range(rs.rank))
-            bounds.append(int(rs.inner(top, li) / rs.inner(li, li)))
+            bounds.append(rs.inner_int(top, li) // rs.norm2_int(li))
         coords: Iterable[Weight]
         if rs.rank == 1:
             coords = ((u,) for u in range(bounds[0] + 1))

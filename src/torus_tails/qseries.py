@@ -292,6 +292,34 @@ def geometric_inverse(e: Exponent, order: Exponent) -> TruncatedSeries:
     return TruncatedSeries.from_exponents(terms, order=of)
 
 
+def div_binomial(poly: Mapping[int, int], m: int,
+                 cutoff: Optional[int] = None) -> dict[int, int]:
+    """poly / (1 - q^m) on exponent-numerator dicts, m > 0.
+
+    Without a cutoff poly is a polynomial and the division must be exact: a
+    remainder raises SeriesDivisionError.  With one, the quotient is the power
+    series poly * sum_j q^(jm) below q^cutoff, exact there if poly is.
+    """
+    if not poly:
+        return {}
+    top = max(poly) if cutoff is None else cutoff - 1
+    # q = f/(1-q^m): q[k] = f[k] + q[k-m]; remainder iff q[k] != 0 above top-m
+    support = set(poly)
+    for e in sorted(poly):
+        k = e + m
+        while k <= top and k not in support:
+            support.add(k)
+            k += m
+    quot: dict[int, int] = {}
+    for e in sorted(support):
+        val = poly.get(e, 0) + quot.get(e - m, 0)
+        if val:
+            quot[e] = val
+    if cutoff is None and any(e > top - m for e in quot):
+        raise SeriesDivisionError("division remainder nonzero")
+    return quot
+
+
 def exact_div(f: TruncatedSeries, e: Exponent) -> TruncatedSeries:
     """Divide the polynomial f exactly by (1 - q^e)."""
     if f.order is not None:
@@ -302,26 +330,8 @@ def exact_div(f: TruncatedSeries, e: Exponent) -> TruncatedSeries:
     if ef <= 0:
         raise SeriesError("non-expandable denominator")
     d = lcm(f.denom, ef.denominator)
-    m = int(ef * d)
     fac = d // f.denom
-    p = {ex * fac: c for ex, c in f.terms}
-    top = max(p)
-    # q = f/(1-q^m): q[k] = f[k] + q[k-m]; remainder iff q[k] != 0 above top-m
-    support = set(p)
-    frontier = sorted(support)
-    for ex in frontier:
-        k = ex + m
-        while k <= top and k not in support:
-            support.add(k)
-            k += m
-    quot: dict[int, int] = {}
-    for ex in sorted(support):
-        val = p.get(ex, 0) + quot.get(ex - m, 0)
-        if val:
-            quot[ex] = val
-    for ex, val in quot.items():
-        if ex > top - m and val:
-            raise SeriesDivisionError("division remainder nonzero")
+    quot = div_binomial({ex * fac: c for ex, c in f.terms}, int(ef * d))
     return TruncatedSeries.make(quot, d, None)
 
 

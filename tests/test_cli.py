@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from torus_tails.cli import main
 
 
@@ -141,3 +143,72 @@ def test_stable_coeffs_command(capsys):
     table = {(int(k), int(n)): int(v) for k, n, v in
              (line.split(",") for line in lines[1:])}
     assert table[(0, 2)] == 1 and table[(0, 3)] == -1
+
+
+def test_tail_closed_rejects_unsupported_inputs(capsys):
+    # the closed forms are A2 T(2,b) on lambda1 and A2 T(4,b) on rho only
+    for algebra, knot, ray in (("B2", "2,5", "0,1"), ("G2", "2,5", "1,0"),
+                               ("A2", "2,5", "0,1"), ("A2", "2,5", "rho"),
+                               ("A2", "4,5", "1,0"), ("B2", "4,5", "rho"),
+                               ("A2", "3,5", "rho")):
+        code, out, err = run(capsys, "tail", "--algebra", algebra, "--knot",
+                             knot, "--ray", ray, "--method", "closed",
+                             "--x-order", "1", "--q-order", "10")
+        assert code == 2, (algebra, knot, ray)
+        assert out == ""
+        assert "no closed tail" in err
+
+
+def test_tail_closed_accepts_supported_inputs(capsys):
+    for knot, ray in (("2,5", "1,0"), ("4,5", "rho"), ("4,7", "1,1")):
+        code, out, _ = run(capsys, "tail", "--algebra", "A2", "--knot", knot,
+                           "--ray", ray, "--method", "closed",
+                           "--x-order", "1", "--q-order", "10")
+        assert code == 0
+        assert json.loads(out)["tail"]["phi"]
+
+
+def test_internal_inconsistency_exits_3(capsys, monkeypatch):
+    from torus_tails import cli
+    from torus_tails.jones import JonesError
+    from torus_tails.qseries import SeriesDivisionError
+    for exc in (JonesError("minimizer inconsistency"),
+                SeriesDivisionError("division remainder nonzero")):
+        def fail(*args, exc=exc):
+            raise exc
+        monkeypatch.setattr(cli, "colored_jones", fail)
+        code, out, err = run(capsys, "jones", "--algebra", "A2", "--knot",
+                             "2,3", "--lambda", "1,0", "--n", "2")
+        assert code == 3
+        assert out == ""
+        assert str(exc) in err
+    # both stay ValueErrors for library callers
+    assert issubclass(JonesError, ValueError)
+    assert issubclass(SeriesDivisionError, ValueError)
+
+
+@pytest.mark.parametrize("algebra,knot,ray,n_max,k_max",
+                         [("A2", "4,5", "rho", 12, 5),
+                          ("B2", "2,5", "0,1", 10, 6)])
+def test_stable_coeffs_jets_match_whole_polynomials(capsys, monkeypatch,
+                                                    algebra, knot, ray,
+                                                    n_max, k_max):
+    from torus_tails import cli, stability
+    argv = ("stable-coeffs", "--algebra", algebra, "--knot", knot, "--ray",
+            ray, "--n-max", str(n_max), "--k-max", str(k_max))
+    orders = []
+
+    def spy(rs, knot, ray, ns, order=None):
+        orders.append(order)
+        return stability.jones_family(rs, knot, ray, ns, order)
+
+    def whole(rs, knot, ray, ns, order=None):
+        return stability.jones_family(rs, knot, ray, ns)
+
+    monkeypatch.setattr(cli, "jones_family", spy)
+    code, jets, _ = run(capsys, *argv)
+    assert orders == [k_max + 1]
+    monkeypatch.setattr(cli, "jones_family", whole)
+    code_whole, table, _ = run(capsys, *argv)
+    assert code == code_whole == 0
+    assert jets == table

@@ -219,6 +219,9 @@ def test_fault_injection_corrupted_gram():
     rows = [list(r) for r in good.gram]
     rows[1][1] = Fraction(10)  # wrong (lambda2, lambda2): 3*lambda2 no longer
     bad = replace(good, gram=tuple(tuple(r) for r in rows))  # minimizes
+    # the integer Gram is derived again from the corrupted one
+    assert bad.inner((0, 1), (0, 1)) == 10 != good.inner((0, 1), (0, 1))
+    assert bad.norm2((1, 1)) != good.norm2((1, 1))
     lam = (5, 2)
     table = minimizer_closed_form(bad, lam, 2)
     try:

@@ -92,3 +92,11 @@ def test_zero_outside_positive_root_span():
 def test_fast_path_matches_dp_for_a1():
     for u in range(10):
         assert kostant(A1, (u,)) == kostant_dp(A1, (u,))
+
+
+def test_package_attribute_is_the_submodule():
+    import types
+
+    import torus_tails
+    assert isinstance(torus_tails.kostant, types.ModuleType)
+    assert torus_tails.kostant.kostant is kostant

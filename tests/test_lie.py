@@ -154,3 +154,51 @@ def test_multiplicity_sums_match_dimension():
                 total = sum(weight_mult(rs, lam, mu)
                             for mu in rs.weight_system(lam))
                 assert total == rs.dim_irrep(lam), (rs.name, lam)
+
+
+def _gram_inner(rs, mu, nu):
+    # reference: the Fraction Gram matrix, summed directly
+    return sum(rs.gram[i][j] * mu[i] * nu[j]
+               for i in range(rs.rank) for j in range(rs.rank))
+
+
+def _grid(rs):
+    r = range(-4, 5)
+    return [(u,) for u in r] if rs.rank == 1 else [(u, v) for u in r
+                                                    for v in r]
+
+
+def test_integer_kernel_matches_fraction_gram():
+    assert [rs.gram_scale for rs in (A1, A2, B2, G2)] == [2, 3, 2, 1]
+    for rs in (A1, A2, B2, G2):
+        assert all(Fraction(g, rs.gram_scale) == f
+                   for row_i, row_f in zip(rs.gram_int, rs.gram)
+                   for g, f in zip(row_i, row_f))
+        grid = _grid(rs)
+        for mu in grid:
+            assert rs.norm2(mu) == _gram_inner(rs, mu, mu)
+            assert rs.norm2_int(mu) == rs.gram_scale * rs.norm2(mu)
+            for nu in grid[::5]:
+                ref = _gram_inner(rs, mu, nu)
+                assert rs.inner(mu, nu) == ref, (rs.name, mu, nu)
+                assert rs.inner_int(mu, nu) == rs.gram_scale * ref
+
+
+def test_integer_root_coords_match_fraction_reference():
+    for rs in (A1, A2, B2, G2):
+        for mu in _grid(rs):
+            rc = rs.to_root_coords(mu)
+            assert rc == tuple(Fraction(c, rs.root_det)
+                               for c in rs.root_coords_int(mu))
+            # the definition: mu = sum_i rc_i alpha_i
+            assert tuple(sum(rc[i] * rs.simple_roots[i][j]
+                             for i in range(rs.rank))
+                         for j in range(rs.rank)) == mu, (rs.name, mu)
+            assert rs.in_root_lattice(mu) == \
+                all(c.denominator == 1 for c in rc)
+            for lam in _grid(rs)[::3]:
+                diff = rs.to_root_coords(
+                    tuple(lam[i] - mu[i] for i in range(rs.rank)))
+                assert rs.dominates(lam, mu) == all(
+                    c.denominator == 1 and c >= 0 for c in diff), \
+                    (rs.name, lam, mu)

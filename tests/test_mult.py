@@ -221,3 +221,40 @@ def test_plethysm_quasipoly_fit_constant_on_class():
     qp = plethysm_quasipoly_fit(A2, (1, 0), 2, (0, 0), (0, 1), 20,
                                 modulus=2, n0=0)
     assert qp.degree == 0 and qp(34) == 1
+
+
+@pytest.mark.parametrize("rs", [A2, B2, G2], ids=lambda rs: rs.name)
+def test_scatter_summation_set_equals_pointwise(rs):
+    zeros = 0
+    for a in (2, 3, 4, 5):
+        for m1 in range(3):
+            for m2 in range(3 - m1):
+                lam = (m1, m2)
+                s = summation_set(rs, lam, a)
+                # the geometric definition, built here independently
+                points = {(a * nu[0] - w[0], a * nu[1] - w[1])
+                          for w, _ in rs.orbit_pairs()
+                          for nu in rs.weight_system(lam)}
+                assert set(s) == {mu for mu in points if min(mu) >= 0}
+                for mu, m in s.items():
+                    assert m == plethysm_mult(rs, lam, a, mu), \
+                        (rs.name, lam, a, mu)
+                    zeros += m == 0
+                assert summation_set(rs, lam, a, keep_zero=False) == \
+                    {mu: m for mu, m in s.items() if m}
+    assert zeros   # members whose multiplicity cancels are kept
+
+
+def test_adams_oracle_cache_is_bounded_and_stable():
+    from torus_tails.mult import _adams_table
+    assert _adams_table.cache_info().maxsize == 64
+    lam, a = (2, 1), 3
+    pts = lattice_hull(A2, lam, a).points()
+    first = [plethysm_adams_oracle(A2, lam, a, mu) for mu in pts]
+    hits = _adams_table.cache_info().hits
+    assert [plethysm_adams_oracle(A2, lam, a, mu) for mu in pts] == first
+    assert _adams_table.cache_info().hits == hits + len(pts)
+    assert first == [plethysm_mult(A2, lam, a, mu) for mu in pts]
+    # the size guard runs on every call, cached table or not
+    with pytest.raises(OracleLimitError):
+        plethysm_adams_oracle(A2, lam, a, pts[0], max_weights=10)
