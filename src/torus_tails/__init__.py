@@ -17,12 +17,12 @@ from .qseries import (SeriesDivisionError, SeriesError, ThetaParams,
                       TruncatedSeries, euler_phi, exact_div,
                       geometric_inverse, pochhammer, theta)
 from .quasipoly import FitError, QuasiPolynomial, fit_quasi_polynomial
-from .stability import (QPSeries, StabilityError, TailSeries,
-                        a1_theta_difference, a1_triple_product,
-                        degree_quasipoly_fit, detect_cstability,
-                        detect_jones_tail, jones_family, lemma_FG_inverse,
-                        lemma_FG_transform, minimal_class_modulus,
-                        stable_coefficients, t4b_series, tail_closed_T2b,
-                        tail_closed_T4b, tail_eval_stable_limit)
+from .stability import (StabilityError, TailSeries, a1_theta_difference,
+                        a1_triple_product, degree_quasipoly_fit,
+                        detect_cstability, detect_jones_tail, jones_family,
+                        lemma_FG_inverse, lemma_FG_transform,
+                        minimal_class_modulus, qp_series, stable_coefficients,
+                        t4b_series, tail_closed_T2b, tail_closed_T4b,
+                        tail_eval_stable_limit)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

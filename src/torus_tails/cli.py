@@ -47,7 +47,6 @@ class RunConfig:
     k_max: Optional[int] = None
     method: Optional[str] = None
     output: str = "json"
-    seed: int = 0
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -82,7 +81,7 @@ def cmd_jones(args) -> int:
     knot = TorusKnot(*_parse_pair(args.knot))
     ray = _parse_weight(args.ray, rs.rank)
     cfg = RunConfig("jones", rs.name, (knot.a, knot.b), ray, n=args.n,
-                    output=args.format, seed=args.seed)
+                    output=args.format)
     lam = tuple(args.n * c for c in ray)
     res = colored_jones(rs, knot, lam)
     if args.format == "csv":
@@ -99,7 +98,7 @@ def cmd_degree(args) -> int:
     knot = TorusKnot(*_parse_pair(args.knot))
     ray = _parse_weight(args.ray, rs.rank)
     cfg = RunConfig("degree", rs.name, (knot.a, knot.b), ray,
-                    n_max=args.n_max, output=args.format, seed=args.seed)
+                    n_max=args.n_max, output=args.format)
     rows = []
     for n in range(0, args.n_max + 1):
         lam = tuple(n * c for c in ray)
@@ -119,7 +118,7 @@ def cmd_tail(args) -> int:
     ray = (1, 1) if args.ray == "rho" else _parse_weight(args.ray, rs.rank)
     cfg = RunConfig("tail", rs.name, (knot.a, knot.b), ray, n_max=args.n_max,
                     x_order=args.x_order, q_order=args.q_order,
-                    method=args.method, output=args.format, seed=args.seed)
+                    method=args.method, output=args.format)
     if args.method == "closed":
         closed = {(2, (1, 0)): tail_closed_T2b, (4, (1, 1)): tail_closed_T4b}
         fn = closed.get((knot.a, ray)) if rs.name == "A2" else None
@@ -144,8 +143,7 @@ def cmd_stable_coeffs(args) -> int:
     knot = TorusKnot(*_parse_pair(args.knot))
     ray = (1, 1) if args.ray == "rho" else _parse_weight(args.ray, rs.rank)
     cfg = RunConfig("stable-coeffs", rs.name, (knot.a, knot.b), ray,
-                    n_max=args.n_max, k_max=args.k_max, output=args.format,
-                    seed=args.seed)
+                    n_max=args.n_max, k_max=args.k_max, output=args.format)
     if args.k_max < 0:
         raise ValueError("--k-max must be >= 0")
     # a_k(n) for k <= k_max lies below q^(k_max+1); jets are rank 2 only
@@ -164,7 +162,7 @@ def cmd_stable_coeffs(args) -> int:
 def cmd_kostant(args) -> int:
     rs = get_root_system(args.algebra)
     alpha = _parse_pair(args.alpha) if rs.rank == 2 else (int(args.alpha),)
-    cfg = RunConfig("kostant", rs.name, output=args.format, seed=args.seed)
+    cfg = RunConfig("kostant", rs.name, output=args.format)
     _emit({"alpha": list(alpha), "closed": kostant(rs, alpha),
            "dp": kostant_dp(rs, alpha)}, cfg)
     return EXIT_OK
@@ -174,8 +172,7 @@ def cmd_plethysm(args) -> int:
     rs = get_root_system(args.algebra)
     lam = _parse_weight(args.lam, rs.rank)
     mu = _parse_weight(args.mu, rs.rank)
-    cfg = RunConfig("plethysm", rs.name, ray=lam, output=args.format,
-                    seed=args.seed)
+    cfg = RunConfig("plethysm", rs.name, ray=lam, output=args.format)
     _emit({"lambda": list(lam), "a": args.a, "mu": list(mu),
            "multiplicity": plethysm_mult(rs, lam, args.a, mu)}, cfg)
     return EXIT_OK
@@ -184,8 +181,7 @@ def cmd_plethysm(args) -> int:
 def cmd_summation_set(args) -> int:
     rs = get_root_system(args.algebra)
     lam = _parse_weight(args.lam, rs.rank)
-    cfg = RunConfig("summation-set", rs.name, ray=lam, output=args.format,
-                    seed=args.seed)
+    cfg = RunConfig("summation-set", rs.name, ray=lam, output=args.format)
     s = summation_set(rs, lam, args.a, keep_zero=not args.drop_zero)
     _emit({"lambda": list(lam), "a": args.a,
            "set": [[list(mu), m] for mu, m in sorted(s.items())]}, cfg)
@@ -195,8 +191,7 @@ def cmd_summation_set(args) -> int:
 def cmd_missing_points(args) -> int:
     rs = get_root_system(args.algebra)
     lam = _parse_weight(args.lam, rs.rank)
-    cfg = RunConfig("missing-points", rs.name, ray=lam, output=args.format,
-                    seed=args.seed)
+    cfg = RunConfig("missing-points", rs.name, ray=lam, output=args.format)
     miss = missing_points(rs, lam, args.a)
     hull = lattice_hull(rs, lam, args.a)
     _emit({"lambda": list(lam), "a": args.a,
@@ -208,8 +203,7 @@ def cmd_missing_points(args) -> int:
 def cmd_minimizer(args) -> int:
     rs = get_root_system(args.algebra)
     lam = _parse_weight(args.lam, rs.rank)
-    cfg = RunConfig("minimizer", rs.name, ray=lam, output=args.format,
-                    seed=args.seed)
+    cfg = RunConfig("minimizer", rs.name, ray=lam, output=args.format)
     table = minimizer_closed_form(rs, lam, args.a)
     brute = minimizer_bruteforce(rs, lam, args.a)
     if table != brute:
@@ -221,8 +215,7 @@ def cmd_minimizer(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    cfg = RunConfig("selftest", method=args.filter, output=args.format,
-                    seed=args.seed)
+    cfg = RunConfig("selftest", method=args.filter, output=args.format)
     reports = run_selftest(args.filter)
     if args.format == "json":
         stripped = [{k: v for k, v in r.items() if k != "seconds"}
@@ -250,25 +243,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, knot=True, ray=True):
+    def common(sp, formats):
         sp.add_argument("--algebra", required=True,
                         help="A1, A2, B2 or G2 (case-insensitive)")
-        if knot:
-            sp.add_argument("--knot", required=True, help="a,b (0<a<b coprime)")
-        if ray:
-            sp.add_argument("--lambda", dest="ray", required=True,
-                            help="ray coefficients c1,c2 (color is n*(c1,c2))")
-        sp.add_argument("--format", choices=("json", "csv", "text"),
-                        default="json")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--knot", required=True, help="a,b (0<a<b coprime)")
+        sp.add_argument("--lambda", dest="ray", required=True,
+                        help="ray coefficients c1,c2 (color is n*(c1,c2))")
+        sp.add_argument("--format", choices=formats, default="json")
 
     sp = sub.add_parser("jones", help="one colored Jones polynomial")
-    common(sp)
+    common(sp, ("json", "csv"))
     sp.add_argument("--n", type=int, required=True)
     sp.set_defaults(fn=cmd_jones)
 
     sp = sub.add_parser("degree", help="q-degrees along a ray")
-    common(sp)
+    common(sp, ("json",))
     sp.add_argument("--n-max", type=int, default=10)
     sp.set_defaults(fn=cmd_degree)
 
@@ -285,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n0", type=int, default=1,
                     help="residue class representative")
     sp.add_argument("--format", choices=("json",), default="json")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_tail)
 
     sp = sub.add_parser("stable-coeffs", help="a_k(n) table for a family")
@@ -295,14 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, default=20)
     sp.add_argument("--k-max", type=int, default=10)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_stable_coeffs)
 
     sp = sub.add_parser("kostant", help="Kostant partition function value")
     sp.add_argument("--algebra", required=True)
     sp.add_argument("--alpha", required=True, help="root coordinates u,v")
     sp.add_argument("--format", choices=("json",), default="json")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_kostant)
 
     sp = sub.add_parser("plethysm", help="one plethysm multiplicity")
@@ -311,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--mu", required=True)
     sp.add_argument("--format", choices=("json",), default="json")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_plethysm)
 
     sp = sub.add_parser("summation-set", help="S_{lambda,a} with multiplicities")
@@ -320,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--drop-zero", action="store_true")
     sp.add_argument("--format", choices=("json",), default="json")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_summation_set)
 
     sp = sub.add_parser("missing-points", help="hull points outside S")
@@ -328,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", required=True)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--format", choices=("json",), default="json")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_missing_points)
 
     sp = sub.add_parser("minimizer", help="closed-form vs brute-force minimizer")
@@ -336,14 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", required=True)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--format", choices=("json",), default="json")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_minimizer)
 
     sp = sub.add_parser("selftest", help="run the acceptance suite")
     sp.add_argument("--filter", default=None,
                     help="substring of a check key (e.g. 'kostant')")
     sp.add_argument("--format", choices=("json", "text"), default="text")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_selftest)
     return p
 

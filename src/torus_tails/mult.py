@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .kostant import kostant
-from .lie import LieError, RootSystem, Weight
+from .lie import LieError, RootSystem, Weight, _mat_apply
 from .quasipoly import QuasiPolynomial, fit_quasi_polynomial
 
 
@@ -46,17 +46,13 @@ def _weight_mult(rs: RootSystem, lam: Weight, mu: Weight) -> int:
     lr = tuple(lam[i] + rho[i] for i in range(rs.rank))
     total = 0
     for mat, sign in rs.weyl_elements:
-        im = _apply(mat, lr)
+        im = _mat_apply(mat, lr)
         arg = tuple(im[i] - mu[i] - rho[i] for i in range(rs.rank))
         rc = rs.root_coords_int(arg)
         if any(c < 0 or c % d for c in rc):
             continue
         total += sign * kostant(rs, tuple(c // d for c in rc))
     return total
-
-
-def _apply(mat, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in mat)
 
 
 def weight_mult_freudenthal(rs: RootSystem, lam: Weight, mu: Weight) -> int:

@@ -1,11 +1,16 @@
 """Exact truncated Laurent series in q with rational exponents.
 
-A series lives in Z((q^(1/D))) for a global exponent denominator D: terms map
-exponent *numerators* (meaning q^(e/D)) to arbitrary-precision integer
-coefficients, and an optional truncation order O guarantees every coefficient
-at exponents below O/D is exact.  Coefficients at or beyond the order are
-unknown and never reported.  All arithmetic is pure integer arithmetic on the
-numerators; orders propagate to the tightest provably-exact bound.
+A series lives in R((q^(1/D))) for a global exponent denominator D: terms map
+exponent *numerators* (meaning q^(e/D)) to coefficients, and an optional
+truncation order O guarantees every coefficient at exponents below O/D is
+exact.  Coefficients at or beyond the order are unknown and never reported.
+Exponent arithmetic is pure integer arithmetic on the numerators; orders
+propagate to the tightest provably-exact bound.
+
+The coefficient ring R is the integers or the quasi-polynomials in n (the
+tails' phi_k(n, q)).  The algebra needs only +, -, * and truthiness of the
+coefficients, and an int times a coefficient; ``evaluate`` maps a
+quasi-polynomial series to the integer series of one n.
 """
 
 from __future__ import annotations
@@ -13,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 Exponent = Union[int, Fraction]
+Coeff = Any   # int or quasipoly.QuasiPolynomial
 
 
 class SeriesError(ValueError):
@@ -32,7 +38,7 @@ def _as_fraction(e: Exponent) -> Fraction:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Element of Z((q^(1/denom))), exact below order/denom.
+    """Element of R((q^(1/denom))), exact below order/denom.
 
     ``terms`` is a sorted tuple of (exponent_numerator, coefficient) pairs with
     no zero coefficients; ``order`` is the truncation bound as an exponent
@@ -41,26 +47,26 @@ class TruncatedSeries:
     """
 
     denom: int = 1
-    terms: tuple[tuple[int, int], ...] = ()
+    terms: tuple[tuple[int, Coeff], ...] = ()
     order: Optional[int] = None
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def make(terms: Mapping[int, int], denom: int = 1,
+    def make(terms: Mapping[int, Coeff], denom: int = 1,
              order: Optional[int] = None) -> "TruncatedSeries":
         """Build a series from numerator->coefficient, normalizing denom."""
         if denom <= 0:
             raise SeriesError("denominator must be positive")
-        kept = {e: c for e, c in terms.items() if c != 0}
+        kept = {e: c for e, c in terms.items() if c}
         if order is not None:
             kept = {e: c for e, c in kept.items() if e < order}
         g = denom
-        for e in kept:
-            g = gcd(g, e)
-        if order is not None:
-            g = gcd(g, order)
-        g = g or denom
+        if g > 1:
+            for e in kept:
+                g = gcd(g, e)
+            if order is not None:
+                g = gcd(g, order)
         if g > 1:
             kept = {e // g: c for e, c in kept.items()}
             order = order // g if order is not None else None
@@ -162,7 +168,7 @@ class TruncatedSeries:
         d, t1, o1, t2, o2 = self._aligned(other)
         out = dict(t1)
         for e, c in t2.items():
-            out[e] = out.get(e, 0) + c
+            out[e] = out[e] + c if e in out else c
         order = _min_order(o1, o2)
         return TruncatedSeries.make(out, d, order)
 
@@ -185,13 +191,14 @@ class TruncatedSeries:
             None if o2 is None or m1 is None else m1 + o2,
             None if o1 is None or m2 is None else m2 + o1,
         )
-        out: dict[int, int] = {}
+        out: dict[int, Coeff] = {}
         for e1, c1 in t1.items():
             for e2, c2 in t2.items():
                 e = e1 + e2
                 if order is not None and e >= order:
                     continue
-                out[e] = out.get(e, 0) + c1 * c2
+                c = c1 * c2
+                out[e] = out[e] + c if e in out else c
         return TruncatedSeries.make(out, d, order)
 
     def scaled(self, k: int) -> "TruncatedSeries":
@@ -206,6 +213,10 @@ class TruncatedSeries:
         f = _as_fraction(exp)
         d = lcm(self.denom, f.denominator)
         s = int(f * d)
+        if d == 1:  # integer exponents: nothing to merge or normalize
+            return TruncatedSeries(1, tuple((e + s, c) for e, c in self.terms),
+                                   None if self.order is None
+                                   else self.order + s)
         fac = d // self.denom
         return TruncatedSeries.make(
             {e * fac + s: c for e, c in self.terms}, d,
@@ -227,6 +238,17 @@ class TruncatedSeries:
         for _ in range(n):
             out = out * self
         return out
+
+    def evaluate(self, n: int) -> "TruncatedSeries":
+        """The integer series whose coefficients are the quasi-polynomial
+        coefficients of this one at n."""
+        vals: dict[int, int] = {}
+        for e, qp in self.terms:
+            v = qp(n)
+            if v.denominator != 1:
+                raise SeriesError(f"non-integer coefficient at n={n}")
+            vals[e] = int(v)
+        return TruncatedSeries.make(vals, self.denom, self.order)
 
     def agrees_with(self, other: "TruncatedSeries", upto: Exponent) -> bool:
         """Coefficient-by-coefficient equality below q^upto."""
@@ -257,10 +279,8 @@ class TruncatedSeries:
             parts = []
             for e, c in self.terms[:12]:
                 exp = Fraction(e, self.denom)
-                if exp == 0:
-                    parts.append(f"{c:+d}")
-                else:
-                    parts.append(f"{c:+d}*q^{exp}")
+                coeff = f"{c:+d}" if isinstance(c, int) else f"+({c!r})"
+                parts.append(coeff if exp == 0 else f"{coeff}*q^{exp}")
             body = " ".join(parts) + (" + ..." if len(self.terms) > 12 else "")
         if self.order is not None:
             body += f" + O(q^{Fraction(self.order, self.denom)})"
@@ -280,25 +300,17 @@ def _min_order(o1: Optional[int], o2: Optional[int]) -> Optional[int]:
 
 def geometric_inverse(e: Exponent, order: Exponent) -> TruncatedSeries:
     """1/(1-q^e) = sum_{j>=0} q^(je), truncated below order."""
-    ef = _as_fraction(e)
-    if ef <= 0:
-        raise SeriesError("non-expandable denominator")
-    of = _as_fraction(order)
-    terms: dict[Fraction, int] = {}
-    j = 0
-    while j * ef < of:
-        terms[j * ef] = 1
-        j += 1
-    return TruncatedSeries.from_exponents(terms, order=of)
+    return exact_div(TruncatedSeries.one(), e, order)
 
 
-def div_binomial(poly: Mapping[int, int], m: int,
-                 cutoff: Optional[int] = None) -> dict[int, int]:
+def div_binomial(poly: Mapping[int, Coeff], m: int,
+                 cutoff: Optional[int] = None) -> dict[int, Coeff]:
     """poly / (1 - q^m) on exponent-numerator dicts, m > 0.
 
     Without a cutoff poly is a polynomial and the division must be exact: a
     remainder raises SeriesDivisionError.  With one, the quotient is the power
-    series poly * sum_j q^(jm) below q^cutoff, exact there if poly is.
+    series poly * sum_j q^(jm) below q^cutoff, exact there if poly is.  The
+    coefficients may be ints or quasi-polynomials.
     """
     if not poly:
         return {}
@@ -310,9 +322,12 @@ def div_binomial(poly: Mapping[int, int], m: int,
         while k <= top and k not in support:
             support.add(k)
             k += m
-    quot: dict[int, int] = {}
+    quot: dict[int, Coeff] = {}
     for e in sorted(support):
-        val = poly.get(e, 0) + quot.get(e - m, 0)
+        val = poly.get(e)
+        prev = quot.get(e - m)
+        if prev is not None:
+            val = prev if val is None else val + prev
         if val:
             quot[e] = val
     if cutoff is None and any(e > top - m for e in quot):
@@ -320,19 +335,26 @@ def div_binomial(poly: Mapping[int, int], m: int,
     return quot
 
 
-def exact_div(f: TruncatedSeries, e: Exponent) -> TruncatedSeries:
-    """Divide the polynomial f exactly by (1 - q^e)."""
-    if f.order is not None:
-        raise SeriesError("exact division needs a finitely-supported series")
-    if f.is_zero:
-        return TruncatedSeries.zero()
+def exact_div(f: TruncatedSeries, e: Exponent,
+              order: Optional[Exponent] = None) -> TruncatedSeries:
+    """f / (1 - q^e), e > 0.
+
+    Without ``order`` f must be a polynomial that (1 - q^e) divides: a
+    remainder raises SeriesDivisionError.  With it, the power series quotient
+    f * sum_j q^(je), exact below min(f's order, order).
+    """
     ef = _as_fraction(e)
     if ef <= 0:
         raise SeriesError("non-expandable denominator")
-    d = lcm(f.denom, ef.denominator)
+    if order is None and f.order is not None:
+        raise SeriesError("exact division needs a finitely-supported series")
+    of = None if order is None else _as_fraction(order)
+    d = lcm(f.denom, ef.denominator, 1 if of is None else of.denominator)
     fac = d // f.denom
-    quot = div_binomial({ex * fac: c for ex, c in f.terms}, int(ef * d))
-    return TruncatedSeries.make(quot, d, None)
+    cut = _min_order(None if f.order is None else f.order * fac,
+                     None if of is None else int(of * d))
+    quot = div_binomial({ex * fac: c for ex, c in f.terms}, int(ef * d), cut)
+    return TruncatedSeries.make(quot, d, cut)
 
 
 @dataclass(frozen=True)

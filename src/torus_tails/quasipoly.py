@@ -59,9 +59,12 @@ class QuasiPolynomial:
             acc = acc * n + cs[j]
         return acc
 
+    def __bool__(self) -> bool:
+        return any(c for _, cs in self.coeffs for c in cs)
+
     @property
     def is_zero(self) -> bool:
-        return all(all(c == 0 for c in cs) for _, cs in self.coeffs)
+        return not self
 
     def supported_residues(self) -> tuple[int, ...]:
         return tuple(r for r, _ in self.coeffs)
@@ -102,7 +105,10 @@ class QuasiPolynomial:
     def __sub__(self, other: "QuasiPolynomial") -> "QuasiPolynomial":
         return self + (-other)
 
-    def __mul__(self, other: "QuasiPolynomial") -> "QuasiPolynomial":
+    def __mul__(self, other) -> "QuasiPolynomial":
+        if isinstance(other, int):
+            return self.scale(other)
+
         def mul(a, b):
             out = [Fraction(0)] * (len(a) + len(b) - 1)
             for i, x in enumerate(a):
@@ -110,6 +116,8 @@ class QuasiPolynomial:
                     out[i + j] += x * y
             return tuple(out)
         return self._binop(other, mul)
+
+    __rmul__ = __mul__
 
     def scale(self, k) -> "QuasiPolynomial":
         return QuasiPolynomial(self.period, self.degree,
@@ -154,6 +162,13 @@ class QuasiPolynomial:
             "degree": self.degree,
             "coeffs": [[r, [str(c) for c in cs]] for r, cs in self.coeffs],
         }
+
+    @staticmethod
+    def from_json_obj(obj: dict) -> "QuasiPolynomial":
+        return QuasiPolynomial(
+            int(obj["period"]), int(obj["degree"]),
+            tuple((int(r), tuple(Fraction(c) for c in cs))
+                  for r, cs in obj["coeffs"]))
 
 
 def _trim(cs: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -23,8 +23,8 @@ from .jones import (TorusKnot, colored_jones, jones_jet,
 from .lie import LieError, RootSystem, Weight
 from .mult import lattice_hull, plethysm_mult
 from .quasipoly import FitError, QuasiPolynomial, fit_quasi_polynomial
-from .qseries import (ThetaParams, TruncatedSeries, euler_phi,
-                      geometric_inverse, theta)
+from .qseries import (ThetaParams, TruncatedSeries, euler_phi, exact_div,
+                      theta)
 
 
 class StabilityError(ValueError):
@@ -60,140 +60,32 @@ def degree_quasipoly_fit(samples: Sequence[tuple[int, Fraction]],
                                 max_degree=2)
 
 
-# -- q-series with quasi-polynomial coefficients ------------------------------
+# -- tails: x-graded q-series with quasi-polynomial coefficients --------------
 
 
-@dataclass(frozen=True)
-class QPSeries:
-    """Laurent q-series whose coefficients are quasi-polynomials in n.
-
-    ``terms`` maps integer q-exponents to QuasiPolynomial coefficients;
-    ``order`` bounds the exactness window exactly as in TruncatedSeries.
-    """
-
-    terms: tuple[tuple[int, QuasiPolynomial], ...] = ()
-    order: Optional[int] = None
-
-    @staticmethod
-    def make(terms: Mapping[int, QuasiPolynomial],
-             order: Optional[int] = None) -> "QPSeries":
-        kept = {e: qp for e, qp in terms.items()
-                if not qp.is_zero and (order is None or e < order)}
-        return QPSeries(tuple(sorted(kept.items())), order)
-
-    @staticmethod
-    def from_series(s: TruncatedSeries, linear: Optional[TruncatedSeries] = None
-                    ) -> "QPSeries":
-        """Constant-in-n series, optionally with a linear-in-n part."""
-        if s.denom != 1 or (linear is not None and linear.denom != 1):
-            raise StabilityError("tail series need integer q-exponents")
-        out: dict[int, QuasiPolynomial] = {
-            e: QuasiPolynomial.constant(c) for e, c in s.terms}
-        order = s.order
-        if linear is not None:
-            for e, c in linear.terms:
-                base = out.get(e, QuasiPolynomial.constant(0))
-                out[e] = base + QuasiPolynomial.linear(0, c)
-            order = _min_opt(order, linear.order)
-        return QPSeries.make(out, order)
-
-    @staticmethod
-    def constant(value: int = 1) -> "QPSeries":
-        return QPSeries.make({0: QuasiPolynomial.constant(value)})
-
-    def _eff_min(self) -> Optional[int]:
-        if self.terms:
-            return self.terms[0][0]
-        return self.order
-
-    def __add__(self, other: "QPSeries") -> "QPSeries":
-        out = {e: qp for e, qp in self.terms}
-        for e, qp in other.terms:
-            out[e] = out[e] + qp if e in out else qp
-        return QPSeries.make(out, _min_opt(self.order, other.order))
-
-    def __neg__(self) -> "QPSeries":
-        return QPSeries(tuple((e, -qp) for e, qp in self.terms), self.order)
-
-    def __sub__(self, other: "QPSeries") -> "QPSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "QPSeries") -> "QPSeries":
-        if (not self.terms and self.order is None) or \
-           (not other.terms and other.order is None):
-            return QPSeries()
-        m1, m2 = self._eff_min(), other._eff_min()
-        order = _min_opt(
-            None if other.order is None or m1 is None else m1 + other.order,
-            None if self.order is None or m2 is None else m2 + self.order)
-        out: dict[int, QuasiPolynomial] = {}
-        for e1, q1 in self.terms:
-            for e2, q2 in other.terms:
-                e = e1 + e2
-                if order is not None and e >= order:
-                    continue
-                prod = q1 * q2
-                out[e] = out[e] + prod if e in out else prod
-        return QPSeries.make(out, order)
-
-    def scale(self, k) -> "QPSeries":
-        return QPSeries.make({e: qp.scale(k) for e, qp in self.terms},
-                             self.order)
-
-    def shifted(self, d: int) -> "QPSeries":
-        return QPSeries(tuple((e + d, qp) for e, qp in self.terms),
-                        None if self.order is None else self.order + d)
-
-    def truncated(self, order: int) -> "QPSeries":
-        o = order if self.order is None else min(order, self.order)
-        return QPSeries.make(dict(self.terms), o)
-
-    def evaluate(self, n: int) -> TruncatedSeries:
-        vals: dict[int, int] = {}
-        for e, qp in self.terms:
-            v = qp(n)
-            if v.denominator != 1:
-                raise StabilityError("non-integer tail coefficient")
-            if v:
-                vals[e] = int(v)
-        return TruncatedSeries.make(vals, 1, self.order)
-
-    def agrees_with(self, other: "QPSeries", upto: int, n0: int, modulus: int,
-                    start: int = 0) -> bool:
-        """Coefficient QPs equal on the class {n >= start, n = n0 mod M}."""
-        t1, t2 = dict(self.terms), dict(other.terms)
-        for e in sorted(set(t1) | set(t2)):
-            if e >= upto:
-                continue
-            if self.order is not None and e >= self.order:
-                raise StabilityError("comparison beyond exactness")
-            if other.order is not None and e >= other.order:
-                raise StabilityError("comparison beyond exactness")
-            a = t1.get(e, QuasiPolynomial.constant(0))
-            b = t2.get(e, QuasiPolynomial.constant(0))
-            if not a.equal_on_class(b, n0, modulus, start):
-                return False
-        return True
-
-    def to_json_obj(self) -> dict:
-        return {"order": self.order,
-                "terms": [[e, qp.to_json_obj()] for e, qp in self.terms]}
-
-
-def _min_opt(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+def qp_series(s: TruncatedSeries, linear: Optional[TruncatedSeries] = None
+              ) -> TruncatedSeries:
+    """The coefficients of s as constants in n, plus n times those of
+    ``linear``: a series over the quasi-polynomials in n."""
+    if s.denom != 1 or (linear is not None and linear.denom != 1):
+        raise StabilityError("tail series need integer q-exponents")
+    out = TruncatedSeries.make(
+        {e: QuasiPolynomial.constant(c) for e, c in s.terms}, 1, s.order)
+    if linear is not None:
+        out = out + TruncatedSeries.make(
+            {e: QuasiPolynomial.linear(0, c) for e, c in linear.terms},
+            1, linear.order)
+    return out
 
 
 @dataclass(frozen=True)
 class TailSeries:
-    """F(n,x,q) truncated to x_order; the k-th entry is phi_k(n,q)."""
+    """F(n,x,q) truncated to x_order; the k-th entry is phi_k(n,q), a
+    TruncatedSeries with integer q-exponents and QuasiPolynomial
+    coefficients."""
 
     residue: tuple[int, int]           # (n0, modulus); (0, 1) = all n
-    phis: tuple[QPSeries, ...]
+    phis: tuple[TruncatedSeries, ...]
     threshold: Optional[int] = None    # smallest class member where the
                                        # partial-sum defect held empirically
 
@@ -201,11 +93,11 @@ class TailSeries:
     def x_order(self) -> int:
         return len(self.phis) - 1
 
-    def phi(self, k: int) -> QPSeries:
+    def phi(self, k: int) -> TruncatedSeries:
         return self.phis[k]
 
     def scale(self, c: int) -> "TailSeries":
-        return TailSeries(self.residue, tuple(p.scale(c) for p in self.phis),
+        return TailSeries(self.residue, tuple(p.scaled(c) for p in self.phis),
                           self.threshold)
 
     def partial_sum(self, n: int, k: int) -> TruncatedSeries:
@@ -217,58 +109,76 @@ class TailSeries:
 
     def agrees_with(self, other: "TailSeries", x_order: int, q_order: int,
                     start: int = 0) -> bool:
-        n0, modulus = self.residue
-        for k in range(x_order + 1):
-            if not self.phis[k].agrees_with(other.phis[k], q_order,
-                                            n0, modulus, start):
-                return False
-        return True
+        return self.first_disagreement(other, x_order, q_order, start) is None
 
     def first_disagreement(self, other: "TailSeries", x_order: int,
                            q_order: int, start: int = 0
                            ) -> Optional[tuple[int, int]]:
+        """The first (k, e) below x^(x_order+1) q^q_order whose coefficient
+        quasi-polynomials differ on {n >= start, n = n0 mod M}, or None.
+
+        A coefficient at or beyond either phi_k's order is unknown, so
+        reaching one raises instead of comparing it.
+        """
         n0, modulus = self.residue
+        zero = QuasiPolynomial.constant(0)
         for k in range(x_order + 1):
-            t1 = dict(self.phis[k].terms)
-            t2 = dict(other.phis[k].terms)
+            p1, p2 = self.phis[k], other.phis[k]
+            t1, t2 = dict(p1.terms), dict(p2.terms)
             for e in sorted(set(t1) | set(t2)):
                 if e >= q_order:
-                    continue
-                a = t1.get(e, QuasiPolynomial.constant(0))
-                b = t2.get(e, QuasiPolynomial.constant(0))
-                if not a.equal_on_class(b, n0, modulus, start):
+                    break
+                if any(p.order is not None and e >= p.order for p in (p1, p2)):
+                    raise StabilityError("comparison beyond exactness")
+                if not t1.get(e, zero).equal_on_class(t2.get(e, zero), n0,
+                                                      modulus, start):
                     return (k, e)
         return None
 
     def to_json_obj(self) -> dict:
+        """Integral a + b n coefficients go to series_const and
+        series_linear_n; every other quasi-polynomial goes whole to
+        series_periodic."""
         phis = []
         for k, p in enumerate(self.phis):
-            entry: dict = {"k": k, "q_order": p.order}
             const: dict[int, int] = {}
             linear: dict[int, int] = {}
             extra = []
             for e, qp in p.terms:
-                table = dict(qp.coeffs)
-                if qp.period == 1 and qp.degree <= 1:
-                    cs = table[0]
-                    if cs[0]:
-                        const[e] = int(cs[0]) if cs[0].denominator == 1 else str(cs[0])
+                cs = qp.coeffs[0][1]
+                if qp.period == 1 and qp.degree <= 1 and \
+                        all(c.denominator == 1 for c in cs):
+                    const[e] = int(cs[0])
                     if len(cs) > 1 and cs[1]:
-                        linear[e] = int(cs[1]) if cs[1].denominator == 1 else str(cs[1])
+                        linear[e] = int(cs[1])
                 else:
                     extra.append([e, qp.to_json_obj()])
-            entry["series_const"] = TruncatedSeries.make(
-                {e: c for e, c in const.items() if isinstance(c, int)},
-                1, p.order).to_json_obj()
+            entry: dict = {"k": k, "q_order": p.order,
+                           "series_const": TruncatedSeries.make(
+                               const, 1, p.order).to_json_obj()}
             if linear:
                 entry["series_linear_n"] = TruncatedSeries.make(
-                    {e: c for e, c in linear.items() if isinstance(c, int)},
-                    1, p.order).to_json_obj()
+                    linear, 1, p.order).to_json_obj()
             if extra:
                 entry["series_periodic"] = extra
             phis.append(entry)
         return {"residue": list(self.residue), "phi": phis,
                 "threshold": self.threshold}
+
+    @staticmethod
+    def from_json_obj(obj: dict) -> "TailSeries":
+        phis = []
+        for entry in obj["phi"]:
+            linear = entry.get("series_linear_n")
+            p = qp_series(TruncatedSeries.from_json_obj(entry["series_const"]),
+                          None if linear is None
+                          else TruncatedSeries.from_json_obj(linear))
+            periodic = {int(e): QuasiPolynomial.from_json_obj(qp)
+                        for e, qp in entry.get("series_periodic", [])}
+            phis.append(p + TruncatedSeries.make(periodic, 1,
+                                                 entry["q_order"]))
+        return TailSeries(tuple(obj["residue"]), tuple(phis),
+                          obj["threshold"])
 
 
 # -- denominator transforms of tails ------------------------------------------
@@ -282,7 +192,7 @@ def lemma_FG_transform(tail: TailSeries, c: int, d: int,
     kmax = tail.x_order if x_order is None else x_order
     psis = []
     for k in range(kmax + 1):
-        acc = QPSeries(order=None)
+        acc = TruncatedSeries.zero()
         j = 0
         while j * c <= k:
             i = k - j * c
@@ -299,9 +209,9 @@ def lemma_FG_inverse(tail: TailSeries, c: int, d: int,
     if c < 1 or d < 0:
         raise ValueError("need c >= 1, d >= 0")
     kmax = tail.x_order if x_order is None else x_order
-    phis: list[QPSeries] = []
+    phis: list[TruncatedSeries] = []
     for k in range(kmax + 1):
-        acc = tail.phis[k] if k <= tail.x_order else QPSeries(order=None)
+        acc = tail.phis[k] if k <= tail.x_order else TruncatedSeries.zero()
         if k - c >= 0 and k - c <= tail.x_order:
             acc = acc - tail.phis[k - c].shifted(d)
         phis.append(acc)
@@ -385,7 +295,7 @@ def detect_cstability(family: Mapping[int, TruncatedSeries], n0: int,
             raise StabilityError("family members must have integer exponents")
         residual[n] = f.as_dict()
         window[n] = f.order
-    phis: list[QPSeries] = []
+    phis: list[TruncatedSeries] = []
     for k in range(k_max + 1):
         coeffs: dict[int, QuasiPolynomial] = {}
         cap = 0
@@ -407,7 +317,7 @@ def detect_cstability(family: Mapping[int, TruncatedSeries], n0: int,
                 raise StabilityError(
                     f"c-stability not detected in range at x^{k}, q^{m}: "
                     f"{exc}") from exc
-            if not qp.is_zero:
+            if qp:
                 coeffs[m] = qp
             cap += 1
         if cap < q_order:
@@ -415,7 +325,7 @@ def detect_cstability(family: Mapping[int, TruncatedSeries], n0: int,
                 f"data horizon too short: phi_{k} certified only to q^{cap} "
                 f"< q^{q_order}; extend the family (n_max must comfortably "
                 f"exceed (k+1)*q_order = {(k + 1) * q_order})")
-        phi = QPSeries.make(coeffs, cap)
+        phi = TruncatedSeries.make(coeffs, 1, cap)
         phis.append(phi)
         if k == k_max:
             break
@@ -429,7 +339,7 @@ def detect_cstability(family: Mapping[int, TruncatedSeries], n0: int,
                     diff[e] = v
                 else:
                     diff.pop(e, None)
-            o = _min_opt(window[n], trust)
+            o = trust if window[n] is None else min(window[n], trust)
             diff = {e: c for e, c in diff.items() if e < o}
             if any(e < n for e in diff):
                 raise StabilityError(
@@ -605,11 +515,9 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
                 ) from exc
             summands.append((hat, int(qe), int(xe), offs, t_fit))
 
-    xpows: dict[int, QPSeries] = {k: QPSeries(order=q_order)
-                                  for k in range(x_order + 1)}
+    xpows = {k: TruncatedSeries(order=q_order) for k in range(x_order + 1)}
     for hat, qe, xe, offs, t_fit in summands:
-        term: dict[int, QPSeries] = {xe: QPSeries.make(
-            {qe: t_fit}, None)}
+        term = {xe: TruncatedSeries.make({qe: t_fit})}
         for i, al in enumerate(rs.positive_roots):
             off = offs[i]
             xshift = Fraction(rs.inner(nu1, al))
@@ -630,9 +538,9 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
         if xc.denominator != 1 or qd.denominator != 1 or xc < 0:
             raise StabilityError("non-integral prefactor exponents")
         if xc == 0:
-            geom = QPSeries.from_series(geometric_inverse(int(qd), q_order))
             tail = TailSeries(tail.residue,
-                              tuple(p * geom for p in tail.phis),
+                              tuple(exact_div(p, int(qd), q_order)
+                                    for p in tail.phis),
                               tail.threshold)
         else:
             tail = lemma_FG_transform(tail, int(xc), int(qd))
@@ -649,15 +557,16 @@ def _t_samples(rs, ray, a, hat, nu1, nu0, ns):
     return out
 
 
-def _tail_mul_binomial(term: dict[int, QPSeries], off: int, xshift: int,
-                       x_order: int) -> dict[int, QPSeries]:
-    """Multiply an x-graded QPSeries dict by (1 - q^off x^xshift)."""
+def _tail_mul_binomial(term: dict[int, TruncatedSeries], off: int,
+                       xshift: int, x_order: int
+                       ) -> dict[int, TruncatedSeries]:
+    """Multiply an x-graded series dict by (1 - q^off x^xshift)."""
     out = dict(term)
     for k, s in term.items():
         k2 = k + xshift
         if k2 > x_order and xshift > 0:
             continue
-        piece = s.shifted(off).scale(-1)
+        piece = -s.shifted(off)
         out[k2] = out[k2] + piece if k2 in out else piece
     return out
 
@@ -672,13 +581,12 @@ def tail_closed_T2b(b: int, x_order: int, q_order: int) -> TailSeries:
         raise ValueError("need odd b > 2")
     th1 = theta(ThetaParams(Fraction(b), Fraction(b, 2) - 1), q_order)
     th2 = theta(ThetaParams(Fraction(b), Fraction(b, 2) + 2), q_order)
-    phis = {0: QPSeries.from_series(th1),
-            1: QPSeries.from_series(th2.shifted(3).truncated(q_order)),
-            2: QPSeries.from_series(th1.shifted(3).truncated(q_order))}
+    phis = {0: qp_series(th1),
+            1: qp_series(th2.shifted(3).truncated(q_order)),
+            2: qp_series(th1.shifted(3).truncated(q_order))}
     base = TailSeries((0, 1), tuple(
-        phis.get(k, QPSeries(order=q_order)) for k in range(max(2, x_order) + 1)))
-    geom = QPSeries.from_series(geometric_inverse(1, q_order))
-    base = TailSeries(base.residue, tuple(p * geom for p in base.phis))
+        exact_div(phis.get(k, TruncatedSeries(order=q_order)), 1, q_order)
+        for k in range(max(2, x_order) + 1)))                # 1/(1-q)
     base = lemma_FG_transform(base, 1, 1, x_order=x_order)   # 1/(1-qx)
     base = lemma_FG_transform(base, 1, 2, x_order=x_order)   # 1/(1-q^2 x)
     return TailSeries(base.residue,
@@ -744,9 +652,9 @@ def t4b_series(b: int, q_order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
 def tail_closed_T4b(b: int, x_order: int, q_order: int) -> TailSeries:
     """(A_{b,0} + n A_{b,1}) / ((1-xq)^2 (1-x^2 q^2)) for odd b > 4."""
     a0, a1 = t4b_series(b, q_order)
-    num = QPSeries.from_series(a0, linear=a1)
+    num = qp_series(a0, linear=a1)
     base = TailSeries((0, 1), tuple(
-        [num] + [QPSeries(order=q_order)] * x_order))
+        [num] + [TruncatedSeries(order=q_order)] * x_order))
     base = lemma_FG_transform(base, 1, 1, x_order=x_order)
     base = lemma_FG_transform(base, 1, 1, x_order=x_order)
     base = lemma_FG_transform(base, 2, 2, x_order=x_order)

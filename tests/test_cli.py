@@ -1,5 +1,6 @@
 """CLI: argument handling, exit codes, output stability and schemas."""
 
+import hashlib
 import json
 
 import pytest
@@ -212,3 +213,86 @@ def test_stable_coeffs_jets_match_whole_polynomials(capsys, monkeypatch,
     code_whole, table, _ = run(capsys, *argv)
     assert code == code_whole == 0
     assert jets == table
+
+
+# one minimal valid invocation per subcommand
+SUBCOMMANDS = {
+    "jones": ("--algebra", "A2", "--knot", "2,3", "--lambda", "1,0",
+              "--n", "1"),
+    "degree": ("--algebra", "A2", "--knot", "2,3", "--lambda", "1,0",
+               "--n-max", "1"),
+    "tail": ("--algebra", "A2", "--knot", "2,3", "--ray", "1,0",
+             "--x-order", "0", "--q-order", "2"),
+    "stable-coeffs": ("--algebra", "A2", "--knot", "2,3", "--ray", "1,0",
+                      "--n-max", "2", "--k-max", "0"),
+    "kostant": ("--algebra", "A2", "--alpha", "1,1"),
+    "plethysm": ("--algebra", "A2", "--lambda", "1,0", "--a", "2",
+                 "--mu", "2,0"),
+    "summation-set": ("--algebra", "A2", "--lambda", "1,0", "--a", "2"),
+    "missing-points": ("--algebra", "A2", "--lambda", "1,0", "--a", "2"),
+    "minimizer": ("--algebra", "A2", "--lambda", "1,0", "--a", "2"),
+    "selftest": ("--filter", "kostant"),
+}
+
+
+def argparse_exit(capsys, *argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    _, err = capsys.readouterr()
+    return info.value.code, err
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_seed_option_is_gone(capsys, command):
+    code, err = argparse_exit(capsys, command, *SUBCOMMANDS[command],
+                              "--seed", "1")
+    assert code == 2
+    assert "--seed" in err
+
+
+@pytest.mark.parametrize("command", ["jones", "degree", "tail",
+                                     "stable-coeffs", "kostant"])
+def test_config_has_no_seed(capsys, command):
+    code, out, _ = run(capsys, command, *SUBCOMMANDS[command])
+    assert code == 0
+    assert "seed" not in json.loads(out)["config"]
+
+
+@pytest.mark.parametrize("command,fmt", [("jones", "text"),
+                                         ("degree", "csv"),
+                                         ("degree", "text")])
+def test_unimplemented_formats_are_rejected(capsys, command, fmt):
+    code, err = argparse_exit(capsys, command, *SUBCOMMANDS[command],
+                              "--format", fmt)
+    assert code == 2
+    assert "invalid choice" in err
+
+
+# sha256 of json.dumps(doc["tail"], sort_keys=True), recorded from the
+# QPSeries implementation the generic TruncatedSeries replaced
+TAIL_GOLDEN = {
+    "--knot 2,7 --ray 1,0 --method closed --x-order 3 --q-order 60":
+        "9947df6617f4f0940e504a4a064731184d528b2a95009d2ab3b55c75a19e05d2",
+    "--knot 4,5 --ray rho --method closed --x-order 2 --q-order 40":
+        "5e2e4ec46dd7f8185c5aec082db4c2db602ee0a75b47f619177fa2e9092b2783",
+    "--knot 2,3 --ray 1,0 --method stable-limit --n0 6 --x-order 2 "
+    "--q-order 30 --n-max 36":
+        "a6dbb5cf60d9b34c3c6e2d8106d67afccb26ab43bcafaf1c692d6da6b32a373e",
+    "--knot 4,5 --ray rho --method stable-limit --n0 1 --x-order 1 "
+    "--q-order 40 --n-max 30":
+        "eb394c44e1a9d65a1b31c4e825815d15e6b8938ec341a28f0fdcf0279d558f81",
+    "--knot 2,3 --ray 1,0 --method detect --n0 6 --n-max 48 --x-order 1 "
+    "--q-order 5":
+        "c392bfedb93dc0cbc7a6b877e35c06e1be246e1a663cb0f5f16fc479f26360c7",
+    "--knot 4,5 --ray rho --method detect --n0 1 --n-max 30 --x-order 1 "
+    "--q-order 4":
+        "8c9f8097e94a925ecdca5b43a07c7542569c77423eb27e5f5495a7c928387630",
+}
+
+
+@pytest.mark.parametrize("args", sorted(TAIL_GOLDEN))
+def test_tail_payload_golden(capsys, args):
+    code, out, _ = run(capsys, "tail", "--algebra", "A2", *args.split())
+    assert code == 0
+    payload = json.dumps(json.loads(out)["tail"], sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == TAIL_GOLDEN[args]

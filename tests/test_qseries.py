@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_tails.qseries import (SeriesDivisionError, SeriesError,
-                                 ThetaParams, TruncatedSeries, euler_phi,
-                                 exact_div, geometric_inverse, pochhammer,
-                                 theta)
+                                 ThetaParams, TruncatedSeries, div_binomial,
+                                 euler_phi, exact_div, geometric_inverse,
+                                 pochhammer, theta)
+from torus_tails.quasipoly import QuasiPolynomial
 
 
 def S(terms, order=None):
@@ -181,3 +182,88 @@ def test_truncation_consistency(d, order):
     bound = trunc.order_exponent()
     if bound is not None and bound > 0 and full.order_exponent() is not None:
         assert full.agrees_with(trunc, min(order, bound))
+
+
+# -- the same algebra over quasi-polynomial coefficients ----------------------
+
+
+@st.composite
+def quasipolys(draw):
+    """Integer-valued quasi-polynomials: period <= 3, degree <= 2."""
+    period, degree = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    coeffs = tuple((r, tuple(Fraction(draw(st.integers(-3, 3)))
+                             for _ in range(degree + 1)))
+                   for r in range(period))
+    return QuasiPolynomial(period, degree, coeffs).canonical()
+
+
+@st.composite
+def qp_series(draw, min_exp=-3):
+    terms = draw(st.dictionaries(st.integers(min_exp, 8), quasipolys(),
+                                 max_size=5))
+    order = draw(st.none() | st.integers(min_exp, 12))
+    return TruncatedSeries.make(terms, 1, order)
+
+
+def assert_evaluates_to(qp_result, int_result):
+    """qp_result evaluated at n equals int_result below qp_result's order.
+
+    Coefficients that vanish at n can only raise the order the integer
+    computation certifies, never lower it.
+    """
+    if qp_result.order is not None:
+        int_result = int_result.truncated(qp_result.order)
+    assert qp_result == int_result
+
+
+@settings(max_examples=150, deadline=None)
+@given(qp_series(), qp_series(), st.integers(-6, 20), st.integers(-4, 4))
+def test_qp_arithmetic_commutes_with_evaluation(a, b, n, shift):
+    ea, eb = a.evaluate(n), b.evaluate(n)
+    assert_evaluates_to((a * b).evaluate(n), ea * eb)
+    assert (a + b).evaluate(n) == ea + eb
+    assert (a - b).evaluate(n) == ea - eb
+    assert a.shifted(shift).evaluate(n) == ea.shifted(shift)
+    assert a.truncated(shift + 4).evaluate(n) == ea.truncated(shift + 4)
+    assert a.scaled(shift).evaluate(n) == ea.scaled(shift)
+
+
+def test_qp_coefficient_times_int_is_a_scale():
+    qp = QuasiPolynomial(2, 1, ((0, (Fraction(1), Fraction(2))),
+                                (1, (Fraction(0), Fraction(-1)))))
+    assert qp * 3 == 3 * qp == qp.scale(3)
+    assert not qp * 0 and qp
+
+
+def test_str_of_qp_series():
+    f = TruncatedSeries.make({2: QuasiPolynomial.linear(1, 1)}, 1, 5)
+    assert str(f).startswith("+(QuasiPolynomial(period=1, degree=1")
+    assert str(f).endswith("*q^2 + O(q^5)")
+
+
+def test_evaluate_rejects_non_integer_values():
+    half = TruncatedSeries.make({0: QuasiPolynomial.linear(0, Fraction(1, 2))})
+    assert half.evaluate(2).as_dict() == {0: 1}
+    with pytest.raises(SeriesError):
+        half.evaluate(3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_polys.map(lambda d: {e + 6: c for e, c in d.items()}),
+       st.integers(1, 4), st.integers(0, 20))
+def test_div_binomial_cutoff_is_geometric_product_int(poly, m, cutoff):
+    want = (TruncatedSeries.make(poly) * geometric_inverse(m, cutoff)
+            ).truncated(cutoff)
+    assert TruncatedSeries.make(div_binomial(poly, m, cutoff), 1,
+                                cutoff) == want
+    assert exact_div(TruncatedSeries.make(poly), m, cutoff) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(qp_series(min_exp=0), st.integers(1, 4), st.integers(0, 16))
+def test_div_binomial_cutoff_is_geometric_product_qp(f, m, cutoff):
+    cut = cutoff if f.order is None else min(f.order, cutoff)
+    want = (f * geometric_inverse(m, cutoff)).truncated(cut)
+    assert TruncatedSeries.make(div_binomial(dict(f.terms), m, cut), 1,
+                                cut) == want
+    assert exact_div(f, m, cutoff) == want

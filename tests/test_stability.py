@@ -1,20 +1,23 @@
 """Stable coefficients, detection, structural and closed tails, transforms."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torus_tails.jones import TorusKnot
 from torus_tails.lie import get_root_system
 from torus_tails.qseries import TruncatedSeries, euler_phi, geometric_inverse
 from torus_tails.quasipoly import QuasiPolynomial
-from torus_tails.stability import (QPSeries, StabilityError, TailSeries,
+from torus_tails.stability import (StabilityError, TailSeries,
                                    a1_theta_difference, a1_triple_product,
                                    degree_quasipoly_fit, detect_cstability,
                                    detect_jones_tail, jones_family,
                                    lemma_FG_inverse,
                                    lemma_FG_transform, minimal_class_modulus,
-                                   stable_coefficients, t4b_series,
+                                   qp_series, stable_coefficients, t4b_series,
                                    tail_closed_T2b, tail_closed_T4b,
                                    tail_eval_stable_limit)
 
@@ -134,8 +137,7 @@ def test_detect_t25_matches_closed():
     closed = tail_closed_T2b(5, 1, 8)
     assert det.agrees_with(closed, 1, 8, start=det.threshold or 12)
     # the x = 0 slice of the closed tail is the detected phi_0
-    assert det.phi(0).agrees_with(closed.phi(0), 8, 0, 6,
-                                  start=det.threshold or 12)
+    assert det.agrees_with(closed, 0, 8, start=det.threshold or 12)
 
 
 def test_t45_series_prefix():
@@ -153,8 +155,8 @@ def test_a1_theta_forms_match():
 
 
 def test_fg_transform_simple():
-    one = TailSeries((0, 1), (QPSeries.constant(1),
-                              QPSeries(order=None), QPSeries(order=None)))
+    one = TailSeries((0, 1), (qp_series(TruncatedSeries.one()),
+                              TruncatedSeries.zero(), TruncatedSeries.zero()))
     g = lemma_FG_transform(one, 1, 0)
     for k in range(3):
         assert g.phi(k).evaluate(0).as_dict() == {0: 1}
@@ -215,10 +217,64 @@ def test_detected_tail_json_carries_residue(trefoil_family):
 
 
 def test_qpseries_arithmetic():
-    a = QPSeries.make({0: QuasiPolynomial.constant(1),
-                       2: QuasiPolynomial.linear(0, 1)})
-    b = QPSeries.make({1: QuasiPolynomial.constant(-1)})
+    a = TruncatedSeries.make({0: QuasiPolynomial.constant(1),
+                              2: QuasiPolynomial.linear(0, 1)})
+    b = TruncatedSeries.make({1: QuasiPolynomial.constant(-1)})
     prod = a * b
     got = prod.evaluate(4)
     assert got.as_dict() == {1: -1, 3: -4}
     assert (a - a).evaluate(7).is_zero
+
+
+def test_first_disagreement_beyond_order_raises():
+    short = TailSeries((0, 1), (qp_series(TruncatedSeries.make({0: 1}, 1, 5)),))
+    longer = TailSeries((0, 1), (qp_series(
+        TruncatedSeries.make({0: 1, 6: 2}, 1, 10)),))
+    assert short.first_disagreement(longer, 0, 5) is None
+    for upto in (7, 10):
+        with pytest.raises(StabilityError, match="beyond exactness"):
+            short.first_disagreement(longer, 0, upto)
+        with pytest.raises(StabilityError, match="beyond exactness"):
+            longer.agrees_with(short, 0, upto)
+
+
+def test_tail_json_keeps_non_integer_coefficients():
+    # (n - 1)/4 at q^0 used to vanish from series_const
+    phi = TruncatedSeries.make({
+        0: QuasiPolynomial.linear(Fraction(-1, 4), Fraction(1, 4)),
+        1: QuasiPolynomial.constant(3)}, 1, 4)
+    tail = TailSeries((1, 4), (phi,), threshold=5)
+    obj = tail.to_json_obj()
+    entry = obj["phi"][0]
+    assert entry["series_const"]["terms"] == [[1, "3"]]
+    assert "series_linear_n" not in entry
+    assert entry["series_periodic"] == [[0, {
+        "period": 1, "degree": 1, "coeffs": [[0, ["-1/4", "1/4"]]]}]]
+    assert TailSeries.from_json_obj(obj) == tail
+
+
+@st.composite
+def tails(draw):
+    def qp():
+        period, degree = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+        coeffs = tuple(
+            (r, tuple(draw(st.fractions(-4, 4, max_denominator=4))
+                      for _ in range(degree + 1)))
+            for r in range(period))
+        return QuasiPolynomial(period, degree, coeffs).canonical()
+
+    phis = []
+    for _ in range(draw(st.integers(1, 3))):
+        order = draw(st.none() | st.integers(0, 10))
+        exps = draw(st.lists(st.integers(-2, 9), max_size=5, unique=True))
+        phis.append(TruncatedSeries.make({e: qp() for e in exps}, 1, order))
+    modulus = draw(st.integers(1, 6))
+    return TailSeries((draw(st.integers(0, modulus - 1)), modulus),
+                      tuple(phis), draw(st.none() | st.integers(0, 50)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tails())
+def test_tail_json_roundtrip(tail):
+    obj = tail.to_json_obj()
+    assert TailSeries.from_json_obj(json.loads(json.dumps(obj))) == tail
