@@ -41,18 +41,27 @@ def weight_mult(rs: RootSystem, lam: Weight, mu: Weight) -> int:
 
 @lru_cache(maxsize=None)
 def _weight_mult(rs: RootSystem, lam: Weight, mu: Weight) -> int:
-    rho = rs.rho
     d = rs.root_det
-    lr = tuple(lam[i] + rho[i] for i in range(rs.rank))
+    rc_mu = rs.root_coords_int(mu)
     total = 0
-    for mat, sign in rs.weyl_elements:
-        im = _mat_apply(mat, lr)
-        arg = tuple(im[i] - mu[i] - rho[i] for i in range(rs.rank))
-        rc = rs.root_coords_int(arg)
+    for top, sign in _kostant_tops(rs, lam):
+        rc = tuple(top[i] - rc_mu[i] for i in range(rs.rank))
         if any(c < 0 or c % d for c in rc):
             continue
         total += sign * kostant(rs, tuple(c // d for c in rc))
     return total
+
+
+@lru_cache(maxsize=64)
+def _kostant_tops(rs: RootSystem, lam: Weight
+                  ) -> tuple[tuple[Weight, int], ...]:
+    """(root_coords_int(sigma(lambda+rho) - rho), (-1)^sigma) over the Weyl
+    group: the Kostant argument at mu is the first entry minus rc(mu)."""
+    rho = rs.rho
+    lr = tuple(lam[i] + rho[i] for i in range(rs.rank))
+    return tuple((rs.root_coords_int(tuple(
+        c - r for c, r in zip(_mat_apply(mat, lr), rho))), sign)
+        for mat, sign in rs.weyl_elements)
 
 
 def weight_mult_freudenthal(rs: RootSystem, lam: Weight, mu: Weight) -> int:
@@ -273,23 +282,27 @@ def missing_point_bound_check(rs: RootSystem, lam: Weight, a: int,
         raise LieError("bound check is for the rank-2 algebras")
     report = {"algebra": rs.name, "lambda": lam, "a": a, "per_n": {},
               "min_slack": None}
-    min_slack: Optional[Fraction] = None
+    # scaled by gram_scale throughout; divided once for the report
+    scale = rs.gram_scale
+    min_slack: Optional[int] = None
     for n in n_range:
         ln = tuple(n * c for c in lam)
         mu_min = minimizer_closed_form(rs, ln, a)
         misses = missing_points(rs, ln, a)
         for mu in misses:
             hat = tuple(mu[i] - mu_min[i] for i in range(rs.rank))
-            value = rs.norm2(hat) + 2 * rs.inner(hat, mu_min)
-            slack = value - n * n
+            value = rs.norm2_int(hat) + 2 * rs.inner_int(hat, mu_min)
+            slack = value - scale * n * n
             if slack < 0:
                 raise AssertionError(
                     f"missing-point bound violated: {rs.name} lambda={lam} "
-                    f"a={a} n={n} mu={mu}: {value} < {n * n}")
+                    f"a={a} n={n} mu={mu}: {Fraction(value, scale)} "
+                    f"< {n * n}")
             if min_slack is None or slack < min_slack:
                 min_slack = slack
         report["per_n"][n] = len(misses)
-    report["min_slack"] = min_slack
+    report["min_slack"] = (None if min_slack is None
+                           else Fraction(min_slack, scale))
     return report
 
 

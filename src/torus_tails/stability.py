@@ -18,10 +18,10 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .jones import (TorusKnot, colored_jones, jones_jet,
-                    minimizer_closed_form)
+from .jones import (TorusKnot, _degree_form, _exponent_denominator,
+                    colored_jones, jones_jet, minimizer_closed_form)
 from .lie import LieError, RootSystem, Weight
-from .mult import lattice_hull, plethysm_mult
+from .mult import plethysm_sequence
 from .quasipoly import FitError, QuasiPolynomial, fit_quasi_polynomial
 from .qseries import (ThetaParams, TruncatedSeries, euler_phi, exact_div,
                       theta)
@@ -117,19 +117,20 @@ class TailSeries:
         """The first (k, e) below x^(x_order+1) q^q_order whose coefficient
         quasi-polynomials differ on {n >= start, n = n0 mod M}, or None.
 
-        A coefficient at or beyond either phi_k's order is unknown, so
-        reaching one raises instead of comparing it.
+        A coefficient at or beyond either phi_k's order is unknown, so a
+        comparison reaching past one raises instead of comparing it.
         """
         n0, modulus = self.residue
         zero = QuasiPolynomial.constant(0)
         for k in range(x_order + 1):
             p1, p2 = self.phis[k], other.phis[k]
+            if any(p.order is not None and q_order > p.order
+                   for p in (p1, p2)):
+                raise StabilityError("comparison beyond exactness")
             t1, t2 = dict(p1.terms), dict(p2.terms)
             for e in sorted(set(t1) | set(t2)):
                 if e >= q_order:
                     break
-                if any(p.order is not None and e >= p.order for p in (p1, p2)):
-                    raise StabilityError("comparison beyond exactness")
                 if not t1.get(e, zero).equal_on_class(t2.get(e, zero), n0,
                                                       modulus, start):
                     return (k, e)
@@ -261,8 +262,8 @@ def minimal_class_modulus(rs: RootSystem, ray: Weight, a: int, n0: int
         nu1 = tuple(s // m for s in step)
         nu0 = tuple(mus[0][j] - ns[0] * nu1[j] for j in range(rs.rank))
         diff = tuple(m * (ray[j] - nu1[j]) for j in range(rs.rank))
-        rc = rs.to_root_coords(diff)
-        if all(c.denominator == 1 and int(c) % a == 0 for c in rc):
+        step = a * rs.root_det
+        if all(c % step == 0 for c in rs.root_coords_int(diff)):
             return m, nu1, nu0
     raise StabilityError("no stabilizing modulus divides a*d")
 
@@ -384,11 +385,9 @@ def _defect_threshold(family: Mapping[int, TruncatedSeries], tail: TailSeries,
 
 
 def detect_jones_tail(rs: RootSystem, knot: TorusKnot, ray: Weight, n0: int,
-                      n_max: int, k_max: int, q_order: int,
-                      modulus: Optional[int] = None) -> TailSeries:
+                      n_max: int, k_max: int, q_order: int) -> TailSeries:
     """End-to-end detection for the family J-hat_{T(a,b), n*ray}."""
-    if modulus is None:
-        modulus, _, _ = minimal_class_modulus(rs, ray, knot.a, n0)
+    modulus, _, _ = minimal_class_modulus(rs, ray, knot.a, n0)
     base = n0 % modulus or modulus
     ns = range(base, n_max + 1, modulus)
     # detection reads below q^max(ns) only: stage 0 reads q^m for m < n, later
@@ -401,109 +400,107 @@ def detect_jones_tail(rs: RootSystem, knot: TorusKnot, ray: Weight, n0: int,
 
 
 def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
-                           n0: int, x_order: int, q_order: int, n_max: int,
-                           modulus: Optional[int] = None) -> TailSeries:
+                           n0: int, x_order: int, q_order: int, n_max: int
+                           ) -> TailSeries:
     """Evaluate the lattice-sum limit tail on a residue class.
 
-    Sums t(n, mu^) q^{Q(mu^)} x^{L(mu^)} prod_alpha (1 - q^{(mu^+nu0+rho,
-    alpha)} x^{(nu1,alpha)}) over the tangent cone of the shifted hull, with
-    t fitted as a quasi-polynomial of the plethysm multiplicities, then
-    divides by prod_alpha (1 - x^{(ray,alpha)} q^{(rho,alpha)}).
+    Sums t(n, h) q^{Q(h)} x^{L(h)} prod_alpha (1 - q^{(h+nu0+rho, alpha)}
+    x^{(nu1, alpha)}) over the tangent cone of the shifted hull, with t
+    fitted as a quasi-polynomial of the plethysm multiplicities, then divides
+    by prod_alpha (1 - x^{(ray,alpha)} q^{(rho,alpha)}).
+
+    Exponents are integer numerators over D = 2*a*gram_scale, as in
+    ``jones``: D*Q(h) is the degree form of f* at nu0+h minus its value at
+    nu0, and D*L(h) = 2b (h, nu1) in the scaled inner product.  The root
+    product is the Weyl denominator identity ``jones._numerator`` uses,
+    applied to alpha -> q^{(v,alpha)} x^{(nu1,alpha)} with v = h+nu0+rho:
+    the sum over sigma of (-1)^sigma q^{(v,w)} x^{(nu1,w)} with
+    w = rho - sigma(rho).
     """
     if rs.rank != 2:
         raise LieError("stable-limit tails are for the rank-2 algebras")
     a, b = knot.a, knot.b
     rho = rs.rho
-    if modulus is None:
-        modulus, nu1, nu0 = minimal_class_modulus(rs, ray, a, n0)
-    else:
-        _, nu1, nu0 = minimal_class_modulus(rs, ray, a, n0)
-    base_n = n0 % modulus or modulus
-    ns = [n for n in range(base_n, n_max + 1, modulus)]
+    roots = rs.positive_roots
+    modulus, nu1, nu0 = minimal_class_modulus(rs, ray, a, n0)
+    ns = list(range(n0 % modulus or modulus, n_max + 1, modulus))
     if len(ns) < 4:
         raise StabilityError("need at least 4 class members below n_max")
+    d = _exponent_denominator(rs, knot)
+    form = _degree_form(rs, knot, ray, -1)
+    base = form(nu0)
 
     # tangent-cone constraints (the n-independent inequalities)
     dom_req = [i for i in range(2) if nu1[i] == 0]
-    top_dir = tuple(a * ray[i] - nu1[i] for i in range(2))
-    rc_top = rs.to_root_coords(top_dir)
+    rc_top = rs.root_coords_int(tuple(a * ray[i] - nu1[i] for i in range(2)))
     if any(c < 0 for c in rc_top):
         raise StabilityError("minimizer ray leaves the rescaled polytope")
     poly_req = [i for i in range(2) if rc_top[i] == 0]
 
-    def in_cone(hat: Weight) -> bool:
-        if any(hat[i] + nu0[i] < 0 for i in dom_req):
-            return False
-        rc = rs.to_root_coords(tuple(hat[i] + nu0[i] for i in range(2)))
-        return all(rc[i] <= 0 for i in poly_req)
-
-    def q_exp(hat: Weight) -> Fraction:
-        return Fraction(b, 2 * a) * rs.norm2(hat) \
-            + (Fraction(b, a) - 1) * rs.inner(hat, rho) \
-            + Fraction(b, a) * rs.inner(hat, nu0)
-
-    def x_exp(hat: Weight) -> Fraction:
-        return Fraction(b, a) * rs.inner(hat, nu1)
-
-    # lattice membership, checked at two class members for stability
-    hulls = []
+    # lattice membership, checked at two class members for stability: h is
+    # in the lattice when its root coordinates mod a*root_det are those of
+    # a*lambda_n - w - mu_n for an orbit pair w
+    step = a * rs.root_det
+    residues = []
     for n in ns[:2]:
         lam_n = tuple(n * c for c in ray)
         mu_n = minimizer_closed_form(rs, lam_n, a)
-        hulls.append((lattice_hull(rs, lam_n, a), mu_n))
+        residues.append({tuple(c % step for c in rs.root_coords_int(
+            tuple(a * lam_n[i] - w[i] - mu_n[i] for i in range(2))))
+            for w, _ in rs.orbit_pairs()})
 
     def in_lattice(hat: Weight) -> bool:
-        votes = [h.in_lattice(tuple(hat[i] + mu[i] for i in range(2)))
-                 for h, mu in hulls]
+        rc = tuple(c % step for c in rs.root_coords_int(hat))
+        votes = [rc in r for r in residues]
         if votes[0] != votes[1]:
             raise StabilityError("lattice membership not stable on the class")
         return votes[0]
 
-    # enumeration radius: below it, every summand monomial exponent >= q_order
-    lin = Fraction(0)
-    for i in range(2):
-        e = tuple(1 if j == i else 0 for j in range(2))
-        lin += abs((Fraction(b, a) - 1) * rs.inner(e, rho)
-                   + Fraction(b, a) * rs.inner(e, nu0))
-        for al in rs.positive_roots:
-            lin += abs(rs.inner(e, al))
-    const = sum(abs(rs.inner(tuple(nu0[i] + rho[i] for i in range(2)), al))
-                for al in rs.positive_roots)
-    tr = rs.gram[0][0] + rs.gram[1][1]
-    det = rs.gram[0][0] * rs.gram[1][1] - rs.gram[0][1] * rs.gram[1][0]
-    lam_min = det / tr
+    # enumeration radius r: beyond it, every summand monomial exponent is
+    # >= q_order, from D*Q(h) >= b det(G)/tr(G) r^2 - lin r - const with
+    # G = gram_int and lin, const the D-scaled linear terms
+    lin = 0
+    for e in ((1, 0), (0, 1)):
+        lin += abs(2 * (b - a) * rs.inner_int(e, rho)
+                   + 2 * b * rs.inner_int(e, nu0))
+        lin += sum(abs(2 * a * rs.inner_int(e, al)) for al in roots)
+    v0 = tuple(nu0[i] + rho[i] for i in range(2))
+    const = sum(abs(2 * a * rs.inner_int(v0, al)) for al in roots)
+    g = rs.gram_int
+    tr, det = g[0][0] + g[1][1], g[0][0] * g[1][1] - g[0][1] * g[1][0]
     radius = 2
-    while Fraction(b, 2 * a) * lam_min * radius * radius \
-            - lin * radius - const < q_order:
+    while b * det * radius * radius < tr * (lin * radius + const
+                                            + d * q_order):
         radius += 1
 
     summands = []
     for u1 in range(-radius, radius + 1):
         for u2 in range(-radius, radius + 1):
             hat = (u1, u2)
-            if not in_cone(hat) or not in_lattice(hat):
+            mu = (nu0[0] + u1, nu0[1] + u2)
+            if any(mu[i] < 0 for i in dom_req):
                 continue
-            qe, xe = q_exp(hat), x_exp(hat)
-            offs = [rs.inner(tuple(hat[i] + nu0[i] + rho[i] for i in range(2)),
-                             al) for al in rs.positive_roots]
-            min_exp = qe + sum(o for o in offs if o < 0)
-            if min_exp >= q_order:
+            rc = rs.root_coords_int(mu)
+            if any(rc[i] > 0 for i in poly_req) or not in_lattice(hat):
                 continue
-            if xe.denominator != 1 or xe < 0 or xe > x_order:
-                if xe.denominator != 1 or (xe < 0):
-                    # eventually-nonzero multiplicities here would break the
-                    # tail form; small-n junk is pre-asymptotic and fine
-                    samples = _t_samples(rs, ray, a, hat, nu1, nu0, ns)
-                    late = samples[-max(3, len(samples) // 2):]
-                    if any(v != 0 for _, v in late):
-                        raise StabilityError(
-                            f"summand at {hat} has x-exponent {xe}")
+            qn = form(mu) - base
+            v = (mu[0] + rho[0], mu[1] + rho[1])
+            low = sum(min(0, 2 * a * rs.inner_int(v, al)) for al in roots)
+            if qn + low >= d * q_order:
                 continue
-            samples = _t_samples(rs, ray, a, hat, nu1, nu0, ns)
-            late = samples[-max(3, len(samples) // 2):]
-            if all(v == 0 for _, v in late):
+            xn = 2 * b * rs.inner_int(hat, nu1)
+            integral = xn % d == 0 and xn >= 0
+            if integral and xn > x_order * d:
+                continue
+            samples = plethysm_sequence(rs, ray, a, mu, nu1, ns)
+            if not any(m for _, m in samples[-max(3, len(samples) // 2):]):
                 continue  # multiplicity eventually vanishes on this ray
-            if qe.denominator != 1:
+            if not integral:
+                # eventually-nonzero multiplicities here would break the
+                # tail form; small-n junk is pre-asymptotic and fine
+                raise StabilityError(
+                    f"summand at {hat} has x-exponent {Fraction(xn, d)}")
+            if qn % d:
                 raise StabilityError(f"non-integral tail exponent at {hat}")
             try:
                 t_fit = fit_quasi_polynomial(samples, max_period=24,
@@ -513,62 +510,34 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
                 raise StabilityError(
                     f"tail multiplicity at {hat} not quasi-polynomial: {exc}"
                 ) from exc
-            summands.append((hat, int(qe), int(xe), offs, t_fit))
+            summands.append((qn // d, xn // d, v, t_fit))
 
-    xpows = {k: TruncatedSeries(order=q_order) for k in range(x_order + 1)}
-    for hat, qe, xe, offs, t_fit in summands:
-        term = {xe: TruncatedSeries.make({qe: t_fit})}
-        for i, al in enumerate(rs.positive_roots):
-            off = offs[i]
-            xshift = Fraction(rs.inner(nu1, al))
-            if xshift.denominator != 1 or xshift < 0:
-                raise StabilityError("non-integral x-shift in tail product")
-            if off.denominator != 1:
-                raise StabilityError("non-integral q-offset in tail product")
-            term = _tail_mul_binomial(term, int(off), int(xshift), x_order)
-        for k, s in term.items():
-            if k <= x_order:
-                xpows[k] = xpows[k] + s.truncated(q_order)
-    tail = TailSeries((n0 % modulus, modulus),
-                      tuple(xpows[k] for k in range(x_order + 1)))
+    acc: list[dict[int, QuasiPolynomial]] = [{} for _ in range(x_order + 1)]
+    for qe, xe, v, t_fit in summands:
+        signed = {1: t_fit, -1: -t_fit}
+        for w, sign in rs.orbit_pairs():
+            qw, xw = 2 * a * rs.inner_int(v, w), 2 * a * rs.inner_int(nu1, w)
+            if qw % d or xw % d:
+                raise StabilityError("non-integral exponent in tail product")
+            k, e = xe + xw // d, qe + qw // d
+            if k <= x_order and e < q_order:
+                c = signed[sign]
+                acc[k][e] = acc[k][e] + c if e in acc[k] else c
+    tail = TailSeries((n0 % modulus, modulus), tuple(
+        TruncatedSeries.make(terms, 1, q_order) for terms in acc))
     # divide by prod (1 - x^{(ray,alpha)} q^{(rho,alpha)})
-    for al in rs.positive_roots:
-        xc = rs.inner(ray, al)
-        qd = rs.inner(rho, al)
-        if xc.denominator != 1 or qd.denominator != 1 or xc < 0:
+    for al in roots:
+        xc, xr = divmod(rs.inner_int(ray, al), rs.gram_scale)
+        qd, qr = divmod(rs.inner_int(rho, al), rs.gram_scale)
+        if xr or qr or xc < 0:
             raise StabilityError("non-integral prefactor exponents")
         if xc == 0:
-            tail = TailSeries(tail.residue,
-                              tuple(exact_div(p, int(qd), q_order)
-                                    for p in tail.phis),
-                              tail.threshold)
+            tail = TailSeries(tail.residue, tuple(exact_div(p, qd, q_order)
+                                                  for p in tail.phis))
         else:
-            tail = lemma_FG_transform(tail, int(xc), int(qd))
+            tail = lemma_FG_transform(tail, xc, qd)
     return TailSeries(tail.residue,
                       tuple(p.truncated(q_order) for p in tail.phis))
-
-
-def _t_samples(rs, ray, a, hat, nu1, nu0, ns):
-    out = []
-    for n in ns:
-        lam_n = tuple(n * c for c in ray)
-        target = tuple(hat[i] + n * nu1[i] + nu0[i] for i in range(2))
-        out.append((n, Fraction(plethysm_mult(rs, lam_n, a, target))))
-    return out
-
-
-def _tail_mul_binomial(term: dict[int, TruncatedSeries], off: int,
-                       xshift: int, x_order: int
-                       ) -> dict[int, TruncatedSeries]:
-    """Multiply an x-graded series dict by (1 - q^off x^xshift)."""
-    out = dict(term)
-    for k, s in term.items():
-        k2 = k + xshift
-        if k2 > x_order and xshift > 0:
-            continue
-        piece = -s.shifted(off)
-        out[k2] = out[k2] + piece if k2 in out else piece
-    return out
 
 
 # -- closed forms -------------------------------------------------------------

@@ -268,31 +268,49 @@ def test_unimplemented_formats_are_rejected(capsys, command, fmt):
     assert "invalid choice" in err
 
 
-# sha256 of json.dumps(doc["tail"], sort_keys=True), recorded from the
-# QPSeries implementation the generic TruncatedSeries replaced
+# sha256 of json.dumps(doc["tail"], sort_keys=True) per (algebra, arguments).
+# The A2 pins were recorded from the QPSeries implementation the generic
+# TruncatedSeries replaced, the G2 pin from the Fraction box scan the integer
+# stable limit replaced.
 TAIL_GOLDEN = {
-    "--knot 2,7 --ray 1,0 --method closed --x-order 3 --q-order 60":
+    ("A2", "--knot 2,7 --ray 1,0 --method closed --x-order 3 --q-order 60"):
         "9947df6617f4f0940e504a4a064731184d528b2a95009d2ab3b55c75a19e05d2",
-    "--knot 4,5 --ray rho --method closed --x-order 2 --q-order 40":
+    ("A2", "--knot 4,5 --ray rho --method closed --x-order 2 --q-order 40"):
         "5e2e4ec46dd7f8185c5aec082db4c2db602ee0a75b47f619177fa2e9092b2783",
-    "--knot 2,3 --ray 1,0 --method stable-limit --n0 6 --x-order 2 "
-    "--q-order 30 --n-max 36":
+    ("A2", "--knot 2,3 --ray 1,0 --method stable-limit --n0 6 --x-order 2 "
+     "--q-order 30 --n-max 36"):
         "a6dbb5cf60d9b34c3c6e2d8106d67afccb26ab43bcafaf1c692d6da6b32a373e",
-    "--knot 4,5 --ray rho --method stable-limit --n0 1 --x-order 1 "
-    "--q-order 40 --n-max 30":
+    ("A2", "--knot 4,5 --ray rho --method stable-limit --n0 1 --x-order 1 "
+     "--q-order 40 --n-max 30"):
         "eb394c44e1a9d65a1b31c4e825815d15e6b8938ec341a28f0fdcf0279d558f81",
-    "--knot 2,3 --ray 1,0 --method detect --n0 6 --n-max 48 --x-order 1 "
-    "--q-order 5":
+    ("A2", "--knot 2,3 --ray 1,0 --method detect --n0 6 --n-max 48 "
+     "--x-order 1 --q-order 5"):
         "c392bfedb93dc0cbc7a6b877e35c06e1be246e1a663cb0f5f16fc479f26360c7",
-    "--knot 4,5 --ray rho --method detect --n0 1 --n-max 30 --x-order 1 "
-    "--q-order 4":
+    ("A2", "--knot 4,5 --ray rho --method detect --n0 1 --n-max 30 "
+     "--x-order 1 --q-order 4"):
         "8c9f8097e94a925ecdca5b43a07c7542569c77423eb27e5f5495a7c928387630",
+    ("G2", "--knot 3,4 --ray rho --method stable-limit --n0 1 --x-order 1 "
+     "--q-order 20 --n-max 30"):
+        "fa3c7df71e2bef55d8856d6f40b6f27c8b228d5d92e2943cecb03f6e2777757d",
 }
 
 
-@pytest.mark.parametrize("args", sorted(TAIL_GOLDEN))
-def test_tail_payload_golden(capsys, args):
-    code, out, _ = run(capsys, "tail", "--algebra", "A2", *args.split())
+@pytest.mark.parametrize(
+    "algebra, args", sorted(TAIL_GOLDEN),
+    ids=[args if algebra == "A2" else f"{algebra} {args}"
+         for algebra, args in sorted(TAIL_GOLDEN)])
+def test_tail_payload_golden(capsys, algebra, args):
+    code, out, _ = run(capsys, "tail", "--algebra", algebra, *args.split())
     assert code == 0
     payload = json.dumps(json.loads(out)["tail"], sort_keys=True)
-    assert hashlib.sha256(payload.encode()).hexdigest() == TAIL_GOLDEN[args]
+    assert hashlib.sha256(payload.encode()).hexdigest() == \
+        TAIL_GOLDEN[algebra, args]
+
+
+def test_tail_stable_limit_b2_exits_2(capsys):
+    # B2 tails live in q^(1/2), which the stable limit does not support
+    code, out, err = run(capsys, "tail", "--algebra", "B2", "--knot", "2,5",
+                         "--ray", "0,1", "--method", "stable-limit")
+    assert code == 2
+    assert not out
+    assert "non-integral" in err

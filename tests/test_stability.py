@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_tails.jones import TorusKnot
+from torus_tails.jones import TorusKnot, jones_jet
 from torus_tails.lie import get_root_system
 from torus_tails.qseries import TruncatedSeries, euler_phi, geometric_inverse
 from torus_tails.quasipoly import QuasiPolynomial
@@ -196,6 +196,33 @@ def test_stable_limit_trivial_ray():
     assert not sl.phi(1).evaluate(3).terms
 
 
+@pytest.mark.parametrize("algebra, knot, ray", [
+    ("G2", (3, 4), (1, 1)),
+    ("G2", (2, 3), (0, 1)),
+    ("A2", (3, 4), (1, 1)),
+    ("A2", (2, 5), (1, 1)),
+])
+def test_stable_limit_matches_jets(algebra, knot, ray):
+    # families with no closed tail: the jets are the independent route
+    rs, knot, q_order = get_root_system(algebra), TorusKnot(*knot), 20
+    tail = tail_eval_stable_limit(rs, knot, ray, 1, 2, q_order, 30)
+    assert tail.phi(0).terms
+    n0, modulus = tail.residue
+    for n in (13, 19, 25):
+        assert n % modulus == n0
+        jet = jones_jet(rs, knot, tuple(n * c for c in ray), q_order)
+        assert jet.terms
+        assert not (jet - tail.partial_sum(n, 2)).terms
+
+
+@pytest.mark.parametrize("knot, ray", [((2, 5), (0, 1)), ((2, 3), (1, 0))])
+def test_stable_limit_b2_raises(knot, ray):
+    # B2 tails live in q^(1/2): the integral-exponent evaluation refuses them
+    with pytest.raises(StabilityError, match="non-integral"):
+        tail_eval_stable_limit(get_root_system("B2"), TorusKnot(*knot), ray,
+                               1, 1, 6, 30)
+
+
 def test_tail_json_schema():
     t = tail_closed_T4b(5, 1, 12)
     obj = t.to_json_obj()
@@ -236,6 +263,14 @@ def test_first_disagreement_beyond_order_raises():
             short.first_disagreement(longer, 0, upto)
         with pytest.raises(StabilityError, match="beyond exactness"):
             longer.agrees_with(short, 0, upto)
+
+
+def test_comparison_past_both_orders_raises():
+    # both phis are exact only below q^10, and no term lies at or past it
+    t45 = tail_closed_T4b(5, 1, 10)
+    assert t45.agrees_with(t45, 1, 10)
+    with pytest.raises(StabilityError, match="comparison beyond exactness"):
+        t45.agrees_with(t45, 1, 40)
 
 
 def test_tail_json_keeps_non_integer_coefficients():
