@@ -9,19 +9,24 @@ D*(mu+rho, alpha) are integers computed with the scaled inner product of
 numerator; ``colored_jones`` then divides exactly, checking the remainder.
 ``jones_jet`` gives the shifted J-hat only below a q-order: it assembles just
 the summands with f*(mu) below delta* plus that order and divides by
-truncated geometric series.  Degrees are exact rationals and every
-coefficient either route returns is exact.
+truncated geometric series.  Its multiplicities come from a row kernel: each
+row of the dominant cone ends where its integer quadratic D*f* reaches the
+bound, and the Kostant weight multiplicities are scattered over the
+Weyl-orbit shifts to the row's root-lattice coset points, so no point gets
+its own Weyl-group sum.  Degrees are exact rationals and every coefficient
+either route returns is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterable
 
+from .kostant import kostant
 from .lie import LieError, RootSystem, Weight
-from .mult import plethysm_mult, summation_set
+from .mult import _kostant_tops, plethysm_mult, summation_set
 from .qseries import TruncatedSeries, div_binomial
 
 
@@ -258,6 +263,80 @@ def colored_jones(rs: RootSystem, knot: TorusKnot, lam: Weight
                               poly.min_degree(), poly.max_degree())
 
 
+def _jet_multiplicities(rs: RootSystem, lam: Weight, a: int,
+                        form: Callable[[Weight], int], top: int
+                        ) -> dict[Weight, int]:
+    """mu -> m^mu_{lambda,a} over the dominant mu with form(mu) < top, by
+    rows; mu with multiplicity 0 are left out.
+
+    form is an integer quadratic (D*f*) that strictly increases along both
+    fundamental weights on the dominant cone.  Row i therefore ends at the
+    first j with form(i, j) >= top, read off the row's quadratic by isqrt,
+    and the rows end at the first empty one.  S_{lambda,a} lies in the coset
+    a*lambda + (root lattice), so j steps over the coset's residues mod
+    root_det.  The multiplicities are scattered as in ``summation_set``:
+    each orbit pair (w, sign) with a | i + w_0 adds
+    sign * m_lambda^((mu+w)/a) at the j = -w_1 (mod a) of the coset (one
+    step of lcm(root_det, a)), which sums to the ``plethysm_mult`` identity
+    at every mu of the rows.  m_lambda^nu is Kostant's formula over the
+    per-lambda table ``_kostant_tops``, valid at every weight nu.
+    """
+    d = rs.root_det
+    step = lcm(d, a)
+    pairs = rs.orbit_pairs()
+    tops = _kostant_tops(rs, lam)
+    # per (i mod d, -w_1 mod a): the residues j mod step on the coset with
+    # j = -w_1 (mod a)
+    starts = {(r, t): [j for j in range(t, step, a) if rs.in_root_lattice(
+        (r - a * lam[0], j - a * lam[1]))]
+        for r in range(d) for t in range(a)}
+
+    # m_lambda^nu by Kostant's formula at any weight nu, kept for this call
+    # only: each nu is met from up to |W| mu, and mult.weight_mult's table
+    # would keep every nu of every jet for the life of the process
+    seen: dict[Weight, int] = {}
+
+    def weight_mult(nu: Weight) -> int:
+        total = seen.get(nu)
+        if total is None:
+            rc0, rc1 = rs.root_coords_int(nu)
+            total = 0
+            for (t0, t1), sign in tops:
+                u, v = t0 - rc0, t1 - rc1
+                if u >= 0 and v >= 0 and not u % d and not v % d:
+                    total += sign * kostant(rs, (u // d, v // d))
+            seen[nu] = total
+        return total
+
+    # form(i, j) - top = quad*j^2 + lin_i*j + const_i
+    quad = (form((0, 2)) - 2 * form((0, 1)) + form((0, 0))) // 2
+    out: dict[Weight, int] = {}
+    i = 0
+    while True:
+        const = form((i, 0)) - top
+        if const >= 0:   # row i starts past the bound, and so do later rows
+            return out
+        lin = form((i, 1)) - form((i, 0)) - quad
+        end = max(0, (isqrt(lin * lin - 4 * quad * const) - lin)
+                  // (2 * quad))
+        while quad * end * end + lin * end + const < 0:
+            end += 1
+        row: dict[int, int] = {}
+        for (w0, w1), sign in pairs:
+            if (i + w0) % a:
+                continue
+            nu0 = (i + w0) // a
+            for j0 in starts[i % d, -w1 % a]:
+                for j in range(j0, end, step):
+                    m = weight_mult((nu0, (j + w1) // a))
+                    if m:
+                        row[j] = row.get(j, 0) + sign * m
+        for j, m in row.items():
+            if m:
+                out[i, j] = m
+        i += 1
+
+
 def jones_jet(rs: RootSystem, knot: TorusKnot, lam: Weight, order: int
               ) -> TruncatedSeries:
     """J-hat = q^{-delta*} J below q^order, from the summands near mu_min.
@@ -267,15 +346,18 @@ def jones_jet(rs: RootSystem, knot: TorusKnot, lam: Weight, order: int
     denominator expands as 1 + O(q), so only dominant mu with
     f*(mu) < delta* + order contribute.  f* strictly increases along every
     fundamental weight on the dominant cone (the Gram entries are positive
-    and b > a), so a row-by-row scan of the cone that stops each row, and
-    then the scan, at the first mu past that bound visits exactly those mu.
-    plethysm_mult vanishes off S_{lambda,a}, so no summation set is built;
-    points off the root-lattice coset of S are skipped without calling it.
+    and b > a), so the rows of the cone, each cut where f* reaches that
+    bound, hold exactly those mu.  ``_jet_multiplicities`` fills each row by
+    scattering the Kostant weight multiplicities over the Weyl-orbit shifts
+    to the row's root-lattice coset points, the ``plethysm_mult`` identity
+    term for term, so no summation set is built and no point gets its own
+    Weyl-group sum.  The rows start at the origin: the mu with f* below
+    delta* are summed too.
 
     The exact division's remainder check needs the whole numerator; the jet
     certifies its anchor instead: its lowest term must be q^0 with
-    coefficient m^{mu_min}, else the minimizer table is wrong and
-    JonesError is raised.
+    coefficient m^{mu_min}, computed apart by ``plethysm_mult``, else the
+    minimizer table is wrong and JonesError is raised.
     """
     if order < 1:
         raise ValueError("jet order must be >= 1")
@@ -287,21 +369,8 @@ def jones_jet(rs: RootSystem, knot: TorusKnot, lam: Weight, order: int
     shift = f_star(mu_min)
     d = _exponent_denominator(rs, knot)
     bound = order * d
-
-    def summands():
-        i = 0
-        while True:
-            j = 0
-            while f_star((i, j)) - shift < bound:
-                # S_{lambda,a} lies in the coset a*lambda + (root lattice)
-                if rs.in_root_lattice((i - a * lam[0], j - a * lam[1])):
-                    yield (i, j), plethysm_mult(rs, lam, a, (i, j))
-                j += 1
-            if j == 0:   # row i starts past the bound, and so do later rows
-                return
-            i += 1
-
-    acc = _numerator(rs, knot, lam, summands(), shift, bound)
+    mults = _jet_multiplicities(rs, lam, a, f_star, shift + bound)
+    acc = _numerator(rs, knot, lam, mults.items(), shift, bound)
     for m in _denominator_shifts(rs, knot, lam):
         acc = div_binomial(acc, m, bound)
     lead = plethysm_mult(rs, lam, a, mu_min)

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from torus_tails import jones
+from torus_tails import jones, mult
 from torus_tails.jones import (JonesError, TorusKnot, checked_sum,
                                colored_jones, jones_jet, maximizer_bruteforce,
                                minimizer_bruteforce, minimizer_closed_form,
                                quadratic_forms)
 from torus_tails.lie import LieError, get_root_system
+from torus_tails.mult import plethysm_mult
 from torus_tails.qseries import TruncatedSeries
+from torus_tails.stability import jones_family
 
 A1 = get_root_system("A1")
 A2 = get_root_system("A2")
@@ -158,20 +160,88 @@ def test_jet_equals_truncated_polynomial(rs):
                         full.truncated(order), (knot, lam, order)
 
 
+def _ball(form, top):
+    """Every dominant mu with form(mu) < top, by brute force."""
+    i = 0
+    while form((i, 0)) < top:
+        j = 0
+        while form((i, j)) < top:
+            yield (i, j)
+            j += 1
+        i += 1
+
+
+@pytest.mark.parametrize("rs", [A2, B2, G2], ids=lambda rs: rs.name)
+def test_jet_kernel_matches_plethysm_mult(rs):
+    # the row scatter against the per-point Weyl sum at every dominant mu of
+    # the ball, zeros, points off the coset and points below delta* included
+    for a in (2, 3, 4, 5):
+        knot = TorusKnot(a, a + 1)
+        d = jones._exponent_denominator(rs, knot)
+        for ray in ((1, 0), (0, 1), (1, 1), (2, 1)):
+            for n in (1, 4, 7):
+                lam = (n * ray[0], n * ray[1])
+                form = jones._degree_form(rs, knot, lam, -1)
+                shift = form(minimizer_closed_form(rs, lam, a))
+                for order in (7, 20):
+                    top = shift + order * d
+                    got = jones._jet_multiplicities(rs, lam, a, form, top)
+                    ball = list(_ball(form, top))
+                    assert got and set(got) <= set(ball), (a, lam, order)
+                    for mu in ball:
+                        assert got.get(mu, 0) == \
+                            plethysm_mult(rs, lam, a, mu), (a, lam, mu)
+
+
+@pytest.mark.parametrize("knot, ray", [(TorusKnot(2, 3), (1, 0)),
+                                       (TorusKnot(2, 5), (0, 1))],
+                         ids=["T23-l1", "T25-l2"])
+def test_jet_moving_minimizer(knot, ray):
+    # mu_min = (0, n) or (n, 0) moves with n; A2 has root_det 3 against a = 2
+    for n in (20, 27):
+        lam = (n * ray[0], n * ray[1])
+        assert minimizer_closed_form(A2, lam, 2) == (lam[1], lam[0])
+        full = colored_jones(A2, knot, lam).shifted
+        for order in (n, n + 7):
+            assert jones_jet(A2, knot, lam, order) == full.truncated(order)
+
+
+def test_jet_leaves_weight_mult_table_alone():
+    # the jets' multiplicities live in per-jet tables; only the lead check's
+    # per-point route fills the shared lru table, made here first
+    knot, ns, order = TorusKnot(2, 3), range(20, 41), 40
+    for n in ns:
+        lam = (n, 0)
+        plethysm_mult(A2, lam, 2, minimizer_closed_form(A2, lam, 2))
+    before = mult._weight_mult.cache_info().currsize
+    jones_family(A2, knot, (1, 0), ns, order)
+    assert mult._weight_mult.cache_info().currsize == before
+
+
 def test_jet_certificate_rejects_wrong_anchor(monkeypatch):
-    rs, knot, lam = A2, TorusKnot(2, 3), (3, 0)
-    assert minimizer_closed_form(rs, lam, knot.a) == (0, 3)
-    assert jones_jet(rs, knot, lam, 5).terms[0] == (0, -1)
+    rs, knot = A2, TorusKnot(2, 3)
     with pytest.raises(ValueError):
-        jones_jet(rs, knot, lam, 0)
-    # f*(0,0) < f*(0,3) = f*(3,0) < f*(2,2): the lower anchor leaves q^0
-    # empty, the higher one puts the true lowest term below q^0, and (3,0)
-    # has the right degree but not the right coefficient
-    for wrong in ((0, 0), (2, 2), (3, 0)):
-        monkeypatch.setattr(jones, "minimizer_closed_form",
-                            lambda rs, lam, a, w=wrong: w)
-        with pytest.raises(JonesError):
-            jones_jet(rs, knot, lam, 5)
+        jones_jet(rs, knot, (3, 0), 0)
+    # anchors below, level with and above mu_min in f*: the lower one leaves
+    # q^0 empty, the level one has the right degree but not the right
+    # coefficient, and the higher one puts the true lowest term below q^0.
+    # At (20, 0) the higher anchor (2, 19) is the next support point, with
+    # m = -1: it passes unless the rows below delta* are summed too.
+    for lam, mu_min, lead, wrong_anchors in (
+            ((3, 0), (0, 3), -1, ((0, 0), (3, 0), (2, 2))),
+            ((20, 0), (0, 20), 1, ((0, 0), (20, 0), (2, 19)))):
+        assert minimizer_closed_form(rs, lam, knot.a) == mu_min
+        assert jones_jet(rs, knot, lam, 5).terms[0] == (0, lead)
+        f_star, _ = quadratic_forms(rs, knot, lam)
+        low, level, high = wrong_anchors
+        assert f_star(low) < f_star(mu_min) == f_star(level) < f_star(high)
+        with monkeypatch.context() as patch:
+            for wrong in wrong_anchors:
+                patch.setattr(jones, "minimizer_closed_form",
+                              lambda rs, lam, a, w=wrong: w)
+                with pytest.raises(JonesError):
+                    jones_jet(rs, knot, lam, 5)
+    assert plethysm_mult(rs, (20, 0), 2, (2, 19)) == -1
 
 
 def test_a1_smoke_family():
