@@ -5,8 +5,14 @@ m^mu * q^{f*(mu)} * prod_{alpha>0}(1 - q^{(mu+rho,alpha)}), and the sum is
 divided by prod_{alpha>0}(1 - q^{(lambda+rho,alpha)}).  Exponents are integer
 numerators over D = 2*a*gram_scale from the start: D*f*(mu) and
 D*(mu+rho, alpha) are integers computed with the scaled inner product of
-``lie``.  ``colored_jones`` and ``checked_sum`` share one assembly of the
-numerator; ``colored_jones`` then divides exactly, checking the remainder.
+``lie``.  ``colored_jones``, ``checked_sum`` and ``jones_jet`` share one
+assembly of the numerator: D*f*(mu) and the Weyl-identity expansion of the
+root product are expanded once into integer quadratic and linear
+coefficients, so a term costs a few integer products.  ``colored_jones``
+then divides by all the denominator factors in one ``div_binomial`` over a
+dense exponent array, checking the remainder of each.  The summation set
+comes from the dominant weights of V_lambda alone, each multiplicity by
+one Kostant sum, so the exact path leaves no process-wide table behind.
 ``jones_jet`` gives the shifted J-hat only below a q-order: it assembles just
 the summands with f*(mu) below delta* plus that order and divides by
 truncated geometric series.  Its multiplicities come from a row kernel: each
@@ -24,9 +30,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable
 
-from .kostant import kostant
 from .lie import LieError, RootSystem, Weight
-from .mult import _kostant_tops, plethysm_mult, summation_set
+from .mult import _kostant_sum, _kostant_tops, plethysm_mult, summation_set
 from .qseries import TruncatedSeries, div_binomial
 
 
@@ -57,14 +62,21 @@ def _exponent_denominator(rs: RootSystem, knot: TorusKnot) -> int:
     return 2 * knot.a * rs.gram_scale
 
 
+def _degree_coeffs(rs: RootSystem, knot: TorusKnot, lam: Weight, sign: int
+                   ) -> tuple[int, int, int]:
+    """(b, lin, const) with D*f*(mu) (sign -1) or D*f(mu) (sign +1)
+    = b*|mu|^2 + lin*(mu, rho) + const, in scaled inner products."""
+    a, b = knot.a, knot.b
+    const = -a * (a * b * rs.norm2_int(lam)
+                  + 2 * (a * b + sign) * rs.inner_int(lam, rs.rho))
+    return b, 2 * (b + sign * a), const
+
+
 def _degree_form(rs: RootSystem, knot: TorusKnot, lam: Weight, sign: int
                  ) -> Callable[[Weight], int]:
     """mu -> D*f*(mu) (sign -1) or D*f(mu) (sign +1), an integer."""
-    a, b = knot.a, knot.b
+    b, lin, const = _degree_coeffs(rs, knot, lam, sign)
     rho = rs.rho
-    lin = 2 * (b + sign * a)
-    const = -a * (a * b * rs.norm2_int(lam)
-                  + 2 * (a * b + sign) * rs.inner_int(lam, rho))
 
     def form(mu: Weight) -> int:
         return b * rs.norm2_int(mu) + lin * rs.inner_int(mu, rho) + const
@@ -215,27 +227,39 @@ def _numerator(rs: RootSystem, knot: TorusKnot, lam: Weight,
                cutoff: int | None = None) -> dict[int, int]:
     """sum of m q^{f*(mu)} prod_{alpha>0}(1 - q^{(mu+rho,alpha)}) over the
     (mu, m) in summands, as exponent numerators over D lowered by shift,
-    dropping exponents >= cutoff.
+    dropping exponents >= cutoff.  Coefficients that cancel stay as 0.
 
     The product is expanded by the Weyl denominator identity
     prod_{alpha>0}(1 - e^alpha) = sum_sigma (-1)^sigma e^{rho - sigma(rho)},
-    one term per entry of ``rs.orbit_pairs()``.
+    one term per orbit pair (w, sign) of ``rs.orbit_pairs()``, with exponent
+    D*f*(mu) + 2a*(mu + rho, w) - shift.  That is expanded once into
+    integers: quad(mu) + cx*x + cy*y + k at mu = (x, y), quad the quadratic
+    part of D*f*, and (cx, cy, k, sign) per pair, so a point costs a few
+    integer products.  A rank-1 weight is read as (x, x) against a Gram
+    matrix padded with zeros, which gives y no coefficients.
     """
-    f_star = _degree_form(rs, knot, lam, -1)
+    b, lin, const = _degree_coeffs(rs, knot, lam, -1)
     two_a = 2 * knot.a
+    g = rs.gram_int
+    (g00, g01), (g10, g11) = g if rs.rank == 2 else ((g[0][0], 0), (0, 0))
+    qxx, qxy, qyy = b * g00, b * (g01 + g10), b * g11
     rho = rs.rho
-    pairs = rs.orbit_pairs()
+    forms = []
+    for w, sign in rs.orbit_pairs():
+        v = tuple(lin * r + two_a * c for r, c in zip(rho, w))
+        forms.append((g00 * v[0] + g01 * v[-1], g10 * v[0] + g11 * v[-1],
+                      const - shift + two_a * rs.inner_int(rho, w), sign))
     acc: dict[int, int] = {}
     for mu, m in summands:
         if not m:
             continue
-        base = f_star(mu) - shift
-        mr = tuple(mu[i] + rho[i] for i in range(rs.rank))
-        for w, sign in pairs:
-            e = base + two_a * rs.inner_int(mr, w)
+        x, y = mu[0], mu[-1]
+        quad = (qxx * x + qxy * y) * x + qyy * y * y
+        for cx, cy, k, sign in forms:
+            e = quad + cx * x + cy * y + k
             if cutoff is None or e < cutoff:
                 acc[e] = acc.get(e, 0) + sign * m
-    return {e: c for e, c in acc.items() if c}
+    return acc
 
 
 def _denominator_shifts(rs: RootSystem, knot: TorusKnot, lam: Weight
@@ -254,8 +278,7 @@ def colored_jones(rs: RootSystem, knot: TorusKnot, lam: Weight
     if not rs.is_dominant(lam):
         raise LieError("color must be dominant")
     acc = _numerator(rs, knot, lam, summation_set(rs, lam, knot.a).items(), 0)
-    for m in _denominator_shifts(rs, knot, lam):
-        acc = div_binomial(acc, m)
+    acc = div_binomial(acc, _denominator_shifts(rs, knot, lam))
     if not acc:
         raise JonesError("colored Jones polynomial vanished")
     poly = TruncatedSeries.make(acc, _exponent_denominator(rs, knot), None)
@@ -278,8 +301,9 @@ def _jet_multiplicities(rs: RootSystem, lam: Weight, a: int,
     each orbit pair (w, sign) with a | i + w_0 adds
     sign * m_lambda^((mu+w)/a) at the j = -w_1 (mod a) of the coset (one
     step of lcm(root_det, a)), which sums to the ``plethysm_mult`` identity
-    at every mu of the rows.  m_lambda^nu is Kostant's formula over the
-    per-lambda table ``_kostant_tops``, valid at every weight nu.
+    at every mu of the rows.  m_lambda^nu is ``mult._kostant_sum``, Kostant's
+    formula over the per-lambda table ``_kostant_tops``, valid at every
+    weight nu.
     """
     d = rs.root_det
     step = lcm(d, a)
@@ -299,13 +323,7 @@ def _jet_multiplicities(rs: RootSystem, lam: Weight, a: int,
     def weight_mult(nu: Weight) -> int:
         total = seen.get(nu)
         if total is None:
-            rc0, rc1 = rs.root_coords_int(nu)
-            total = 0
-            for (t0, t1), sign in tops:
-                u, v = t0 - rc0, t1 - rc1
-                if u >= 0 and v >= 0 and not u % d and not v % d:
-                    total += sign * kostant(rs, (u // d, v // d))
-            seen[nu] = total
+            total = seen[nu] = _kostant_sum(rs, tops, rs.root_coords_int(nu))
         return total
 
     # form(i, j) - top = quad*j^2 + lin_i*j + const_i
@@ -371,8 +389,7 @@ def jones_jet(rs: RootSystem, knot: TorusKnot, lam: Weight, order: int
     bound = order * d
     mults = _jet_multiplicities(rs, lam, a, f_star, shift + bound)
     acc = _numerator(rs, knot, lam, mults.items(), shift, bound)
-    for m in _denominator_shifts(rs, knot, lam):
-        acc = div_binomial(acc, m, bound)
+    acc = div_binomial(acc, _denominator_shifts(rs, knot, lam), bound)
     lead = plethysm_mult(rs, lam, a, mu_min)
     if not acc or min(acc) != 0 or acc[0] != lead:
         raise JonesError(

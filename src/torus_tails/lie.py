@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 Weight = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -177,6 +177,36 @@ class RootSystem:
             raise LieError("highest weight must be dominant")
         return _weight_system(self, lam)
 
+    def dominant_weights(self, lam: Weight) -> list[Weight]:
+        """The dominant mu <= lam, the dominant weights of V_lambda, sorted.
+
+        Every fundamental weight has positive root coordinates, so
+        rc(lam - mu) >= 0 bounds each coordinate of a dominant mu.  With
+        the other coordinates fixed, the last one runs up to the end of its
+        row, over one residue class (lam + root lattice): no test per point.
+        """
+        if not self.is_dominant(lam):
+            raise LieError("highest weight must be dominant")
+        d = self.root_det
+        top = self.root_coords_int(lam)
+        funds = [self.root_coords_int(tuple(int(i == j)
+                                            for i in range(self.rank)))
+                 for j in range(self.rank)]
+        last = funds[-1]
+        step = lcm(*(d // gcd(d, f) for f in last))
+        out: list[Weight] = []
+        for head in product(*(range(min(t // f for t, f in zip(top, fund))
+                                    + 1) for fund in funds[:-1])):
+            rest = tuple(t - r for t, r in
+                         zip(top, self.root_coords_int(head + (0,))))
+            end = min(r // f for r, f in zip(rest, last))
+            for first in range(step):
+                if all((r - first * f) % d == 0 for r, f in zip(rest, last)):
+                    out.extend(head + (x,)
+                               for x in range(first, end + 1, step))
+                    break
+        return out
+
     def dim_irrep(self, lam: Weight) -> int:
         """dim V_lambda by the Weyl dimension formula (independent oracle)."""
         rho = self.rho
@@ -220,21 +250,10 @@ def _orbit_pairs(rs: RootSystem) -> tuple[tuple[Weight, int], ...]:
 
 @lru_cache(maxsize=None)
 def _weight_system(rs: RootSystem, lam: Weight) -> frozenset[Weight]:
-    # every weight of V_lambda is W-conjugate to exactly one dominant
-    # mu <= lam.  Each fundamental weight has nonnegative root coordinates,
-    # so a dominant mu has rc(mu) >= mu_j rc(lambda_j), and mu <= lam gives
-    # rc(mu) <= rc(lam): that bounds mu_j.  Scan the box, add the orbits.
-    top = rs.root_coords_int(lam)
-    bounds = []
-    for j in range(rs.rank):
-        fund = rs.root_coords_int(tuple(int(i == j) for i in range(rs.rank)))
-        bounds.append(min(t // f for t, f in zip(top, fund) if f > 0))
+    # every weight of V_lambda is W-conjugate to exactly one dominant mu <= lam
     mats = [mat for mat, _ in rs.weyl_elements]
-    out = set()
-    for mu in product(*(range(b + 1) for b in bounds)):
-        if rs.dominates(lam, mu):
-            out.update(_mat_apply(mat, mu) for mat in mats)
-    return frozenset(out)
+    return frozenset(_mat_apply(mat, mu) for mu in rs.dominant_weights(lam)
+                     for mat in mats)
 
 
 def _fr(num: int, den: int = 1) -> Fraction:

@@ -6,11 +6,16 @@ multiplicities.  Each has an independent oracle: Freudenthal's recursion for
 weights, and an Adams-operation character peeling for plethysms.
 
 Everything runs on the integer kernel of ``lie``: root coordinates scaled by
-``root_det`` and inner products scaled by ``gram_scale``.  ``summation_set``
-scatters sign * m_lambda^nu to mu = a*nu - (rho - sigma(rho)) over the pairs
-(sigma, nu) that define the set, so it needs no per-point Weyl-group sum;
-``plethysm_mult`` is the per-point route.  The Adams oracle peels
-psi_a(ch_lambda) once per (lambda, a) into a table kept in a bounded cache.
+``root_det`` and inner products scaled by ``gram_scale``.  One integer
+Kostant sum, ``_kostant_sum``, serves ``weight_mult`` (through its cached
+table), ``summation_set`` and the jet kernel of ``jones``.
+``summation_set`` scans the dominant nu <= lambda only, takes m_lambda^nu
+once for each, and scatters sign * m_lambda^nu to mu = a*nu' - (rho -
+sigma(rho)) over the W-images nu' of nu (formed only near the walls, where
+one can land) and the orbit pairs, so it needs no weight system and no
+per-point Weyl-group sum; ``plethysm_mult`` is the per-point route.  The
+Adams oracle peels psi_a(ch_lambda) once per (lambda, a) into a table kept
+in a bounded cache.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 from typing import Iterable, Optional, Sequence
 
 from .kostant import kostant
@@ -41,14 +47,33 @@ def weight_mult(rs: RootSystem, lam: Weight, mu: Weight) -> int:
 
 @lru_cache(maxsize=None)
 def _weight_mult(rs: RootSystem, lam: Weight, mu: Weight) -> int:
+    return _kostant_sum(rs, _kostant_tops(rs, lam), rs.root_coords_int(mu))
+
+
+def _kostant_sum(rs: RootSystem, tops: tuple[tuple[Weight, int], ...],
+                 rc: Weight) -> int:
+    """m_lambda^nu by Kostant's formula, valid at every weight nu.
+
+    tops is ``_kostant_tops(rs, lambda)`` and rc is root_coords_int(nu):
+    the sum of sign * P((top - rc)/root_det) over the entries whose
+    difference is a nonnegative root-lattice vector, P the partition
+    function.
+    """
     d = rs.root_det
-    rc_mu = rs.root_coords_int(mu)
     total = 0
-    for top, sign in _kostant_tops(rs, lam):
-        rc = tuple(top[i] - rc_mu[i] for i in range(rs.rank))
-        if any(c < 0 or c % d for c in rc):
-            continue
-        total += sign * kostant(rs, tuple(c // d for c in rc))
+    if rs.rank == 1:
+        (r0,) = rc
+        for (t0,), sign in tops:
+            u = t0 - r0
+            if u >= 0 and not u % d:
+                total += sign * kostant(rs, (u // d,))
+        return total
+    r0, r1 = rc
+    for (t0, t1), sign in tops:
+        u = t0 - r0
+        v = t1 - r1
+        if u >= 0 and v >= 0 and not u % d and not v % d:
+            total += sign * kostant(rs, (u // d, v // d))
     return total
 
 
@@ -184,6 +209,15 @@ def summation_set(rs: RootSystem, lam: Weight, a: int,
     (-1)^sigma * m_lambda^nu, and these sum to the ``plethysm_mult`` identity
     at every mu.  Members whose multiplicity cancels to 0 are retained by
     default (the set is support-agnostic).
+
+    The scan runs over the dominant nu <= lambda only (``dominant_weights``)
+    and computes m_lambda^nu once for each by ``_kostant_sum``, so no weight
+    system is built and no table outlives the call.  Each distinct W-image
+    of nu with a*nu' >= low, low the smallest coordinate of any orbit
+    shift, is scattered.  An image sigma(nu) != nu has a coordinate
+    -(nu, beta^vee) <= -min(nu) for some positive coroot beta^vee, so away
+    from the walls, where a*min(nu) > -low, nu alone can land and its
+    images are not formed.
     """
     if not rs.is_dominant(lam):
         raise LieError("highest weight must be dominant")
@@ -192,15 +226,21 @@ def summation_set(rs: RootSystem, lam: Weight, a: int,
     pairs = rs.orbit_pairs()
     # a*nu_i - w_i >= 0 for some pair needs a*nu_i >= min(w_i)
     low = min(c for w, _ in pairs for c in w)
+    tops = _kostant_tops(rs, lam)
+    mats = [mat for mat, _ in rs.weyl_elements]
     out: dict[Weight, int] = {}
-    for nu in rs.weight_system(lam):
-        if any(a * c < low for c in nu):
-            continue
-        m = weight_mult(rs, lam, nu)
-        for w, sign in pairs:
-            mu = tuple(a * nu[i] - w[i] for i in range(rs.rank))
-            if rs.is_dominant(mu):
-                out[mu] = out.get(mu, 0) + sign * m
+    for nu in rs.dominant_weights(lam):
+        m = _kostant_sum(rs, tops, rs.root_coords_int(nu))
+        images = (nu,) if a * min(nu) > -low else \
+            {_mat_apply(mat, nu) for mat in mats}
+        for image in images:
+            if a * min(image) < low:
+                continue
+            scaled = tuple(a * c for c in image)
+            for w, sign in pairs:
+                mu = tuple(map(sub, scaled, w))
+                if min(mu) >= 0:
+                    out[mu] = out.get(mu, 0) + sign * m
     out = dict(sorted(out.items()))
     if not keep_zero:
         out = {mu: m for mu, m in out.items() if m != 0}

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Sequence, Union
 
 Exponent = Union[int, Fraction]
 Coeff = Any   # int or quasipoly.QuasiPolynomial
@@ -63,8 +64,7 @@ class TruncatedSeries:
             kept = {e: c for e, c in kept.items() if e < order}
         g = denom
         if g > 1:
-            for e in kept:
-                g = gcd(g, e)
+            g = gcd(g, *kept)
             if order is not None:
                 g = gcd(g, order)
         if g > 1:
@@ -303,36 +303,44 @@ def geometric_inverse(e: Exponent, order: Exponent) -> TruncatedSeries:
     return exact_div(TruncatedSeries.one(), e, order)
 
 
-def div_binomial(poly: Mapping[int, Coeff], m: int,
+def div_binomial(poly: Mapping[int, Coeff], shifts: Sequence[int],
                  cutoff: Optional[int] = None) -> dict[int, Coeff]:
-    """poly / (1 - q^m) on exponent-numerator dicts, m > 0.
+    """poly / prod_{m in shifts}(1 - q^m) on exponent-numerator dicts, m > 0.
 
     Without a cutoff poly is a polynomial and the division must be exact: a
-    remainder raises SeriesDivisionError.  With one, the quotient is the power
-    series poly * sum_j q^(jm) below q^cutoff, exact there if poly is.  The
-    coefficients may be ints or quasi-polynomials.
+    remainder in any factor raises SeriesDivisionError.  With one, the
+    quotient is the power series poly * prod_m sum_j q^(jm) below q^cutoff,
+    exact there if poly is.  The coefficients may be ints or
+    quasi-polynomials.
+
+    The work is done on a dense list over the lattice lo + gZ, lo the lowest
+    exponent and g the gcd of the exponent differences and the shifts, which
+    holds every exponent of the quotient.  Dividing by 1 - q^m is
+    quot[i] = poly[i] + quot[i - m/g]: one running sum per residue class mod
+    m/g.  An exact quotient ends m/g slots before its dividend, so those top
+    slots must be zero and are cut before the next factor.
     """
+    if any(m <= 0 for m in shifts):
+        raise SeriesError("non-expandable denominator")
     if not poly:
         return {}
+    lo = min(poly)
     top = max(poly) if cutoff is None else cutoff - 1
-    # q = f/(1-q^m): q[k] = f[k] + q[k-m]; remainder iff q[k] != 0 above top-m
-    support = set(poly)
-    for e in sorted(poly):
-        k = e + m
-        while k <= top and k not in support:
-            support.add(k)
-            k += m
-    quot: dict[int, Coeff] = {}
-    for e in sorted(support):
-        val = poly.get(e)
-        prev = quot.get(e - m)
-        if prev is not None:
-            val = prev if val is None else val + prev
-        if val:
-            quot[e] = val
-    if cutoff is None and any(e > top - m for e in quot):
-        raise SeriesDivisionError("division remainder nonzero")
-    return quot
+    g = gcd(*shifts, *(e - lo for e in poly)) or 1
+    dense: list[Coeff] = [0] * max(0, (top - lo) // g + 1)
+    for e, c in poly.items():
+        if e <= top:
+            dense[(e - lo) // g] = c
+    for m in shifts:
+        step = m // g
+        for r in range(min(step, len(dense))):
+            dense[r::step] = accumulate(dense[r::step])
+        if cutoff is None:
+            keep = max(0, len(dense) - step)
+            if any(dense[keep:]):
+                raise SeriesDivisionError("division remainder nonzero")
+            del dense[keep:]
+    return {e: c for e, c in zip(range(lo, top + 1, g), dense) if c}
 
 
 def exact_div(f: TruncatedSeries, e: Exponent,
@@ -341,7 +349,8 @@ def exact_div(f: TruncatedSeries, e: Exponent,
 
     Without ``order`` f must be a polynomial that (1 - q^e) divides: a
     remainder raises SeriesDivisionError.  With it, the power series quotient
-    f * sum_j q^(je), exact below min(f's order, order).
+    f * sum_j q^(je), exact below min(f's order, order).  Both are one
+    ``div_binomial`` with a single shift, on its dense lattice array.
     """
     ef = _as_fraction(e)
     if ef <= 0:
@@ -353,7 +362,8 @@ def exact_div(f: TruncatedSeries, e: Exponent,
     fac = d // f.denom
     cut = _min_order(None if f.order is None else f.order * fac,
                      None if of is None else int(of * d))
-    quot = div_binomial({ex * fac: c for ex, c in f.terms}, int(ef * d), cut)
+    quot = div_binomial({ex * fac: c for ex, c in f.terms}, (int(ef * d),),
+                        cut)
     return TruncatedSeries.make(quot, d, cut)
 
 

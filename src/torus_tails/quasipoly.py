@@ -90,12 +90,17 @@ class QuasiPolynomial:
         return QuasiPolynomial(p, deg, coeffs).canonical()
 
     def __add__(self, other: "QuasiPolynomial") -> "QuasiPolynomial":
+        if isinstance(other, int) and other == 0:
+            return self   # the empty slots of a dense coefficient list
+
         def add(a, b):
             n = max(len(a), len(b))
             a = a + (Fraction(0),) * (n - len(a))
             b = b + (Fraction(0),) * (n - len(b))
             return tuple(x + y for x, y in zip(a, b))
         return self._binop(other, add)
+
+    __radd__ = __add__
 
     def __neg__(self) -> "QuasiPolynomial":
         return QuasiPolynomial(self.period, self.degree,

@@ -1,10 +1,12 @@
 """Jones-Rosso evaluation: degrees, extremizers, checked sums, A1 smoke."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from torus_tails import jones, mult
+from torus_tails import jones, lie, mult
 from torus_tails.jones import (JonesError, TorusKnot, checked_sum,
                                colored_jones, jones_jet, maximizer_bruteforce,
                                minimizer_bruteforce, minimizer_closed_form,
@@ -242,6 +244,50 @@ def test_jet_certificate_rejects_wrong_anchor(monkeypatch):
                 with pytest.raises(JonesError):
                     jones_jet(rs, knot, lam, 5)
     assert plethysm_mult(rs, (20, 0), 2, (2, 19)) == -1
+
+
+# sha256 of json.dumps(colored_jones(...).to_json_obj(), sort_keys=True),
+# the document the CLI writes.  The rank-2 digests are the benchmark's
+# baseline ones (bench/workloads.py); the A1 digest was recorded with the
+# earlier dict-based division.
+JONES_GOLDEN = {
+    ("A2", (4, 5), (3, 3)):
+        "dabb35076fc8e8f5ea396556d0f5a8d96c3476fae5445f7ac5633ea347f2454c",
+    ("B2", (3, 5), (2, 2)):
+        "0bab4b543e9724bb7ce4f2fbe52173550ddfaaf50021c8b598bff94c46c7c2e3",
+    ("G2", (2, 5), (1, 1)):
+        "d86499fcbe1c240d22798b12fabb2f28edcf925447f3534240b6597771242f3e",
+    ("A2", (4, 5), (20, 20)):
+        "e701fa4ffb4c02a712663dd6543bb6d0144e01ecba4804fba17a7f5b52a9e549",
+    ("A1", (3, 4), (12,)):
+        "096716d15824b8257706e1b5e37226c661fc40e7e1619ff61b2013048fb33408",
+}
+
+
+@pytest.mark.parametrize("algebra, knot, lam", list(JONES_GOLDEN), ids=[
+    f"{alg}-T{a}{b}-{','.join(map(str, lam))}"
+    for alg, (a, b), lam in JONES_GOLDEN])
+def test_jones_payload_golden(algebra, knot, lam):
+    rs = get_root_system(algebra)
+    res = colored_jones(rs, TorusKnot(*knot), lam)
+    doc = json.dumps(res.to_json_obj(), sort_keys=True).encode()
+    assert hashlib.sha256(doc).hexdigest() == JONES_GOLDEN[algebra, knot, lam]
+    if rs.rank == 2:
+        for order in (1, 10, 40):
+            assert jones_jet(rs, TorusKnot(*knot), lam, order) == \
+                res.shifted.truncated(order)
+
+
+def test_colored_jones_leaves_global_tables_alone():
+    # the summation set scans the dominant weights and computes each
+    # multiplicity once, so neither process-wide table grows.  (12, 13) is
+    # on no ray the other tests walk, so the check holds in any test order.
+    before = (mult._weight_mult.cache_info().currsize,
+              lie._weight_system.cache_info().currsize)
+    for lam in ((12, 12), (12, 13)):
+        colored_jones(A2, TorusKnot(4, 5), lam)
+    assert (mult._weight_mult.cache_info().currsize,
+            lie._weight_system.cache_info().currsize) == before
 
 
 def test_a1_smoke_family():

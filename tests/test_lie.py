@@ -1,6 +1,7 @@
 """Root-system data: Weyl groups, orbit tables, Gram anchors, weight systems."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -121,6 +122,20 @@ def test_weight_system_trivial_and_fundamental():
 def test_weight_system_requires_dominant():
     with pytest.raises(LieError):
         A2.weight_system((-1, 0))
+
+
+def test_dominant_weights_match_the_dominance_order():
+    # the row scan against the definition on a box that holds every
+    # dominant mu <= lam
+    for rs in (A1, A2, B2, G2):
+        lams = [(k,) for k in range(9)] if rs.rank == 1 else \
+            [(i, j) for i in range(5) for j in range(5)]
+        for lam in lams:
+            box = product(range(2 * sum(lam) + 2), repeat=rs.rank)
+            assert rs.dominant_weights(lam) == \
+                [mu for mu in box if rs.dominates(lam, mu)], (rs.name, lam)
+    with pytest.raises(LieError):
+        A2.dominant_weights((-1, 0))
 
 
 def test_weight_system_closed_under_weyl():

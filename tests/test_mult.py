@@ -223,26 +223,33 @@ def test_plethysm_quasipoly_fit_constant_on_class():
     assert qp.degree == 0 and qp(34) == 1
 
 
-@pytest.mark.parametrize("rs", [A2, B2, G2], ids=lambda rs: rs.name)
+@pytest.mark.parametrize("rs", [A1, A2, B2, G2], ids=lambda rs: rs.name)
 def test_scatter_summation_set_equals_pointwise(rs):
+    # small colors and the wall colors (k, 0), (0, k): their dominant
+    # weights on or near the walls are scattered from W-images too (B2 at
+    # a = 2 and G2 at a <= 4 land images with a coordinate -1 or -2)
+    if rs.rank == 1:
+        lams = [(k,) for k in range(7)]
+    else:
+        lams = [(m1, m2) for m1 in range(3) for m2 in range(3 - m1)]
+        lams += [(k, 0) for k in range(3, 7)] + [(0, k) for k in range(3, 7)]
     zeros = 0
     for a in (2, 3, 4, 5):
-        for m1 in range(3):
-            for m2 in range(3 - m1):
-                lam = (m1, m2)
-                s = summation_set(rs, lam, a)
-                # the geometric definition, built here independently
-                points = {(a * nu[0] - w[0], a * nu[1] - w[1])
-                          for w, _ in rs.orbit_pairs()
-                          for nu in rs.weight_system(lam)}
-                assert set(s) == {mu for mu in points if min(mu) >= 0}
-                for mu, m in s.items():
-                    assert m == plethysm_mult(rs, lam, a, mu), \
-                        (rs.name, lam, a, mu)
-                    zeros += m == 0
-                assert summation_set(rs, lam, a, keep_zero=False) == \
-                    {mu: m for mu, m in s.items() if m}
-    assert zeros   # members whose multiplicity cancels are kept
+        for lam in lams:
+            s = summation_set(rs, lam, a)
+            # the geometric definition, built here independently
+            points = {tuple(a * n - c for n, c in zip(nu, w))
+                      for w, _ in rs.orbit_pairs()
+                      for nu in rs.weight_system(lam)}
+            assert set(s) == {mu for mu in points if min(mu) >= 0}
+            for mu, m in s.items():
+                assert m == plethysm_mult(rs, lam, a, mu), \
+                    (rs.name, lam, a, mu)
+                zeros += m == 0
+            assert summation_set(rs, lam, a, keep_zero=False) == \
+                {mu: m for mu, m in s.items() if m}
+    # members whose multiplicity cancels are kept
+    assert zeros or rs.rank == 1
 
 
 def test_adams_oracle_cache_is_bounded_and_stable():

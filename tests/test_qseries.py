@@ -254,7 +254,7 @@ def test_evaluate_rejects_non_integer_values():
 def test_div_binomial_cutoff_is_geometric_product_int(poly, m, cutoff):
     want = (TruncatedSeries.make(poly) * geometric_inverse(m, cutoff)
             ).truncated(cutoff)
-    assert TruncatedSeries.make(div_binomial(poly, m, cutoff), 1,
+    assert TruncatedSeries.make(div_binomial(poly, (m,), cutoff), 1,
                                 cutoff) == want
     assert exact_div(TruncatedSeries.make(poly), m, cutoff) == want
 
@@ -264,6 +264,78 @@ def test_div_binomial_cutoff_is_geometric_product_int(poly, m, cutoff):
 def test_div_binomial_cutoff_is_geometric_product_qp(f, m, cutoff):
     cut = cutoff if f.order is None else min(f.order, cutoff)
     want = (f * geometric_inverse(m, cutoff)).truncated(cut)
-    assert TruncatedSeries.make(div_binomial(dict(f.terms), m, cut), 1,
+    assert TruncatedSeries.make(div_binomial(dict(f.terms), (m,), cut), 1,
                                 cut) == want
     assert exact_div(f, m, cutoff) == want
+
+
+# -- division by several binomials at once ------------------------------------
+
+
+def binomials(shifts):
+    """prod_{m in shifts} (1 - q^m)."""
+    out = TruncatedSeries.one()
+    for m in shifts:
+        out = out * S({0: 1, m: -1})
+    return out
+
+
+def divide_one_at_a_time(poly, shifts, cutoff):
+    for m in shifts:
+        poly = div_binomial(poly, (m,), cutoff)
+    return poly
+
+
+shift_lists = st.lists(st.integers(1, 5), min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_polys, shift_lists, st.none() | st.integers(-8, 24))
+def test_div_binomial_several_shifts_int(d, shifts, cutoff):
+    f = S(d)
+    prod = f * binomials(shifts)
+    poly = prod.as_dict()
+    got = div_binomial(poly, shifts, cutoff)
+    assert got == divide_one_at_a_time(poly, shifts, cutoff)
+    if cutoff is None:
+        assert got == f.as_dict()
+    else:
+        want = f.truncated(cutoff)
+        assert TruncatedSeries.make(got, 1, cutoff) == want
+        # a power series for any poly, exact or not
+        other = {e: c + 1 for e, c in poly.items()}
+        inverse = TruncatedSeries.one()
+        for m in shifts:
+            inverse = inverse * geometric_inverse(m, max(cutoff, 1) + 8)
+        assert TruncatedSeries.make(div_binomial(other, shifts, cutoff), 1,
+                                    cutoff) == \
+            (TruncatedSeries.make(other) * inverse).truncated(cutoff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(qp_series(min_exp=0), shift_lists, st.none() | st.integers(0, 16))
+def test_div_binomial_several_shifts_qp(f, shifts, cutoff):
+    f = TruncatedSeries.make(dict(f.terms))     # a polynomial
+    poly = dict((f * binomials(shifts)).terms)
+    got = div_binomial(poly, shifts, cutoff)
+    assert got == divide_one_at_a_time(poly, shifts, cutoff)
+    want = f if cutoff is None else f.truncated(cutoff)
+    assert TruncatedSeries.make(got, 1, cutoff) == want
+
+
+def test_div_binomial_remainder_in_any_factor_raises():
+    # (1 + q)(1 - q^2) is divisible by 1 - q^2 only, and not twice
+    qp = QuasiPolynomial.linear(1, 2)
+    for coeff in (1, qp):
+        poly = {e: c * coeff for e, c in {0: 1, 1: 1, 2: -1, 3: -1}.items()}
+        assert div_binomial(poly, (2,)) == {0: coeff, 1: coeff}
+        for shifts in ((3,), (2, 3), (3, 2), (2, 2), (1, 2, 2)):
+            with pytest.raises(SeriesDivisionError):
+                div_binomial(poly, shifts)
+        # 1 - q^3 leaves a remainder on 1 - q^2, and what it leaves in the
+        # list is divisible by 1 - q^2: only its own check can raise
+        with pytest.raises(SeriesDivisionError):
+            div_binomial({0: coeff, 2: -coeff}, (3, 2))
+        # the power series exists for every factor
+        assert div_binomial(poly, (2, 3), 4) == {0: coeff, 1: coeff,
+                                                 3: coeff}

@@ -16,6 +16,14 @@ def qp_from(fn, period, degree):
     return fit_quasi_polynomial(samples, max_period=period, max_degree=degree)
 
 
+def test_int_zero_is_the_additive_identity():
+    # dense coefficient lists hold int 0 in their empty slots
+    qp = QuasiPolynomial(2, 1, ((0, (Fraction(1), Fraction(2))),
+                                (1, (Fraction(-3), Fraction(1, 2)))))
+    assert 0 + qp == qp + 0 == qp
+    assert sum([qp, qp]) == qp + qp
+
+
 def test_constant_sequence():
     qp = fit_quasi_polynomial([(n, Fraction(7)) for n in range(10)])
     assert qp.period == 1 and qp.degree == 0
