@@ -396,13 +396,13 @@ def g2_plethysm_zero_a3(u: int, v: int) -> int:
 
 
 def plethysm_sequence(rs: RootSystem, lam: Weight, a: int, mu_hat: Weight,
-                      nu: Weight, ns: Sequence[int]) -> list[tuple[int, Fraction]]:
+                      nu: Weight, ns: Sequence[int]) -> list[tuple[int, int]]:
     """Samples of n -> m^{mu_hat + n*nu}_{n*lambda, a}."""
     out = []
     for n in ns:
         ln = tuple(n * c for c in lam)
         target = tuple(mu_hat[i] + n * nu[i] for i in range(rs.rank))
-        out.append((n, Fraction(plethysm_mult(rs, ln, a, target))))
+        out.append((n, plethysm_mult(rs, ln, a, target)))
     return out
 
 

@@ -15,10 +15,12 @@ quasi-polynomial series to the integer series of one n.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Any, Mapping, Optional, Sequence, Union
 
 Exponent = Union[int, Fraction]
@@ -59,18 +61,18 @@ class TruncatedSeries:
         """Build a series from numerator->coefficient, normalizing denom."""
         if denom <= 0:
             raise SeriesError("denominator must be positive")
-        kept = {e: c for e, c in terms.items() if c}
+        if order is None:
+            kept = {e: c for e, c in terms.items() if c}
+        else:
+            kept = {e: c for e, c in terms.items() if e < order and c}
+        g = gcd(denom, *kept) if denom > 1 else 1
         if order is not None:
-            kept = {e: c for e, c in kept.items() if e < order}
-        g = denom
+            g = gcd(g, order)
         if g > 1:
-            g = gcd(g, *kept)
-            if order is not None:
-                g = gcd(g, order)
-        if g > 1:
-            kept = {e // g: c for e, c in kept.items()}
-            order = order // g if order is not None else None
-            denom //= g
+            return TruncatedSeries(
+                denom // g,
+                tuple(sorted(zip([e // g for e in kept], kept.values()))),
+                None if order is None else order // g)
         return TruncatedSeries(denom, tuple(sorted(kept.items())), order)
 
     @staticmethod
@@ -140,9 +142,9 @@ class TruncatedSeries:
         en = int(e)
         if self.order is not None and en >= self.order:
             raise SeriesError("coefficient beyond truncation order")
-        for e0, c in self.terms:
-            if e0 == en:
-                return c
+        i = bisect_left(self.terms, en, key=itemgetter(0))
+        if i < len(self.terms) and self.terms[i][0] == en:
+            return self.terms[i][1]
         return 0
 
     def coefficients_upto(self, bound: Exponent) -> dict[Fraction, int]:

@@ -6,6 +6,14 @@ least-first, interpolates exactly on a training window at the tail of the
 sample, and accepts the first candidate validated on held-out earlier points.
 Everything is exact rational arithmetic; validation is equality, not a
 tolerance.
+
+A coefficient is stored as an ``int`` whenever it is integral and as a
+``Fraction`` only where it is not (the 1/2 of n(n+1)/2): the tails' samples
+and coefficients are almost all integers, and int arithmetic is many times
+cheaper than ``Fraction`` arithmetic.  Since ``Fraction(2) == 2`` with equal
+hashes and equal ``str``, the representation changes no value, comparison
+or serialization.  Ring operations on two period-1 operands skip the period
+alignment.
 """
 
 from __future__ import annotations
@@ -13,13 +21,54 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from operator import add
+from typing import Optional, Sequence, Union
 
-Rat = Fraction
+Rat = Union[int, Fraction]
 
 
 class FitError(ValueError):
     """No quasi-polynomial fit within the allowed periods and degrees."""
+
+
+def _rat(c) -> Rat:
+    """c as an int when integral, else as a Fraction (c: a number or its
+    string)."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _trim(cs: Sequence[Rat]) -> tuple[Rat, ...]:
+    """cs without trailing zeros (keeping c_0), integral entries as ints."""
+    n = len(cs)
+    while n > 1 and not cs[n - 1]:
+        n -= 1
+    cs = tuple(cs[:n])
+    return tuple(map(_rat, cs)) if Fraction in map(type, cs) else cs
+
+
+def _horner(cs: Sequence[Rat], n: int) -> Rat:
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * n + c
+    return acc
+
+
+def _add(a: tuple[Rat, ...], b: tuple[Rat, ...]) -> tuple[Rat, ...]:
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(map(add, a, b)) + a[len(b):]
+
+
+def _mul(a: tuple[Rat, ...], b: tuple[Rat, ...]) -> list[Rat]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 @dataclass(frozen=True)
@@ -28,39 +77,44 @@ class QuasiPolynomial:
 
     ``coeffs`` maps residue r (mod period) to the coefficient tuple
     (c_0, ..., c_d); residues never sampled are absent and evaluating there
-    raises.
+    raises.  The constructor keeps the coefficients as given (tests pass
+    Fractions); ``canonical``, the named constructors and the ring
+    operations store the integral ones as ints.
     """
 
     period: int
     degree: int
-    coeffs: tuple[tuple[int, tuple[Fraction, ...]], ...]
+    coeffs: tuple[tuple[int, tuple[Rat, ...]], ...]
+
+    @staticmethod
+    def _poly(cs: Sequence[Rat]) -> "QuasiPolynomial":
+        """The period-1 quasi-polynomial with coefficients cs, trimmed."""
+        cs = _trim(cs)
+        return QuasiPolynomial(1, len(cs) - 1, ((0, cs),))
 
     @staticmethod
     def constant(value) -> "QuasiPolynomial":
-        return QuasiPolynomial(1, 0, ((0, (Fraction(value),)),))
+        return QuasiPolynomial(1, 0, ((0, (_rat(value),)),))
 
     @staticmethod
     def linear(const, slope) -> "QuasiPolynomial":
-        if slope == 0:
-            return QuasiPolynomial.constant(const)
-        return QuasiPolynomial(1, 1, ((0, (Fraction(const), Fraction(slope))),))
+        return QuasiPolynomial._poly((const, slope))
 
-    def _table(self) -> dict[int, tuple[Fraction, ...]]:
-        return dict(self.coeffs)
-
-    def __call__(self, n: int) -> Fraction:
-        tab = self._table()
+    def __call__(self, n: int) -> Rat:
         r = n % self.period
-        if r not in tab:
-            raise FitError(f"residue {r} mod {self.period} was never sampled")
-        cs = tab[r]
-        acc = Fraction(0)
-        for j in range(len(cs) - 1, -1, -1):
-            acc = acc * n + cs[j]
-        return acc
+        coeffs = self.coeffs
+        if r < len(coeffs) and coeffs[r][0] == r:   # residues 0..r sampled
+            return _horner(coeffs[r][1], n)
+        for r0, cs in coeffs:
+            if r0 == r:
+                return _horner(cs, n)
+        raise FitError(f"residue {r} mod {self.period} was never sampled")
 
     def __bool__(self) -> bool:
-        return any(c for _, cs in self.coeffs for c in cs)
+        for _, cs in self.coeffs:
+            if any(cs):
+                return True
+        return False
 
     @property
     def is_zero(self) -> bool:
@@ -71,15 +125,15 @@ class QuasiPolynomial:
 
     # -- ring operations (per-residue, periods aligned to the lcm) ----------
 
-    def _aligned(self, period: int) -> dict[int, tuple[Fraction, ...]]:
-        tab = self._table()
-        out = {}
-        for r in range(period):
-            if r % self.period in tab:
-                out[r] = tab[r % self.period]
-        return out
+    def _aligned(self, period: int) -> dict[int, tuple[Rat, ...]]:
+        tab = dict(self.coeffs)
+        return {r: tab[r % self.period] for r in range(period)
+                if r % self.period in tab}
 
     def _binop(self, other: "QuasiPolynomial", fn) -> "QuasiPolynomial":
+        if self.period == other.period == 1 and self.coeffs and other.coeffs:
+            return QuasiPolynomial._poly(fn(self.coeffs[0][1],
+                                            other.coeffs[0][1]))
         p = lcm(self.period, other.period)
         t1, t2 = self._aligned(p), other._aligned(p)
         residues = sorted(set(t1) & set(t2))
@@ -92,13 +146,7 @@ class QuasiPolynomial:
     def __add__(self, other: "QuasiPolynomial") -> "QuasiPolynomial":
         if isinstance(other, int) and other == 0:
             return self   # the empty slots of a dense coefficient list
-
-        def add(a, b):
-            n = max(len(a), len(b))
-            a = a + (Fraction(0),) * (n - len(a))
-            b = b + (Fraction(0),) * (n - len(b))
-            return tuple(x + y for x, y in zip(a, b))
-        return self._binop(other, add)
+        return self._binop(other, _add)
 
     __radd__ = __add__
 
@@ -113,30 +161,26 @@ class QuasiPolynomial:
     def __mul__(self, other) -> "QuasiPolynomial":
         if isinstance(other, int):
             return self.scale(other)
-
-        def mul(a, b):
-            out = [Fraction(0)] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-            return tuple(out)
-        return self._binop(other, mul)
+        return self._binop(other, _mul)
 
     __rmul__ = __mul__
 
     def scale(self, k) -> "QuasiPolynomial":
+        k = _rat(k)
         return QuasiPolynomial(self.period, self.degree,
-                               tuple((r, tuple(Fraction(k) * c for c in cs))
+                               tuple((r, tuple(k * c for c in cs))
                                      for r, cs in self.coeffs)).canonical()
 
     def canonical(self) -> "QuasiPolynomial":
         """Minimal period, then minimal degree, trailing zeros trimmed."""
+        if self.period == 1 and len(self.coeffs) == 1:
+            return QuasiPolynomial._poly(self.coeffs[0][1])
         tab = {r: _trim(cs) for r, cs in self.coeffs}
         residues = sorted(tab)
         for p in range(1, self.period + 1):
             if self.period % p:
                 continue
-            merged: dict[int, tuple[Fraction, ...]] = {}
+            merged: dict[int, tuple[Rat, ...]] = {}
             ok = True
             for r in residues:
                 key = r % p
@@ -172,33 +216,34 @@ class QuasiPolynomial:
     def from_json_obj(obj: dict) -> "QuasiPolynomial":
         return QuasiPolynomial(
             int(obj["period"]), int(obj["degree"]),
-            tuple((int(r), tuple(Fraction(c) for c in cs))
+            tuple((int(r), tuple(_rat(c) for c in cs))
                   for r, cs in obj["coeffs"]))
 
 
-def _trim(cs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    cs = list(cs)
-    while len(cs) > 1 and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+def _interpolate(points: Sequence[tuple[int, Rat]]) -> tuple[Rat, ...]:
+    """Exact Newton interpolation through all points (degree len-1).
 
-
-def _interpolate(points: Sequence[tuple[int, Fraction]]) -> tuple[Fraction, ...]:
-    """Exact Newton interpolation through all points (degree len-1)."""
+    The divided differences stay ints while each quotient is exact; an
+    inexact one becomes a Fraction.
+    """
     xs = [p[0] for p in points]
-    ys = [Fraction(p[1]) for p in points]
+    divided = [_rat(p[1]) for p in points]
     n = len(points)
-    divided = list(ys)
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
+            num = divided[i] - divided[i - 1]
+            den = xs[i] - xs[i - level]
+            if type(num) is int and num % den == 0:
+                divided[i] = num // den
+            else:
+                divided[i] = _rat(Fraction(num, den))
     # expand Newton form to monomial coefficients
-    coeffs = [Fraction(0)] * n
-    acc = [Fraction(1)]  # product (x - x_0)...(x - x_{k-1})
+    coeffs: list[Rat] = [0] * n
+    acc: list[Rat] = [1]  # product (x - x_0)...(x - x_{k-1})
     for k in range(n):
         for j, c in enumerate(acc):
             coeffs[j] += divided[k] * c
-        nxt = [Fraction(0)] * (len(acc) + 1)
+        nxt: list[Rat] = [0] * (len(acc) + 1)
         for j, c in enumerate(acc):
             nxt[j] -= c * xs[k]
             nxt[j + 1] += c
@@ -206,7 +251,7 @@ def _interpolate(points: Sequence[tuple[int, Fraction]]) -> tuple[Fraction, ...]
     return _trim(coeffs)
 
 
-def fit_quasi_polynomial(samples: Sequence[tuple[int, Fraction]],
+def fit_quasi_polynomial(samples: Sequence[tuple[int, Rat]],
                          max_period: int = 24,
                          max_degree: int = 2,
                          validation_points: Optional[int] = None,
@@ -240,7 +285,7 @@ def fit_quasi_polynomial(samples: Sequence[tuple[int, Fraction]],
             train = pts[-train_len:]
             validate = pts[:-train_len] if validate_all \
                 else pts[-(train_len + holdout):-train_len]
-            by_residue: dict[int, list[tuple[int, Fraction]]] = {}
+            by_residue: dict[int, list[tuple[int, Rat]]] = {}
             for n, v in train:
                 by_residue.setdefault(n % period, []).append((n, v))
             coeffs = {}
@@ -252,8 +297,7 @@ def fit_quasi_polynomial(samples: Sequence[tuple[int, Fraction]],
                 if len(cs) - 1 > degree:
                     ok = False
                     break
-                poly = lambda n, cs=cs: sum(c * n**j for j, c in enumerate(cs))
-                if any(poly(n) != v for n, v in members):
+                if any(_horner(cs, n) != v for n, v in members):
                     ok = False
                     break
                 coeffs[r] = cs
@@ -275,7 +319,7 @@ def fit_quasi_polynomial(samples: Sequence[tuple[int, Fraction]],
 
 
 def fit_window_start(qp: QuasiPolynomial,
-                     samples: Sequence[tuple[int, Fraction]]) -> Optional[int]:
+                     samples: Sequence[tuple[int, Rat]]) -> Optional[int]:
     """Smallest sample index from which qp matches every later sample."""
     start = None
     for n, v in sorted(samples, reverse=True):

@@ -306,7 +306,7 @@ def detect_cstability(family: Mapping[int, TruncatedSeries], n0: int,
             for n in ns:
                 o = window[n]
                 if n > m and (o is None or m < o):
-                    clean.append((n, Fraction(residual[n].get(m, 0))))
+                    clean.append((n, residual[n].get(m, 0)))
             if not clean:
                 break
             try:
@@ -570,19 +570,13 @@ def t4b_series(b: int, q_order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     from .lie import get_root_system
 
     rs = get_root_system("A2")
-    a0: dict[Fraction, Fraction] = {}
-    a1: dict[Fraction, Fraction] = {}
+    # twelve times the exponents; a0 holds twelve times its coefficients
+    a0: dict[int, int] = {}
+    a1: dict[int, int] = {}
+    top = 12 * q_order
 
-    def base_exp(u1: int, u2: int) -> Fraction:
-        return Fraction(b, 12) * (u1 * u1 + u1 * u2 + u2 * u2) \
-            + (Fraction(b, 4) - 1) * (u1 + u2)
-
-    def add(acc, e, c):
-        if c == 0:
-            return
-        acc[e] = acc.get(e, Fraction(0)) + c
-
-    # base_exp >= (b/12) u_i^2, so this box covers everything below q_order
+    # the exponent (b/12) Q(u) + (b/4 - 1)(u1 + u2) is >= (b/12) u_i^2, so
+    # this box covers everything below q_order
     u_bound = isqrt(12 * q_order // b) + 2
     for (s, t), sign in rs.orbit_pairs():
         for u1 in range(0, u_bound + 1):
@@ -591,30 +585,28 @@ def t4b_series(b: int, q_order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
             for u2 in range(0, u_bound + 1):
                 if (u1 - u2 - t + s) % 12:
                     continue
-                e = base_exp(u1, u2)
-                if e >= q_order:
+                e = b * (u1 * u1 + u1 * u2 + u2 * u2) \
+                    + (3 * b - 12) * (u1 + u2)
+                if e >= top:
                     continue
                 if u1 + s >= u2 + t:
-                    c = 1 - Fraction(2 * u1 + u2 + 2 * s + t, 12)
+                    c = 12 - (2 * u1 + u2 + 2 * s + t)
                 else:
-                    c = 1 - Fraction(u1 + 2 * u2 + s + 2 * t, 12)
+                    c = 12 - (u1 + 2 * u2 + s + 2 * t)
                 prods = [(0, 1)]
                 for off in (u1 + 1, u2 + 1, u1 + u2 + 2):
-                    prods = [(pe, pc) for pe, pc in prods] + \
-                            [(pe + off, -pc) for pe, pc in prods]
+                    prods += [(pe + 12 * off, -pc) for pe, pc in prods]
                 for pe, pc in prods:
                     ee = e + pe
-                    if ee < q_order:
-                        add(a0, ee, sign * c * pc)
-                        add(a1, ee, sign * pc)
-    for acc in (a0, a1):
-        for e, c in acc.items():
-            if e.denominator != 1 or c.denominator != 1:
-                raise StabilityError("non-integral T(4,b) tail data")
-    s0 = TruncatedSeries.from_exponents(
-        {e: int(c) for e, c in a0.items()}, order=q_order)
-    s1 = TruncatedSeries.from_exponents(
-        {e: int(c) for e, c in a1.items()}, order=q_order)
+                    if ee < top:
+                        a1[ee] = a1.get(ee, 0) + sign * pc
+                        if c:
+                            a0[ee] = a0.get(ee, 0) + sign * c * pc
+    if any(e % 12 for e in a1) or any(c % 12 for c in a0.values()):
+        raise StabilityError("non-integral T(4,b) tail data")
+    s0 = TruncatedSeries.make({e // 12: c // 12 for e, c in a0.items()},
+                              1, q_order)
+    s1 = TruncatedSeries.make({e // 12: c for e, c in a1.items()}, 1, q_order)
     return s0, s1
 
 

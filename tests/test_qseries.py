@@ -135,6 +135,18 @@ def test_coefficient_beyond_order_raises():
         f.coefficient(5)
     with pytest.raises(SeriesError):
         f.coefficient(7)
+    # a large series in q^(1/2): every stored, absent and fractional exponent
+    terms = {Fraction(3 * j, 2): j - 20000 for j in range(-10000, 40000)}
+    big = S(terms, order=60000)
+    assert big.denom == 2 and len(big.terms) == len(terms) - 1
+    for e in (-15000, -3, 0, Fraction(3, 2), 30003, Fraction(119997, 2)):
+        assert big.coefficient(e) == terms[e] != 0
+    for e in (-15001, -Fraction(1, 2), 1, Fraction(1, 3), 30000, 59999):
+        assert big.coefficient(e) == terms.get(e, 0) == 0
+    with pytest.raises(SeriesError):
+        big.coefficient(60000)
+    with pytest.raises(SeriesError):
+        big.coefficient(Fraction(120001, 2))
 
 
 def test_json_roundtrip():

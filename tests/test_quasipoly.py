@@ -10,10 +10,65 @@ from torus_tails.quasipoly import (FitError, QuasiPolynomial,
                                    fit_quasi_polynomial, fit_window_start)
 
 
-def qp_from(fn, period, degree):
-    # build by fitting against an exact generator; keeps tests honest
-    samples = [(n, Fraction(fn(n))) for n in range(60)]
-    return fit_quasi_polynomial(samples, max_period=period, max_degree=degree)
+def int_coefficients(qp):
+    """Every integral coefficient of qp is stored as an int."""
+    return all(type(c) is int or c.denominator != 1
+               for _, cs in qp.coeffs for c in cs)
+
+
+def fit(samples, **kw):
+    """fit_quasi_polynomial of the samples, checked to give the same result
+    (or a FitError both times) on them as ints and as Fractions, with
+    integral coefficients stored as ints."""
+    results = []
+    for num in (int, Fraction):
+        try:
+            results.append(fit_quasi_polynomial(
+                [(n, num(v)) for n, v in samples], **kw))
+        except FitError as exc:
+            results.append(exc)
+    from_ints, from_fractions = results
+    if isinstance(from_ints, FitError):
+        assert isinstance(from_fractions, FitError)
+        raise from_ints
+    assert from_fractions == from_ints
+    assert int_coefficients(from_ints) and int_coefficients(from_fractions)
+    return from_ints
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    half = QuasiPolynomial.linear(Fraction(1, 2), Fraction(3, 2))
+    obj = {"period": 2, "degree": 1,
+           "coeffs": [[0, ["3", "-2"]], [1, ["1/2", "0"]]]}
+    for qp in (QuasiPolynomial.constant(Fraction(4)),
+               QuasiPolynomial.linear(Fraction(6, 2), Fraction(-1)),
+               half.scale(2), half + half, half * QuasiPolynomial.constant(4),
+               QuasiPolynomial.from_json_obj(obj),
+               fit_quasi_polynomial([(n, Fraction(3 * n + 2))
+                                     for n in range(12)])):
+        assert int_coefficients(qp), qp
+    assert QuasiPolynomial.from_json_obj(obj).coeffs == \
+        ((0, (3, -2)), (1, (Fraction(1, 2), 0)))
+    assert type(QuasiPolynomial.constant(Fraction(4))(7)) is int
+
+
+def test_fraction_tuples_equal_int_tuples():
+    ints = QuasiPolynomial(2, 1, ((0, (1, 2)), (1, (-3, 0))))
+    fractions = QuasiPolynomial(2, 1, ((0, (Fraction(1), Fraction(2))),
+                                       (1, (Fraction(-3), Fraction(0)))))
+    assert fractions == ints and hash(fractions) == hash(ints)
+    assert fractions.to_json_obj() == ints.to_json_obj()
+    assert fractions.canonical() == ints.canonical()
+    assert int_coefficients(fractions.canonical())
+
+
+def test_non_integral_fit_keeps_its_fraction():
+    # n(n+1)/2 on the class n = 1 mod 3: integer values, coefficients 1/2
+    qp = fit([(n, n * (n + 1) // 2) for n in range(1, 60, 3)],
+             require_integer_values=True)
+    assert qp.coeffs == ((0, (0, Fraction(1, 2), Fraction(1, 2))),)
+    assert [type(c) for c in qp.coeffs[0][1]] == [int, Fraction, Fraction]
+    assert qp(100) == 5050
 
 
 def test_int_zero_is_the_additive_identity():
@@ -25,13 +80,13 @@ def test_int_zero_is_the_additive_identity():
 
 
 def test_constant_sequence():
-    qp = fit_quasi_polynomial([(n, Fraction(7)) for n in range(10)])
+    qp = fit([(n, 7) for n in range(10)])
     assert qp.period == 1 and qp.degree == 0
     assert qp(123) == 7
 
 
 def test_linear_fit():
-    qp = fit_quasi_polynomial([(n, Fraction(3 * n + 2)) for n in range(12)])
+    qp = fit([(n, 3 * n + 2) for n in range(12)])
     assert qp.degree == 1 and qp.period == 1
     assert qp(100) == 302
 
@@ -39,54 +94,57 @@ def test_linear_fit():
 def test_quadratic_with_period_two():
     def f(n):
         return n * n + (1 if n % 2 else -4)
-    qp = fit_quasi_polynomial([(n, Fraction(f(n))) for n in range(40)])
+    qp = fit([(n, f(n)) for n in range(40)])
     assert qp.period == 2 and qp.degree == 2
     for n in (81, 82):
         assert qp(n) == f(n)
 
 
 def test_alternating_signs():
-    qp = fit_quasi_polynomial([(n, Fraction((-1) ** n * 5)) for n in range(20)])
+    qp = fit([(n, (-1) ** n * 5) for n in range(20)])
     assert qp.period == 2 and qp.degree == 0
 
 
 def test_minimal_period_preferred():
     # period-2 data that is secretly period 1
-    qp = fit_quasi_polynomial([(n, Fraction(n)) for n in range(0, 30, 2)])
+    qp = fit([(n, n) for n in range(0, 30, 2)])
     assert qp.period == 1 and qp.degree == 1
 
 
 def test_eventually_quasipolynomial_rejected_by_holdout():
     # the jump sits inside the 2P holdout window, so every candidate fails
-    vals = [(n, Fraction(99)) for n in range(10)] + \
-        [(n, Fraction(5)) for n in range(10, 12)]
+    vals = [(n, 99) for n in range(10)] + [(n, 5) for n in range(10, 12)]
     with pytest.raises(FitError):
-        fit_quasi_polynomial(vals, max_period=1)
+        fit(vals, max_period=1)
 
 
 def test_not_quasipolynomial_raises():
-    vals = [(n, Fraction(2 ** n)) for n in range(30)]
+    vals = [(n, 2 ** n) for n in range(30)]
     with pytest.raises(FitError):
-        fit_quasi_polynomial(vals)
+        fit(vals)
 
 
 def test_validate_all_mode():
-    vals = [(n, Fraction(n % 3)) for n in range(20)]
-    qp = fit_quasi_polynomial(vals, validate_all=True)
+    vals = [(n, n % 3) for n in range(20)]
+    qp = fit(vals, validate_all=True)
     assert qp.period == 3 and qp.degree == 0
     # a corruption early in the sample must fail every candidate whose
     # period cannot absorb it into its own training class
-    bad = vals[:2] + [(2, Fraction(17))] + vals[3:]
+    bad = vals[:2] + [(2, 17)] + vals[3:]
     with pytest.raises(FitError):
-        fit_quasi_polynomial(bad, validate_all=True, max_period=3)
+        fit(bad, validate_all=True, max_period=3)
 
 
 def test_restricted_residue_classes():
     # samples only on n = 1 mod 4: unsampled residues raise on evaluation
-    qp = fit_quasi_polynomial([(n, Fraction(2 * n + 1))
-                               for n in range(1, 60, 4)])
+    qp = fit([(n, 2 * n + 1) for n in range(1, 60, 4)])
     assert qp(41) == 83
     assert qp.period == 1
+    odd = QuasiPolynomial(4, 0, ((1, (5,)), (3, (7,))))
+    assert odd(9) == 5 and odd(11) == 7
+    for n in (0, 2, 8, 10):
+        with pytest.raises(FitError):
+            odd(n)
 
 
 def test_ring_operations():
@@ -135,7 +193,6 @@ def test_fit_recovers_polynomials(period, coeffs):
     def f(n):
         shift = n % period
         return sum(c * n ** j for j, c in enumerate(coeffs)) + shift
-    samples = [(n, Fraction(f(n))) for n in range(70)]
-    qp = fit_quasi_polynomial(samples, max_period=8)
+    qp = fit([(n, f(n)) for n in range(70)], max_period=8)
     for n in range(70, 90):
         assert qp(n) == f(n)

@@ -1,5 +1,6 @@
 """Stable coefficients, detection, structural and closed tails, transforms."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -146,6 +147,36 @@ def test_t45_series_prefix():
     assert a0.coefficient(3) == 2 and a0.coefficient(4) == -1
     assert a1.coefficient(6) == -1 and a1.coefficient(9) == 2
     assert a1.coefficient(15) == -4
+
+
+# (name, b, x_order, q_order) -> tail_values digest of the closed tail; the
+# digests are the benchmark's baseline ones (bench/workloads.py)
+CLOSED_TAIL_GOLDEN = {
+    ("T4b", 5, 2, 1000): "31bff16cf25edb98",
+    ("T2b", 7, 3, 1000): "f2a097c846e5466e",
+    ("T4b", 5, 2, 50): "1aa2ebe38725b06b",
+    ("T2b", 7, 3, 50): "78265936a0edbb21",
+}
+
+
+def tail_values(tail, x_order):
+    """Digest of phi_0..phi_x_order evaluated exactly at n = 0, 1, 2: the
+    closed tails are linear in n on the one class n = 0 mod 1, so three
+    evaluations determine them."""
+    vals = []
+    for k in range(x_order + 1):
+        for n in (0, 1, 2):
+            s = tail.phi(k).evaluate(n)
+            vals.append((k, n, s.denom, s.order, s.terms))
+    return hashlib.sha256(repr(vals).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, b, x_order, q_order", list(CLOSED_TAIL_GOLDEN))
+def test_closed_tail_golden(name, b, x_order, q_order):
+    fn = {"T4b": tail_closed_T4b, "T2b": tail_closed_T2b}[name]
+    tail = fn(b, x_order, q_order)
+    assert tail_values(tail, x_order) == \
+        CLOSED_TAIL_GOLDEN[name, b, x_order, q_order]
 
 
 def test_a1_theta_forms_match():
