@@ -182,7 +182,9 @@ def cmd_summation_set(args) -> int:
     rs = get_root_system(args.algebra)
     lam = _parse_weight(args.lam, rs.rank)
     cfg = RunConfig("summation-set", rs.name, ray=lam, output=args.format)
-    s = summation_set(rs, lam, args.a, keep_zero=not args.drop_zero)
+    s = summation_set(rs, lam, args.a)
+    if args.drop_zero:
+        s = {mu: m for mu, m in s.items() if m}
     _emit({"lambda": list(lam), "a": args.a,
            "set": [[list(mu), m] for mu, m in sorted(s.items())]}, cfg)
     return EXIT_OK

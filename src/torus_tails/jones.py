@@ -316,8 +316,7 @@ def _jet_multiplicities(rs: RootSystem, lam: Weight, a: int,
         for r in range(d) for t in range(a)}
 
     # m_lambda^nu by Kostant's formula at any weight nu, kept for this call
-    # only: each nu is met from up to |W| mu, and mult.weight_mult's table
-    # would keep every nu of every jet for the life of the process
+    # only: each nu is met from up to |W| mu
     seen: dict[Weight, int] = {}
 
     def weight_mult(nu: Weight) -> int:

@@ -6,14 +6,18 @@ multiplicities.  Each has an independent oracle: Freudenthal's recursion for
 weights, and an Adams-operation character peeling for plethysms.
 
 Everything runs on the integer kernel of ``lie``: root coordinates scaled by
-``root_det`` and inner products scaled by ``gram_scale``.  One integer
-Kostant sum, ``_kostant_sum``, serves ``weight_mult`` (through its cached
-table), ``summation_set`` and the jet kernel of ``jones``.
-``summation_set`` scans the dominant nu <= lambda only, takes m_lambda^nu
-once for each, and scatters sign * m_lambda^nu to mu = a*nu' - (rho -
-sigma(rho)) over the W-images nu' of nu (formed only near the walls, where
-one can land) and the orbit pairs, so it needs no weight system and no
-per-point Weyl-group sum; ``plethysm_mult`` is the per-point route.  The
+``root_det`` and inner products scaled by ``gram_scale``.  Every weight
+multiplicity (``weight_mult``, ``plethysm_mult``, ``summation_set`` and the
+jet kernel of ``jones``) is one integer Kostant sum, ``_kostant_sum``, at
+any weight, over the bounded per-lambda table ``_kostant_tops``; no
+multiplicity is kept in a process-wide table.  ``summation_set`` scans the
+dominant nu <= lambda only, takes m_lambda^nu once for each, and scatters
+sign * m_lambda^nu to mu = a*nu' - (rho - sigma(rho)) over the W-images nu'
+of nu (formed only near the walls, where one can land) and the orbit pairs,
+so it needs no weight system and no per-point Weyl-group sum;
+``plethysm_mult`` is the per-point route.  The lattice L_{lambda,a} is held
+as residues of integer root coordinates mod a*root_det (``LatticeHull``),
+and the hull points are the dominant weights of V_(a*lambda) on it.  The
 Adams oracle peels psi_a(ch_lambda) once per (lambda, a) into a table kept
 in a bounded cache.
 """
@@ -39,14 +43,9 @@ class OracleLimitError(ValueError):
 
 
 def weight_mult(rs: RootSystem, lam: Weight, mu: Weight) -> int:
-    """m_lambda^mu via the Kostant multiplicity formula."""
+    """m_lambda^mu via the Kostant multiplicity formula, at any weight mu."""
     if not rs.is_dominant(lam):
         raise LieError("highest weight must be dominant")
-    return _weight_mult(rs, lam, rs.dominant_conjugate(mu))
-
-
-@lru_cache(maxsize=None)
-def _weight_mult(rs: RootSystem, lam: Weight, mu: Weight) -> int:
     return _kostant_sum(rs, _kostant_tops(rs, lam), rs.root_coords_int(mu))
 
 
@@ -145,13 +144,16 @@ def plethysm_mult(rs: RootSystem, lam: Weight, a: int, mu: Weight) -> int:
     the weight lattice (exact integer divisibility in weight coordinates)."""
     if a < 2:
         raise ValueError("Adams parameter a must be >= 2")
+    if not rs.is_dominant(lam):
+        raise LieError("highest weight must be dominant")
+    tops = _kostant_tops(rs, lam)
     total = 0
     for w, sign in rs.orbit_pairs():
         cand = tuple(mu[i] + w[i] for i in range(rs.rank))
         if any(c % a for c in cand):
             continue
         nu = tuple(c // a for c in cand)
-        total += sign * weight_mult(rs, lam, nu)
+        total += sign * _kostant_sum(rs, tops, rs.root_coords_int(nu))
     return total
 
 
@@ -199,16 +201,15 @@ def _adams_table(rs: RootSystem, lam: Weight, a: int) -> dict[Weight, int]:
 # -- the summation set and its lattice hull ----------------------------------
 
 
-def summation_set(rs: RootSystem, lam: Weight, a: int,
-                  keep_zero: bool = True) -> dict[Weight, int]:
+def summation_set(rs: RootSystem, lam: Weight, a: int) -> dict[Weight, int]:
     """S_{lambda,a} with plethysm multiplicities.
 
     Defined geometrically: union over sigma of sigma(rho)-rho + a*Pi_lambda,
     intersected with the dominant cone.  The multiplicities are scattered
     over the same pairs: mu = a*nu - (rho - sigma(rho)) receives
     (-1)^sigma * m_lambda^nu, and these sum to the ``plethysm_mult`` identity
-    at every mu.  Members whose multiplicity cancels to 0 are retained by
-    default (the set is support-agnostic).
+    at every mu.  Members whose multiplicity cancels to 0 are retained (the
+    set is support-agnostic).
 
     The scan runs over the dominant nu <= lambda only (``dominant_weights``)
     and computes m_lambda^nu once for each by ``_kostant_sum``, so no weight
@@ -241,65 +242,48 @@ def summation_set(rs: RootSystem, lam: Weight, a: int,
                 mu = tuple(map(sub, scaled, w))
                 if min(mu) >= 0:
                     out[mu] = out.get(mu, 0) + sign * m
-    out = dict(sorted(out.items()))
-    if not keep_zero:
-        out = {mu: m for mu, m in out.items() if m != 0}
-    return out
+    return dict(sorted(out.items()))
 
 
 @dataclass(frozen=True)
 class LatticeHull:
-    """L_{lambda,a} (cap) P_{a*lambda}: translated-lattice union and polytope."""
+    """L_{lambda,a} (cap) P_{a*lambda}.
+
+    L_{lambda,a} is the union over the orbit pairs w of the translates
+    a*lambda - w + a*Lambda_r.  ``residues`` holds root_coords_int(a*lambda
+    - w) mod a*root_det for each w, so membership is one residue lookup.
+    """
 
     rs: RootSystem
     lam: Weight
     a: int
-    translates: tuple[Weight, ...]   # a*lam + sigma(rho) - rho
+    residues: frozenset[Weight]
 
     def in_lattice(self, mu: Weight) -> bool:
-        # root coordinates in a*Z, scaled by root_det
         step = self.rs.root_det * self.a
-        for base in self.translates:
-            rc = self.rs.root_coords_int(
-                tuple(mu[i] - base[i] for i in range(self.rs.rank)))
-            if all(c % step == 0 for c in rc):
-                return True
-        return False
-
-    def in_polytope(self, mu: Weight) -> bool:
-        if not self.rs.is_dominant(mu):
-            return False
-        top = tuple(self.a * c for c in self.lam)
-        rc = self.rs.root_coords_int(
-            tuple(top[i] - mu[i] for i in range(self.rs.rank)))
-        return all(c >= 0 for c in rc)
+        return tuple(c % step for c in self.rs.root_coords_int(mu)) \
+            in self.residues
 
     def points(self) -> tuple[Weight, ...]:
-        """All dominant lattice points of the hull."""
-        rs = self.rs
+        """All dominant lattice points of the hull, sorted.
+
+        Every translate lies in a*lambda + Lambda_r (w is in Lambda_r), so
+        the dominant hull points are the dominant mu <= a*lambda on the
+        lattice.
+        """
         top = tuple(self.a * c for c in self.lam)
-        bounds = []
-        for i in range(rs.rank):
-            li = tuple(1 if j == i else 0 for j in range(rs.rank))
-            bounds.append(rs.inner_int(top, li) // rs.norm2_int(li))
-        coords: Iterable[Weight]
-        if rs.rank == 1:
-            coords = ((u,) for u in range(bounds[0] + 1))
-        else:
-            coords = ((u, v) for u in range(bounds[0] + 1)
-                      for v in range(bounds[1] + 1))
-        return tuple(mu for mu in coords
-                     if self.in_polytope(mu) and self.in_lattice(mu))
+        return tuple(mu for mu in self.rs.dominant_weights(top)
+                     if self.in_lattice(mu))
 
 
 def lattice_hull(rs: RootSystem, lam: Weight, a: int) -> LatticeHull:
     if not rs.is_dominant(lam):
         raise LieError("highest weight must be dominant")
-    rho = rs.rho
-    translates = []
-    for w, _ in rs.orbit_pairs():
-        translates.append(tuple(a * lam[i] - w[i] for i in range(rs.rank)))
-    return LatticeHull(rs, lam, a, tuple(sorted(set(translates))))
+    step = a * rs.root_det
+    return LatticeHull(rs, lam, a, frozenset(
+        tuple(c % step for c in rs.root_coords_int(
+            tuple(a * lam[i] - w[i] for i in range(rs.rank))))
+        for w, _ in rs.orbit_pairs()))
 
 
 def missing_points(rs: RootSystem, lam: Weight, a: int) -> tuple[Weight, ...]:
@@ -415,5 +399,5 @@ def plethysm_quasipoly_fit(rs: RootSystem, lam: Weight, a: int,
         raise LieError("plethysm fitting is for the rank-2 algebras")
     ns = [n for n in range(n_min, n_max + 1) if (n - n0) % modulus == 0]
     samples = plethysm_sequence(rs, lam, a, mu_hat, nu, ns)
-    return fit_quasi_polynomial(samples, max_period=max_period, max_degree=2,
+    return fit_quasi_polynomial(samples, max_period=max_period,
                                 require_integer_values=True)

@@ -99,10 +99,6 @@ class TruncatedSeries:
     def one() -> "TruncatedSeries":
         return TruncatedSeries(terms=((0, 1),))
 
-    @staticmethod
-    def monomial(exp: Exponent, coeff: int = 1) -> "TruncatedSeries":
-        return TruncatedSeries.from_exponents({exp: coeff})
-
     # -- views -------------------------------------------------------------
 
     def as_dict(self) -> dict[int, int]:
@@ -111,10 +107,6 @@ class TruncatedSeries:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def is_exact(self) -> bool:
-        return self.order is None
 
     def order_exponent(self) -> Optional[Fraction]:
         return None if self.order is None else Fraction(self.order, self.denom)
@@ -146,14 +138,6 @@ class TruncatedSeries:
         if i < len(self.terms) and self.terms[i][0] == en:
             return self.terms[i][1]
         return 0
-
-    def coefficients_upto(self, bound: Exponent) -> dict[Fraction, int]:
-        """All nonzero coefficients with exponent < bound (must be exact there)."""
-        b = _as_fraction(bound)
-        if self.order is not None and b > self.order_exponent():
-            raise SeriesError("requested coefficients beyond truncation order")
-        return {Fraction(e, self.denom): c for e, c in self.terms
-                if Fraction(e, self.denom) < b}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -232,14 +216,6 @@ class TruncatedSeries:
         fac = d // self.denom
         oo = o if self.order is None else min(o, self.order * fac)
         return TruncatedSeries.make({e * fac: c for e, c in self.terms}, d, oo)
-
-    def __pow__(self, n: int) -> "TruncatedSeries":
-        if n < 0:
-            raise SeriesError("negative powers are not defined")
-        out = TruncatedSeries.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def evaluate(self, n: int) -> "TruncatedSeries":
         """The integer series whose coefficients are the quasi-polynomial

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -119,9 +119,6 @@ class QuasiPolynomial:
     @property
     def is_zero(self) -> bool:
         return not self
-
-    def supported_residues(self) -> tuple[int, ...]:
-        return tuple(r for r, _ in self.coeffs)
 
     # -- ring operations (per-residue, periods aligned to the lcm) ----------
 
@@ -253,32 +250,26 @@ def _interpolate(points: Sequence[tuple[int, Rat]]) -> tuple[Rat, ...]:
 
 def fit_quasi_polynomial(samples: Sequence[tuple[int, Rat]],
                          max_period: int = 24,
-                         max_degree: int = 2,
-                         validation_points: Optional[int] = None,
                          require_integer_values: bool = False,
                          validate_all: bool = False,
                          ) -> QuasiPolynomial:
     """Fit the tail of an integer-indexed sequence by a quasi-polynomial.
 
-    Tries periods 1..max_period in increasing order, degrees least first.
-    For (P, d): train on the last (d+1) points of every residue class inside
-    the final (d+1)*P samples, then validate exactly on the 2P (or
-    ``validation_points``) samples immediately before the window.  First
-    validated candidate wins; the training interpolation must also reproduce
-    any extra training points of its class.  With ``validate_all`` the fit
-    must instead match every supplied sample (used where the caller has
-    already restricted to a stabilized window).
+    Tries periods 1..max_period in increasing order, degrees 0..2 least
+    first.  For (P, d): train on the last (d+1) points of every residue class
+    inside the final (d+1)*P samples, then validate exactly on the 2P
+    samples immediately before the window.  First validated candidate wins;
+    the training interpolation must also reproduce any extra training points
+    of its class.  With ``validate_all`` the fit must instead match every
+    supplied sample (used where the caller has already restricted to a
+    stabilized window).
     """
     pts = sorted(samples)
     if len(set(n for n, _ in pts)) != len(pts):
         raise FitError("duplicate sample indices")
     for period in range(1, max_period + 1):
-        for degree in range(0, max_degree + 1):
-            if validate_all:
-                holdout = 0
-            else:
-                holdout = 2 * period if validation_points is None \
-                    else validation_points
+        for degree in range(3):
+            holdout = 0 if validate_all else 2 * period
             train_len = (degree + 1) * period
             if len(pts) < train_len + holdout:
                 continue
@@ -317,18 +308,3 @@ def fit_quasi_polynomial(samples: Sequence[tuple[int, Rat]],
             return qp.canonical()
     raise FitError("not quasi-polynomial in tested range")
 
-
-def fit_window_start(qp: QuasiPolynomial,
-                     samples: Sequence[tuple[int, Rat]]) -> Optional[int]:
-    """Smallest sample index from which qp matches every later sample."""
-    start = None
-    for n, v in sorted(samples, reverse=True):
-        try:
-            good = qp(n) == v
-        except FitError:
-            good = False
-        if good:
-            start = n
-        else:
-            break
-    return start

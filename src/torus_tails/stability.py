@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .jones import (TorusKnot, _degree_form, _exponent_denominator,
                     colored_jones, jones_jet, minimizer_closed_form)
 from .lie import LieError, RootSystem, Weight
-from .mult import plethysm_sequence
+from .mult import lattice_hull, plethysm_sequence
 from .quasipoly import FitError, QuasiPolynomial, fit_quasi_polynomial
 from .qseries import (ThetaParams, TruncatedSeries, euler_phi, exact_div,
                       theta)
@@ -56,8 +56,7 @@ def degree_quasipoly_fit(samples: Sequence[tuple[int, Fraction]],
             usable.append(p)
     if not usable:
         raise FitError("too few points for any candidate period")
-    return fit_quasi_polynomial(sorted(samples), max_period=usable[-1],
-                                max_degree=2)
+    return fit_quasi_polynomial(sorted(samples), max_period=usable[-1])
 
 
 # -- tails: x-graded q-series with quasi-polynomial coefficients --------------
@@ -311,7 +310,6 @@ def detect_cstability(family: Mapping[int, TruncatedSeries], n0: int,
                 break
             try:
                 qp = fit_quasi_polynomial(clean, max_period=max_period,
-                                          max_degree=2,
                                           require_integer_values=True,
                                           validate_all=True)
             except FitError as exc:
@@ -438,16 +436,15 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
     poly_req = [i for i in range(2) if rc_top[i] == 0]
 
     # lattice membership, checked at two class members for stability: h is
-    # in the lattice when its root coordinates mod a*root_det are those of
-    # a*lambda_n - w - mu_n for an orbit pair w
+    # in the lattice when mu_n + h is on L_{lambda_n,a}, i.e. when its root
+    # coordinates mod a*root_det are a hull residue shifted by those of mu_n
     step = a * rs.root_det
     residues = []
     for n in ns[:2]:
         lam_n = tuple(n * c for c in ray)
-        mu_n = minimizer_closed_form(rs, lam_n, a)
-        residues.append({tuple(c % step for c in rs.root_coords_int(
-            tuple(a * lam_n[i] - w[i] - mu_n[i] for i in range(2))))
-            for w, _ in rs.orbit_pairs()})
+        shift = rs.root_coords_int(minimizer_closed_form(rs, lam_n, a))
+        residues.append({tuple((r - s) % step for r, s in zip(res, shift))
+                         for res in lattice_hull(rs, lam_n, a).residues})
 
     def in_lattice(hat: Weight) -> bool:
         rc = tuple(c % step for c in rs.root_coords_int(hat))
@@ -504,7 +501,6 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
                 raise StabilityError(f"non-integral tail exponent at {hat}")
             try:
                 t_fit = fit_quasi_polynomial(samples, max_period=24,
-                                             max_degree=2,
                                              require_integer_values=True)
             except FitError as exc:
                 raise StabilityError(

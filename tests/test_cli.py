@@ -82,6 +82,15 @@ def test_summation_set_command(capsys):
     doc = json.loads(out)
     got = {tuple(mu) for mu, _ in doc["set"]}
     assert got == {(2, 2), (0, 4), (3, 0), (2, 0), (0, 2), (1, 0), (0, 0)}
+    # --drop-zero keeps the same members in the same order, less the zeros
+    code, out, _ = run(capsys, "summation-set", "--algebra", "B2",
+                       "--lambda", "3,2", "--a", "3")
+    full = json.loads(out)["set"]
+    assert any(m == 0 for _, m in full)
+    code, out, _ = run(capsys, "summation-set", "--algebra", "B2",
+                       "--lambda", "3,2", "--a", "3", "--drop-zero")
+    assert code == 0
+    assert json.loads(out)["set"] == [[mu, m] for mu, m in full if m]
 
 
 def test_missing_points_command(capsys):
@@ -89,6 +98,26 @@ def test_missing_points_command(capsys):
                        "--lambda", "1,1", "--a", "2")
     doc = json.loads(out)
     assert [1, 2] in doc["missing"]
+
+
+# sha256 of the missing-points stdout, recorded with the hull scanning a box
+# of weights by a polytope test and a per-translate lattice test
+MISSING_POINTS_GOLDEN = {
+    ("B2", "3,2", "2"):
+        "7a7f167f0cdd1b9db0c4a78134f79bf3ca800ae32682160925c81d6891b954fc",
+    ("G2", "2,1", "3"):
+        "4cef18a4d1ed9e6a30c8881729bf1678e28ebf3c4df523a8b0f17a41dd5cb45d",
+}
+
+
+@pytest.mark.parametrize("algebra, lam, a", sorted(MISSING_POINTS_GOLDEN),
+                         ids=lambda v: v)
+def test_missing_points_golden(capsys, algebra, lam, a):
+    code, out, _ = run(capsys, "missing-points", "--algebra", algebra,
+                       "--lambda", lam, "--a", a)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        MISSING_POINTS_GOLDEN[algebra, lam, a]
 
 
 def test_minimizer_command(capsys):

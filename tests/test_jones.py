@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from torus_tails import jones, lie, mult
+from torus_tails import jones, kostant, lie, mult
 from torus_tails.jones import (JonesError, TorusKnot, checked_sum,
                                colored_jones, jones_jet, maximizer_bruteforce,
                                minimizer_bruteforce, minimizer_closed_form,
@@ -208,18 +208,6 @@ def test_jet_moving_minimizer(knot, ray):
             assert jones_jet(A2, knot, lam, order) == full.truncated(order)
 
 
-def test_jet_leaves_weight_mult_table_alone():
-    # the jets' multiplicities live in per-jet tables; only the lead check's
-    # per-point route fills the shared lru table, made here first
-    knot, ns, order = TorusKnot(2, 3), range(20, 41), 40
-    for n in ns:
-        lam = (n, 0)
-        plethysm_mult(A2, lam, 2, minimizer_closed_form(A2, lam, 2))
-    before = mult._weight_mult.cache_info().currsize
-    jones_family(A2, knot, (1, 0), ns, order)
-    assert mult._weight_mult.cache_info().currsize == before
-
-
 def test_jet_certificate_rejects_wrong_anchor(monkeypatch):
     rs, knot = A2, TorusKnot(2, 3)
     with pytest.raises(ValueError):
@@ -278,16 +266,26 @@ def test_jones_payload_golden(algebra, knot, lam):
                 res.shifted.truncated(order)
 
 
-def test_colored_jones_leaves_global_tables_alone():
-    # the summation set scans the dominant weights and computes each
-    # multiplicity once, so neither process-wide table grows.  (12, 13) is
-    # on no ray the other tests walk, so the check holds in any test order.
-    before = (mult._weight_mult.cache_info().currsize,
-              lie._weight_system.cache_info().currsize)
+def test_multiplicity_routes_leave_unbounded_tables_alone():
+    # jets, colored_jones and plethysm_mult take each multiplicity from one
+    # Kostant sum over a bounded per-lambda table, so after a warm-up (the
+    # per-root-system Weyl data) no maxsize=None table of lie, mult or
+    # kostant grows.  The colors are on no ray the other tests walk, so the
+    # check holds in any test order.
+    tables = [fn for mod in (lie, mult, kostant) for fn in vars(mod).values()
+              if hasattr(fn, "cache_info") and fn.cache_info().maxsize is None]
+    assert tables
+    plethysm_mult(A2, (1, 1), 2, (0, 0))
+    before = [fn.cache_info().currsize for fn in tables]
+    jones_family(A2, TorusKnot(2, 3), (1, 0), range(20, 41), 40)
     for lam in ((12, 12), (12, 13)):
         colored_jones(A2, TorusKnot(4, 5), lam)
-    assert (mult._weight_mult.cache_info().currsize,
-            lie._weight_system.cache_info().currsize) == before
+    for n in range(30, 61):
+        lam = (n, n + 1)
+        for mu in ((0, 0), (1, 2), minimizer_closed_form(A2, lam, 2)):
+            plethysm_mult(A2, lam, 2, mu)
+            plethysm_mult(A2, lam, 3, mu)
+    assert [fn.cache_info().currsize for fn in tables] == before
 
 
 def test_a1_smoke_family():

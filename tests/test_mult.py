@@ -1,8 +1,10 @@
 """Weight/plethysm multiplicities, summation sets, hulls, missing points."""
 
+from itertools import product
+
 import pytest
 
-from torus_tails.lie import get_root_system
+from torus_tails.lie import LieError, get_root_system
 from torus_tails.mult import (OracleLimitError, g2_plethysm_zero_a3,
                               g2_zero_weight_mult, lattice_hull,
                               missing_point_bound_check, missing_points,
@@ -69,6 +71,13 @@ def test_plethysm_top_weight_is_one():
         for a in (2, 3, 4):
             for lam in [(1, 0), (2, 1), (1, 1)]:
                 assert plethysm_mult(rs, lam, a, tuple(a * c for c in lam)) == 1
+
+
+def test_plethysm_rejects_non_dominant_lambda():
+    # checked once up front, also where no orbit pair divides mu + w
+    for a, mu in ((2, (1, 1)), (5, (1, 0)), (3, (0, 0))):
+        with pytest.raises(LieError):
+            plethysm_mult(A2, (-1, 2), a, mu)
 
 
 def test_a2_case_table_a2():
@@ -188,6 +197,49 @@ def test_support_inside_hull():
             assert mu in pts, (rs.name, lam, a, mu)
 
 
+def on_translates(rs, lam, a, mu):
+    """mu in L_{lambda,a}: mu - (a*lambda - w) in a*Lambda_r for some
+    w = rho - sigma(rho), one translate at a time."""
+    step = a * rs.root_det
+    return any(all(c % step == 0 for c in rs.root_coords_int(
+        tuple(m - a * l + c for m, l, c in zip(mu, lam, w))))
+        for w, _ in rs.orbit_pairs())
+
+
+def reference_hull_points(rs, lam, a):
+    """Dominant points of L_{lambda,a} (cap) P_{a*lambda} by the definition:
+    a box of weights, the polytope test and the per-translate lattice
+    test."""
+    top = tuple(a * c for c in lam)
+    # (mu, omega_i) <= (a*lambda, omega_i) on the polytope bounds mu_i
+    bounds = []
+    for i in range(rs.rank):
+        omega = tuple(int(i == j) for j in range(rs.rank))
+        bounds.append(rs.inner_int(top, omega) // rs.norm2_int(omega))
+    return tuple(
+        mu for mu in product(*(range(b + 1) for b in bounds))
+        if all(c >= 0 for c in rs.root_coords_int(
+            tuple(t - m for t, m in zip(top, mu))))
+        and on_translates(rs, lam, a, mu))
+
+
+@pytest.mark.parametrize("rs", [A1, A2, B2, G2], ids=lambda rs: rs.name)
+def test_hull_points_match_the_definition(rs):
+    if rs.rank == 1:
+        lams = [(k,) for k in range(7)]
+        box = [(u,) for u in range(-6, 7)]
+    else:
+        lams = [(m1, m2) for m1 in range(4) for m2 in range(4 - m1)]
+        box = list(product(range(-6, 7), repeat=2))
+    for a in range(2, 7):
+        for lam in lams:
+            hull = lattice_hull(rs, lam, a)
+            assert hull.points() == reference_hull_points(rs, lam, a), \
+                (rs.name, lam, a)
+            for mu in box:
+                assert hull.in_lattice(mu) == on_translates(rs, lam, a, mu)
+
+
 def test_missing_points_examples():
     assert (1, 2) in missing_points(B2, (1, 1), 2)
     for n in range(1, 9):
@@ -246,8 +298,6 @@ def test_scatter_summation_set_equals_pointwise(rs):
                 assert m == plethysm_mult(rs, lam, a, mu), \
                     (rs.name, lam, a, mu)
                 zeros += m == 0
-            assert summation_set(rs, lam, a, keep_zero=False) == \
-                {mu: m for mu, m in s.items() if m}
     # members whose multiplicity cancels are kept
     assert zeros or rs.rank == 1
 

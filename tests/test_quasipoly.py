@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_tails.quasipoly import (FitError, QuasiPolynomial,
-                                   fit_quasi_polynomial, fit_window_start)
+                                   fit_quasi_polynomial)
 
 
 def int_coefficients(qp):
@@ -179,12 +179,6 @@ def test_equal_on_class():
     assert alternating.equal_on_class(const, n0=0, modulus=2)
     assert not alternating.equal_on_class(const, n0=1, modulus=2)
     assert not alternating.equal_on_class(const, n0=0, modulus=1)
-
-
-def test_fit_window_start():
-    qp = QuasiPolynomial.constant(4)
-    samples = [(n, Fraction(4 if n >= 5 else 0)) for n in range(12)]
-    assert fit_window_start(qp, samples) == 5
 
 
 @settings(max_examples=80, deadline=None)
