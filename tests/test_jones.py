@@ -266,20 +266,41 @@ def test_jones_payload_golden(algebra, knot, lam):
                 res.shifted.truncated(order)
 
 
-def test_multiplicity_routes_leave_unbounded_tables_alone():
-    # jets, colored_jones and plethysm_mult take each multiplicity from one
-    # Kostant sum over a bounded per-lambda table, so after a warm-up (the
-    # per-root-system Weyl data) no maxsize=None table of lie, mult or
-    # kostant grows.  The colors are on no ray the other tests walk, so the
-    # check holds in any test order.
+def _unbounded_tables():
+    # every maxsize=None table of lie, mult and kostant, warmed with the
+    # per-root-system Weyl data of A2 so later growth means a per-color leak
     tables = [fn for mod in (lie, mult, kostant) for fn in vars(mod).values()
               if hasattr(fn, "cache_info") and fn.cache_info().maxsize is None]
     assert tables
     plethysm_mult(A2, (1, 1), 2, (0, 0))
+    return tables
+
+
+def test_jet_leaves_weight_mult_table_alone():
+    # the jets take each multiplicity from one Kostant sum over a bounded
+    # per-lambda table, so no unbounded table grows along the family
+    tables = _unbounded_tables()
     before = [fn.cache_info().currsize for fn in tables]
     jones_family(A2, TorusKnot(2, 3), (1, 0), range(20, 41), 40)
+    assert [fn.cache_info().currsize for fn in tables] == before
+
+
+def test_colored_jones_leaves_global_tables_alone():
+    # the summation set scans the dominant weights and computes each
+    # multiplicity once, so no unbounded table grows.  (12, 13) is on no ray
+    # the other tests walk, so the check holds in any test order.
+    tables = _unbounded_tables()
+    before = [fn.cache_info().currsize for fn in tables]
     for lam in ((12, 12), (12, 13)):
         colored_jones(A2, TorusKnot(4, 5), lam)
+    assert [fn.cache_info().currsize for fn in tables] == before
+
+
+def test_multiplicity_routes_leave_unbounded_tables_alone():
+    # plethysm_mult's per-point route shares the bounded per-lambda tables
+    # of the jets and colored_jones
+    tables = _unbounded_tables()
+    before = [fn.cache_info().currsize for fn in tables]
     for n in range(30, 61):
         lam = (n, n + 1)
         for mu in ((0, 0), (1, 2), minimizer_closed_form(A2, lam, 2)):
