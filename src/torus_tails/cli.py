@@ -20,8 +20,7 @@ from .jones import (JonesError, TorusKnot, colored_jones,
                     quadratic_forms)
 from .kostant import kostant, kostant_dp
 from .lie import LieError, get_root_system
-from .mult import (lattice_hull, missing_points, plethysm_mult,
-                   summation_set)
+from .mult import lattice_hull, plethysm_mult, summation_set
 from .selfcheck import run_selftest
 from .qseries import SeriesDivisionError
 from .stability import (detect_jones_tail, jones_family, stable_coefficients,
@@ -194,11 +193,10 @@ def cmd_missing_points(args) -> int:
     rs = get_root_system(args.algebra)
     lam = _parse_weight(args.lam, rs.rank)
     cfg = RunConfig("missing-points", rs.name, ray=lam, output=args.format)
-    miss = missing_points(rs, lam, args.a)
-    hull = lattice_hull(rs, lam, args.a)
-    _emit({"lambda": list(lam), "a": args.a,
-           "hull_size": len(hull.points()),
-           "missing": [list(mu) for mu in miss]}, cfg)
+    points = lattice_hull(rs, lam, args.a).points()
+    s = summation_set(rs, lam, args.a)
+    _emit({"lambda": list(lam), "a": args.a, "hull_size": len(points),
+           "missing": [list(mu) for mu in points if mu not in s]}, cfg)
     return EXIT_OK
 
 

@@ -147,13 +147,17 @@ def plethysm_mult(rs: RootSystem, lam: Weight, a: int, mu: Weight) -> int:
     if not rs.is_dominant(lam):
         raise LieError("highest weight must be dominant")
     tops = _kostant_tops(rs, lam)
+    if rs.rank == 1:
+        return sum(sign * _kostant_sum(rs, tops, rs.root_coords_int(
+            ((mu[0] + w0) // a,))) for (w0,), sign in rs.orbit_pairs()
+            if not (mu[0] + w0) % a)
     total = 0
-    for w, sign in rs.orbit_pairs():
-        cand = tuple(mu[i] + w[i] for i in range(rs.rank))
-        if any(c % a for c in cand):
-            continue
-        nu = tuple(c // a for c in cand)
-        total += sign * _kostant_sum(rs, tops, rs.root_coords_int(nu))
+    m0, m1 = mu
+    for (w0, w1), sign in rs.orbit_pairs():
+        c0, c1 = m0 + w0, m1 + w1
+        if not c0 % a and not c1 % a:
+            total += sign * _kostant_sum(
+                rs, tops, rs.root_coords_int((c0 // a, c1 // a)))
     return total
 
 

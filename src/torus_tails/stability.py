@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import inf, isqrt
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .jones import (TorusKnot, _degree_form, _exponent_denominator,
@@ -397,6 +397,16 @@ def detect_jones_tail(rs: RootSystem, knot: TorusKnot, ray: Weight, n0: int,
 # -- structural tail: the stable-limit lattice sum ----------------------------
 
 
+def _negative_range(c2: int, c1: int, c0: int) -> range:
+    """The integers x with c2*x^2 + c1*x + c0 < 0, for c2 > 0: those with
+    (2*c2*x + c1)^2 < c1^2 - 4*c2*c0, read off by isqrt."""
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc <= 0:
+        return range(0)
+    r = isqrt(disc - 1)
+    return range(-((r + c1) // (2 * c2)), (r - c1) // (2 * c2) + 1)
+
+
 def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
                            n0: int, x_order: int, q_order: int, n_max: int
                            ) -> TailSeries:
@@ -414,6 +424,13 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
     applied to alpha -> q^{(v,alpha)} x^{(nu1,alpha)} with v = h+nu0+rho:
     the sum over sigma of (-1)^sigma q^{(v,w)} x^{(nu1,w)} with
     w = rho - sigma(rho).
+
+    The cone is scanned by rows h = (u1, u2), u1 and then u2 increasing,
+    from mu_i = 0 where the cone requires mu_i >= 0.  A summand needs
+    D*Q(h) + low(v) < D*q_order, low(v) the sum of min(0, 2a (v, alpha)).
+    With low bounded by its row value plus a linear term on each side of
+    u2 = 0, a row is where one of two convex quadratics in u2 is below
+    D*q_order (``_negative_range``); their minima over u2 bound u1.
     """
     if rs.rank != 2:
         raise LieError("stable-limit tails are for the rank-2 algebras")
@@ -429,7 +446,7 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
     base = form(nu0)
 
     # tangent-cone constraints (the n-independent inequalities)
-    dom_req = [i for i in range(2) if nu1[i] == 0]
+    floor = [-nu0[i] if nu1[i] == 0 else -inf for i in range(2)]  # mu_i >= 0
     rc_top = rs.root_coords_int(tuple(a * ray[i] - nu1[i] for i in range(2)))
     if any(c < 0 for c in rc_top):
         raise StabilityError("minimizer ray leaves the rescaled polytope")
@@ -453,37 +470,37 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
             raise StabilityError("lattice membership not stable on the class")
         return votes[0]
 
-    # enumeration radius r: beyond it, every summand monomial exponent is
-    # >= q_order, from D*Q(h) >= b det(G)/tr(G) r^2 - lin r - const with
-    # G = gram_int and lin, const the D-scaled linear terms
-    lin = 0
-    for e in ((1, 0), (0, 1)):
-        lin += abs(2 * (b - a) * rs.inner_int(e, rho)
-                   + 2 * b * rs.inner_int(e, nu0))
-        lin += sum(abs(2 * a * rs.inner_int(e, al)) for al in roots)
-    v0 = tuple(nu0[i] + rho[i] for i in range(2))
-    const = sum(abs(2 * a * rs.inner_int(v0, al)) for al in roots)
+    # the rows, with D*Q(h) = b |h|^2 + l1 u1 + l2 u2
+    # = c11 u1^2 + c12 u1 u2 + c22 u2^2 + l1 u1 + l2 u2
+    top = d * q_order
+
+    def low(v: Weight) -> int:
+        return sum(min(0, 2 * a * rs.inner_int(v, al)) for al in roots)
+
     g = rs.gram_int
-    tr, det = g[0][0] + g[1][1], g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    radius = 2
-    while b * det * radius * radius < tr * (lin * radius + const
-                                            + d * q_order):
-        radius += 1
+    c11, c12, c22 = b * g[0][0], 2 * b * g[0][1], b * g[1][1]
+    l1 = form((nu0[0] + 1, nu0[1])) - base - c11
+    l2 = form((nu0[0], nu0[1] + 1)) - base - c22
+    v0 = (nu0[0] + rho[0], nu0[1] + rho[1])
+    # low(u e) is u*low(e) for u >= 0 and -u*low(-e) for u <= 0
+    sides = (low((0, 1)), -low((0, -1)))
+    u1_runs = [_negative_range(
+        4 * c22 * c11 - c12 * c12, 4 * c22 * (l1 + r) - 2 * c12 * (l2 + s),
+        4 * c22 * (low(v0) - top) - (l2 + s) ** 2)
+        for r in (low((1, 0)), -low((-1, 0))) for s in sides]
 
     summands = []
-    for u1 in range(-radius, radius + 1):
-        for u2 in range(-radius, radius + 1):
+    for u1 in sorted(u for u in set().union(*u1_runs) if u >= floor[0]):
+        const = c11 * u1 * u1 + l1 * u1 + low((v0[0] + u1, v0[1])) - top
+        runs = [_negative_range(c22, c12 * u1 + l2 + s, const) for s in sides]
+        for u2 in sorted(u for u in set().union(*runs) if u >= floor[1]):
             hat = (u1, u2)
             mu = (nu0[0] + u1, nu0[1] + u2)
-            if any(mu[i] < 0 for i in dom_req):
-                continue
             rc = rs.root_coords_int(mu)
-            if any(rc[i] > 0 for i in poly_req) or not in_lattice(hat):
-                continue
             qn = form(mu) - base
             v = (mu[0] + rho[0], mu[1] + rho[1])
-            low = sum(min(0, 2 * a * rs.inner_int(v, al)) for al in roots)
-            if qn + low >= d * q_order:
+            if any(rc[i] > 0 for i in poly_req) or qn + low(v) >= top \
+                    or not in_lattice(hat):
                 continue
             xn = 2 * b * rs.inner_int(hat, nu1)
             integral = xn % d == 0 and xn >= 0

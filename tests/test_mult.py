@@ -189,12 +189,14 @@ def test_summation_set_examples():
 
 
 def test_support_inside_hull():
-    for rs, lam, a in ((A2, (2, 1), 2), (B2, (1, 1), 2), (G2, (1, 0), 2),
-                       (A2, (1, 1), 4)):
-        hull = lattice_hull(rs, lam, a)
-        pts = set(hull.points())
-        for mu, m in summation_set(rs, lam, a).items():
-            assert mu in pts, (rs.name, lam, a, mu)
+    # S within the hull points makes |hull| = |S| + |R|, the hull size the
+    # missing-points command reports
+    for rs, a, lam in product((A2, B2, G2), range(2, 6),
+                              product(range(4), repeat=2)):
+        pts = lattice_hull(rs, lam, a).points()
+        s = summation_set(rs, lam, a)
+        assert set(s) <= set(pts), (rs.name, lam, a)
+        assert len(pts) == len(s) + len(missing_points(rs, lam, a))
 
 
 def on_translates(rs, lam, a, mu):

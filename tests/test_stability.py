@@ -5,7 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torus_tails.jones import TorusKnot, jones_jet
@@ -13,7 +13,7 @@ from torus_tails.lie import get_root_system
 from torus_tails.qseries import TruncatedSeries, euler_phi, geometric_inverse
 from torus_tails.quasipoly import QuasiPolynomial
 from torus_tails.stability import (StabilityError, TailSeries,
-                                   a1_theta_difference, a1_triple_product,
+                                   _negative_range, a1_theta_difference, a1_triple_product,
                                    degree_quasipoly_fit, detect_cstability,
                                    detect_jones_tail, jones_family,
                                    lemma_FG_inverse,
@@ -244,6 +244,281 @@ def test_stable_limit_matches_jets(algebra, knot, ray):
         jet = jones_jet(rs, knot, tuple(n * c for c in ray), q_order)
         assert jet.terms
         assert not (jet - tail.partial_sum(n, 2)).terms
+
+
+def test_stable_limit_g2_t34_rho_q100():
+    # n_max 36 and 150 sample the same quasi-polynomials, and the tail's
+    # partial sums are the jets while q^(2n) lies past the jet order
+    rs, knot = get_root_system("G2"), TorusKnot(3, 4)
+    tail = tail_eval_stable_limit(rs, knot, (1, 1), 1, 1, 100, 36)
+    assert tail == tail_eval_stable_limit(rs, knot, (1, 1), 1, 1, 100, 150)
+    n0, modulus = tail.residue
+    for n in (25, 31, 37):
+        assert n % modulus == n0
+        jet = jones_jet(rs, knot, (n, n), 40)
+        assert jet.terms
+        assert not (jet - tail.partial_sum(n, 1).truncated(40)).terms
+
+
+# (algebra, knot, ray, n0) -> the stable limit at x^1/q^30 from n_max 36:
+# the digest of a tail (``tail_digest``) or the error it raised, recorded
+# with the tangent cone scanned over a (2r+1)^2 box
+PARITY_GRID = {
+    ("A2", (2, 3), (1, 0), 1): "e52fa3645e006d22",
+    ("A2", (2, 3), (1, 0), 2): "4a9e581e6245326e",
+    ("A2", (2, 3), (0, 1), 1): "e52fa3645e006d22",
+    ("A2", (2, 3), (0, 1), 2): "4a9e581e6245326e",
+    ("A2", (2, 3), (1, 1), 1): "5f8199e17d6ab949",
+    ("A2", (2, 3), (1, 1), 2): "507fb08812c6a060",
+    ("A2", (2, 3), (2, 1), 1):
+        "StabilityError: lattice membership not stable on the class",
+    ("A2", (2, 3), (2, 1), 2):
+        "StabilityError: lattice membership not stable on the class",
+    ("A2", (2, 5), (1, 0), 1): "5bd60f5a24e7bde1",
+    ("A2", (2, 5), (1, 0), 2): "76570d9ba78d8282",
+    ("A2", (2, 5), (0, 1), 1): "5bd60f5a24e7bde1",
+    ("A2", (2, 5), (0, 1), 2): "76570d9ba78d8282",
+    ("A2", (2, 5), (1, 1), 1): "339d68fe1650ae1c",
+    ("A2", (2, 5), (1, 1), 2): "301a5882328678aa",
+    ("A2", (2, 5), (2, 1), 1):
+        "StabilityError: lattice membership not stable on the class",
+    ("A2", (2, 5), (2, 1), 2):
+        "StabilityError: lattice membership not stable on the class",
+    ("A2", (3, 4), (1, 0), 1): "96a632b4b24ae32b",
+    ("A2", (3, 4), (1, 0), 2): "d7d64ebf3f29f564",
+    ("A2", (3, 4), (0, 1), 1): "96a632b4b24ae32b",
+    ("A2", (3, 4), (0, 1), 2): "d7d64ebf3f29f564",
+    ("A2", (3, 4), (1, 1), 1): "4e6db5ca421599c7",
+    ("A2", (3, 4), (1, 1), 2): "2c9dd8bcdb6756b7",
+    ("A2", (3, 4), (2, 1), 1):
+        "StabilityError: tail multiplicity at (0, 3) not quasi-polynomial: "
+        "not quasi-polynomial in tested range",
+    ("A2", (3, 4), (2, 1), 2):
+        "StabilityError: tail multiplicity at (0, 6) not quasi-polynomial: "
+        "not quasi-polynomial in tested range",
+    ("A2", (3, 5), (1, 0), 1): "db1741c7b51fe107",
+    ("A2", (3, 5), (1, 0), 2): "38caf7037df5d47f",
+    ("A2", (3, 5), (0, 1), 1): "db1741c7b51fe107",
+    ("A2", (3, 5), (0, 1), 2): "38caf7037df5d47f",
+    ("A2", (3, 5), (1, 1), 1): "1ae83dcf3bc00a2d",
+    ("A2", (3, 5), (1, 1), 2): "0d46908e726438a2",
+    ("A2", (3, 5), (2, 1), 1):
+        "StabilityError: tail multiplicity at (0, 3) not quasi-polynomial: "
+        "not quasi-polynomial in tested range",
+    ("A2", (3, 5), (2, 1), 2):
+        "StabilityError: tail multiplicity at (0, 6) not quasi-polynomial: "
+        "not quasi-polynomial in tested range",
+    ("A2", (4, 5), (1, 0), 1):
+        "StabilityError: need at least 4 class members below n_max",
+    ("A2", (4, 5), (1, 0), 2):
+        "StabilityError: need at least 4 class members below n_max",
+    ("A2", (4, 5), (0, 1), 1):
+        "StabilityError: need at least 4 class members below n_max",
+    ("A2", (4, 5), (0, 1), 2):
+        "StabilityError: need at least 4 class members below n_max",
+    ("A2", (4, 5), (1, 1), 1): "0f49f3df43a4fed3",
+    ("A2", (4, 5), (1, 1), 2): "cf13fd7f22042460",
+    ("A2", (4, 5), (2, 1), 1):
+        "StabilityError: need at least 4 class members below n_max",
+    ("A2", (4, 5), (2, 1), 2):
+        "StabilityError: need at least 4 class members below n_max",
+    ("A2", (2, 7), (1, 0), 1): "d2074c81208abde6",
+    ("A2", (2, 7), (1, 0), 2): "0144d639e297ae67",
+    ("A2", (2, 7), (0, 1), 1): "d2074c81208abde6",
+    ("A2", (2, 7), (0, 1), 2): "0144d639e297ae67",
+    ("A2", (2, 7), (1, 1), 1): "60a9510c93a87daa",
+    ("A2", (2, 7), (1, 1), 2): "04a6184c673a266d",
+    ("A2", (2, 7), (2, 1), 1):
+        "StabilityError: lattice membership not stable on the class",
+    ("A2", (2, 7), (2, 1), 2):
+        "StabilityError: lattice membership not stable on the class",
+    ("B2", (2, 3), (1, 0), 1):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 3), (1, 0), 2):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 3), (0, 1), 1):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 3), (0, 1), 2):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 3), (1, 1), 1):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 3), (1, 1), 2):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 3), (2, 1), 1):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 3), (2, 1), 2):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 5), (1, 0), 1):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 5), (1, 0), 2):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 5), (0, 1), 1):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 5), (0, 1), 2):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 5), (1, 1), 1):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 5), (1, 1), 2):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 5), (2, 1), 1):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 5), (2, 1), 2):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (3, 4), (1, 0), 1):
+        "StabilityError: non-integral tail exponent at (1, 0)",
+    ("B2", (3, 4), (1, 0), 2):
+        "StabilityError: non-integral tail exponent at (1, 4)",
+    ("B2", (3, 4), (0, 1), 1):
+        "StabilityError: non-integral tail exponent at (-1, 2)",
+    ("B2", (3, 4), (0, 1), 2):
+        "StabilityError: non-integral tail exponent at (1, 4)",
+    ("B2", (3, 4), (1, 1), 1):
+        "StabilityError: non-integral tail exponent at (-1, 2)",
+    ("B2", (3, 4), (1, 1), 2):
+        "StabilityError: non-integral tail exponent at (1, 4)",
+    ("B2", (3, 4), (2, 1), 1):
+        "StabilityError: non-integral tail exponent at (-1, 2)",
+    ("B2", (3, 4), (2, 1), 2):
+        "StabilityError: non-integral tail exponent at (1, 4)",
+    ("B2", (3, 5), (1, 0), 1):
+        "StabilityError: non-integral tail exponent at (1, 0)",
+    ("B2", (3, 5), (1, 0), 2):
+        "StabilityError: non-integral tail exponent at (1, 4)",
+    ("B2", (3, 5), (0, 1), 1):
+        "StabilityError: non-integral prefactor exponents",
+    ("B2", (3, 5), (0, 1), 2):
+        "StabilityError: non-integral tail exponent at (1, 4)",
+    ("B2", (3, 5), (1, 1), 1):
+        "StabilityError: non-integral prefactor exponents",
+    ("B2", (3, 5), (1, 1), 2):
+        "StabilityError: non-integral tail exponent at (1, 4)",
+    ("B2", (3, 5), (2, 1), 1):
+        "StabilityError: non-integral prefactor exponents",
+    ("B2", (3, 5), (2, 1), 2):
+        "StabilityError: non-integral tail exponent at (1, 4)",
+    ("B2", (4, 5), (1, 0), 1):
+        "StabilityError: non-integral tail exponent at (1, 4)",
+    ("B2", (4, 5), (1, 0), 2):
+        "StabilityError: non-integral tail exponent at (1, 4)",
+    ("B2", (4, 5), (0, 1), 1):
+        "StabilityError: non-integral tail exponent at (1, 4)",
+    ("B2", (4, 5), (0, 1), 2):
+        "StabilityError: non-integral tail exponent at (1, 4)",
+    ("B2", (4, 5), (1, 1), 1):
+        "StabilityError: non-integral tail exponent at (1, 4)",
+    ("B2", (4, 5), (1, 1), 2):
+        "StabilityError: non-integral tail exponent at (1, 4)",
+    ("B2", (4, 5), (2, 1), 1):
+        "StabilityError: non-integral tail exponent at (1, 4)",
+    ("B2", (4, 5), (2, 1), 2):
+        "StabilityError: non-integral tail exponent at (1, 4)",
+    ("B2", (2, 7), (1, 0), 1):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 7), (1, 0), 2):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 7), (0, 1), 1):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 7), (0, 1), 2):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 7), (1, 1), 1):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 7), (1, 1), 2):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 7), (2, 1), 1):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("B2", (2, 7), (2, 1), 2):
+        "StabilityError: non-integral tail exponent at (0, 2)",
+    ("G2", (2, 3), (1, 0), 1): "d54234b539254a19",
+    ("G2", (2, 3), (1, 0), 2): "2c3ca2be98e79b1b",
+    ("G2", (2, 3), (0, 1), 1): "2035ea1fbd007236",
+    ("G2", (2, 3), (0, 1), 2): "bd0792a0b41ec420",
+    ("G2", (2, 3), (1, 1), 1): "9b119811bb13544d",
+    ("G2", (2, 3), (1, 1), 2): "e646de47988812df",
+    ("G2", (2, 3), (2, 1), 1): "0f01b285a544a19f",
+    ("G2", (2, 3), (2, 1), 2): "ab40f77ce6abd06a",
+    ("G2", (2, 5), (1, 0), 1): "a2063a02694c7105",
+    ("G2", (2, 5), (1, 0), 2): "44e2bbfa5f9a703e",
+    ("G2", (2, 5), (0, 1), 1): "2484d6990c736f97",
+    ("G2", (2, 5), (0, 1), 2): "6b5d4b4402ba3d74",
+    ("G2", (2, 5), (1, 1), 1): "912787634e6d849c",
+    ("G2", (2, 5), (1, 1), 2): "0184121502cb8abb",
+    ("G2", (2, 5), (2, 1), 1): "987759df24396bc2",
+    ("G2", (2, 5), (2, 1), 2): "03fb263dd5d369fc",
+    ("G2", (3, 4), (1, 0), 1): "cc8877ac0f2f515c",
+    ("G2", (3, 4), (1, 0), 2): "12f44bfe7f8ff201",
+    ("G2", (3, 4), (0, 1), 1): "42a36fa240d55343",
+    ("G2", (3, 4), (0, 1), 2): "733ad061214d67a9",
+    ("G2", (3, 4), (1, 1), 1): "997ce570ba7cdc87",
+    ("G2", (3, 4), (1, 1), 2): "3bc383dda9855a6e",
+    ("G2", (3, 4), (2, 1), 1): "06c2eef0cc8f1d70",
+    ("G2", (3, 4), (2, 1), 2): "c9aff5c0b14d7b53",
+    ("G2", (3, 5), (1, 0), 1): "ae48443d9510f47a",
+    ("G2", (3, 5), (1, 0), 2): "528b3b8d5a76c01a",
+    ("G2", (3, 5), (0, 1), 1): "5f37256c64d5550f",
+    ("G2", (3, 5), (0, 1), 2): "8029d05d2d2f4aac",
+    ("G2", (3, 5), (1, 1), 1): "879d643716b6b047",
+    ("G2", (3, 5), (1, 1), 2): "fef033b5a845a953",
+    ("G2", (3, 5), (2, 1), 1): "b4272e3ed2e92b83",
+    ("G2", (3, 5), (2, 1), 2): "df2fca844a368f92",
+    ("G2", (4, 5), (1, 0), 1):
+        "StabilityError: no stabilizing modulus divides a*d",
+    ("G2", (4, 5), (1, 0), 2):
+        "StabilityError: tail multiplicity at (0, 0) not quasi-polynomial: "
+        "not quasi-polynomial in tested range",
+    ("G2", (4, 5), (0, 1), 1): "fa0eae82b4572208",
+    ("G2", (4, 5), (0, 1), 2): "cd6e35c63948a9d2",
+    ("G2", (4, 5), (1, 1), 1):
+        "StabilityError: no stabilizing modulus divides a*d",
+    ("G2", (4, 5), (1, 1), 2):
+        "StabilityError: tail multiplicity at (0, 0) not quasi-polynomial: "
+        "not quasi-polynomial in tested range",
+    ("G2", (4, 5), (2, 1), 1):
+        "StabilityError: tail multiplicity at (0, 0) not quasi-polynomial: "
+        "not quasi-polynomial in tested range",
+    ("G2", (4, 5), (2, 1), 2):
+        "StabilityError: tail multiplicity at (0, 0) not quasi-polynomial: "
+        "not quasi-polynomial in tested range",
+    ("G2", (2, 7), (1, 0), 1): "4d868de868349b25",
+    ("G2", (2, 7), (1, 0), 2): "3212200077a8abcf",
+    ("G2", (2, 7), (0, 1), 1): "d18e1504b7b266e4",
+    ("G2", (2, 7), (0, 1), 2): "2bc7b33259e03922",
+    ("G2", (2, 7), (1, 1), 1): "648c1142e7c5be80",
+    ("G2", (2, 7), (1, 1), 2): "9e8bb3cf93ff9013",
+    ("G2", (2, 7), (2, 1), 1): "d18d4afca46c8b4a",
+    ("G2", (2, 7), (2, 1), 2): "28050eac2322d0c1",
+}
+
+
+def tail_digest(tail):
+    body = (tail.residue, tuple(
+        (p.order, tuple((e, qp.period, qp.coeffs) for e, qp in p.terms))
+        for p in tail.phis))
+    return hashlib.sha256(repr(body).encode()).hexdigest()[:16]
+
+
+def test_stable_limit_parity_grid():
+    got = {}
+    for algebra, knot, ray, n0 in PARITY_GRID:
+        try:
+            tail = tail_eval_stable_limit(get_root_system(algebra),
+                                          TorusKnot(*knot), ray, n0, 1, 30,
+                                          36)
+            got[algebra, knot, ray, n0] = tail_digest(tail)
+        except StabilityError as exc:
+            got[algebra, knot, ray, n0] = f"{type(exc).__name__}: {exc}"
+    assert got == PARITY_GRID
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(-40, 40), st.integers(-60, 60))
+@example(1, 0, 0)     # x^2 < 0: empty, touching zero at x = 0
+@example(1, 0, -1)    # x^2 < 1: the one point x = 0
+@example(4, -4, 0)    # 4x(x - 1) < 0: real roots, no integer between
+@example(1, 0, 5)     # no real roots
+def test_negative_range_matches_scan(c2, c1, c0):
+    # |roots| <= (|c1| + sqrt(c1^2 + 4 c2 |c0|)) / 2 < 48 here
+    scan = [x for x in range(-60, 61) if c2 * x * x + c1 * x + c0 < 0]
+    assert list(_negative_range(c2, c1, c0)) == scan
 
 
 @pytest.mark.parametrize("knot, ray", [((2, 5), (0, 1)), ((2, 3), (1, 0))])
