@@ -9,10 +9,11 @@ D*(mu+rho, alpha) are integers computed with the scaled inner product of
 assembly of the numerator: D*f*(mu) and the Weyl-identity expansion of the
 root product are expanded once into integer quadratic and linear
 coefficients, so a term costs a few integer products.  ``colored_jones``
-then divides by all the denominator factors in one ``div_binomial`` over a
-dense exponent array, checking the remainder of each.  The summation set
-comes from the dominant weights of V_lambda alone, each multiplicity by
-one Kostant sum, so the exact path leaves no process-wide table behind.
+then divides by all the denominator factors in one ``div_binomial_series``
+over a dense exponent array, checking the remainder of each, and reads the
+series off that array in order.  The summation set comes from the dominant
+weights of V_lambda alone, each multiplicity by one Kostant sum, so the
+exact path leaves no process-wide table behind.
 ``jones_jet`` gives the shifted J-hat only below a q-order: it assembles just
 the summands with f*(mu) below delta* plus that order and divides by
 truncated geometric series.  Its multiplicities come from a row kernel: each
@@ -32,7 +33,7 @@ from typing import Callable, Iterable
 
 from .lie import LieError, RootSystem, Weight
 from .mult import _kostant_sum, _kostant_tops, plethysm_mult, summation_set
-from .qseries import TruncatedSeries, div_binomial
+from .qseries import TruncatedSeries, div_binomial_series
 
 
 class JonesError(ValueError):
@@ -278,10 +279,10 @@ def colored_jones(rs: RootSystem, knot: TorusKnot, lam: Weight
     if not rs.is_dominant(lam):
         raise LieError("color must be dominant")
     acc = _numerator(rs, knot, lam, summation_set(rs, lam, knot.a).items(), 0)
-    acc = div_binomial(acc, _denominator_shifts(rs, knot, lam))
-    if not acc:
+    poly = div_binomial_series(acc, _denominator_shifts(rs, knot, lam),
+                               _exponent_denominator(rs, knot))
+    if poly.is_zero:
         raise JonesError("colored Jones polynomial vanished")
-    poly = TruncatedSeries.make(acc, _exponent_denominator(rs, knot), None)
     return ColoredJonesResult(knot, rs.name, lam, poly,
                               poly.min_degree(), poly.max_degree())
 
@@ -388,13 +389,14 @@ def jones_jet(rs: RootSystem, knot: TorusKnot, lam: Weight, order: int
     bound = order * d
     mults = _jet_multiplicities(rs, lam, a, f_star, shift + bound)
     acc = _numerator(rs, knot, lam, mults.items(), shift, bound)
-    acc = div_binomial(acc, _denominator_shifts(rs, knot, lam), bound)
+    jet = div_binomial_series(acc, _denominator_shifts(rs, knot, lam), d,
+                              bound)
     lead = plethysm_mult(rs, lam, a, mu_min)
-    if not acc or min(acc) != 0 or acc[0] != lead:
+    if jet.terms[:1] != ((0, lead),):
         raise JonesError(
             f"jet of {knot} at {rs.name} lambda={lam} does not start with "
             f"{lead}*q^0 at mu_min={mu_min} (minimizer inconsistency)")
-    return TruncatedSeries.make(acc, d, bound)
+    return jet
 
 
 def checked_sum(rs: RootSystem, knot: TorusKnot, lam: Weight) -> TruncatedSeries:

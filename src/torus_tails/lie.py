@@ -207,6 +207,23 @@ class RootSystem:
                     break
         return out
 
+    def orbit_size(self, mu: Weight) -> int:
+        """|W mu| for dominant mu.
+
+        The stabilizer of mu is generated by the simple reflections that
+        fix it, one per zero coordinate: it has order 2 for one zero and is
+        all of W at mu = 0.
+        """
+        zeros = mu.count(0)
+        return 1 if zeros == self.rank else len(self.weyl_elements) >> zeros
+
+    def weight_count(self, lam: Weight) -> int:
+        """|Pi_lambda|, counted over the dominant weights without building
+        the weight system."""
+        if not self.is_dominant(lam):
+            raise LieError("highest weight must be dominant")
+        return _weight_count(self, lam)
+
     def dim_irrep(self, lam: Weight) -> int:
         """dim V_lambda by the Weyl dimension formula (independent oracle)."""
         rho = self.rho
@@ -248,12 +265,20 @@ def _orbit_pairs(rs: RootSystem) -> tuple[tuple[Weight, int], ...]:
     return tuple(sorted(pairs))
 
 
-@lru_cache(maxsize=None)
+# no multiplicity route builds weight systems; they serve weight_system's
+# callers, one color at a time
+@lru_cache(maxsize=64)
 def _weight_system(rs: RootSystem, lam: Weight) -> frozenset[Weight]:
     # every weight of V_lambda is W-conjugate to exactly one dominant mu <= lam
     mats = [mat for mat, _ in rs.weyl_elements]
     return frozenset(_mat_apply(mat, mu) for mu in rs.dominant_weights(lam)
                      for mat in mats)
+
+
+# the Adams oracle's size guard asks once per hull point
+@lru_cache(maxsize=64)
+def _weight_count(rs: RootSystem, lam: Weight) -> int:
+    return sum(map(rs.orbit_size, rs.dominant_weights(lam)))
 
 
 def _fr(num: int, den: int = 1) -> Fraction:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Any, Mapping, Optional, Sequence, Union
@@ -290,6 +290,46 @@ def div_binomial(poly: Mapping[int, Coeff], shifts: Sequence[int],
     quotient is the power series poly * prod_m sum_j q^(jm) below q^cutoff,
     exact there if poly is.  The coefficients may be ints or
     quasi-polynomials.
+    """
+    lo, g, dense = _div_dense(poly, shifts, cutoff)
+    return {e: c for e, c in zip(range(lo, lo + g * len(dense), g), dense)
+            if c}
+
+
+def div_binomial_series(poly: Mapping[int, Coeff], shifts: Sequence[int],
+                        denom: int = 1, cutoff: Optional[int] = None
+                        ) -> TruncatedSeries:
+    """``div_binomial`` as a series over q^(1/denom), exact below q^cutoff.
+
+    Equals ``TruncatedSeries.make(div_binomial(poly, shifts, cutoff), denom,
+    cutoff)`` without a dict or a sort: the nonzero slots of the dense
+    quotient are read off in increasing exponent.  Every exponent lies on
+    the lattice lo + gZ, so the denominator is first reduced by
+    gcd(denom, lo, g, cutoff) on the lattice itself, then by whatever common
+    factor the nonzero exponents still share with it.
+    """
+    if denom <= 0:
+        raise SeriesError("denominator must be positive")
+    lo, g, dense = _div_dense(poly, shifts, cutoff)
+    order = 0 if cutoff is None else cutoff
+    h = gcd(denom, lo, g, order)
+    exps = list(compress(range(lo // h, (lo + g * len(dense)) // h, g // h),
+                         dense))
+    denom //= h
+    order //= h
+    rest = gcd(denom, order, *exps)
+    if rest > 1:
+        exps = [e // rest for e in exps]
+        denom //= rest
+        order //= rest
+    return TruncatedSeries(denom, tuple(zip(exps, filter(None, dense))),
+                           None if cutoff is None else order)
+
+
+def _div_dense(poly: Mapping[int, Coeff], shifts: Sequence[int],
+               cutoff: Optional[int]) -> tuple[int, int, list[Coeff]]:
+    """The quotient of ``div_binomial`` as (lo, g, dense): dense[i] is the
+    coefficient at q^(lo + g*i).
 
     The work is done on a dense list over the lattice lo + gZ, lo the lowest
     exponent and g the gcd of the exponent differences and the shifts, which
@@ -301,7 +341,7 @@ def div_binomial(poly: Mapping[int, Coeff], shifts: Sequence[int],
     if any(m <= 0 for m in shifts):
         raise SeriesError("non-expandable denominator")
     if not poly:
-        return {}
+        return 0, 1, []
     lo = min(poly)
     top = max(poly) if cutoff is None else cutoff - 1
     g = gcd(*shifts, *(e - lo for e in poly)) or 1
@@ -318,7 +358,7 @@ def div_binomial(poly: Mapping[int, Coeff], shifts: Sequence[int],
             if any(dense[keep:]):
                 raise SeriesDivisionError("division remainder nonzero")
             del dense[keep:]
-    return {e: c for e, c in zip(range(lo, top + 1, g), dense) if c}
+    return lo, g, dense
 
 
 def exact_div(f: TruncatedSeries, e: Exponent,
@@ -328,7 +368,7 @@ def exact_div(f: TruncatedSeries, e: Exponent,
     Without ``order`` f must be a polynomial that (1 - q^e) divides: a
     remainder raises SeriesDivisionError.  With it, the power series quotient
     f * sum_j q^(je), exact below min(f's order, order).  Both are one
-    ``div_binomial`` with a single shift, on its dense lattice array.
+    ``div_binomial_series`` with a single shift, on its dense lattice array.
     """
     ef = _as_fraction(e)
     if ef <= 0:
@@ -340,9 +380,8 @@ def exact_div(f: TruncatedSeries, e: Exponent,
     fac = d // f.denom
     cut = _min_order(None if f.order is None else f.order * fac,
                      None if of is None else int(of * d))
-    quot = div_binomial({ex * fac: c for ex, c in f.terms}, (int(ef * d),),
-                        cut)
-    return TruncatedSeries.make(quot, d, cut)
+    return div_binomial_series({ex * fac: c for ex, c in f.terms},
+                               (int(ef * d),), d, cut)
 
 
 @dataclass(frozen=True)

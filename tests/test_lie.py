@@ -138,6 +138,20 @@ def test_dominant_weights_match_the_dominance_order():
         A2.dominant_weights((-1, 0))
 
 
+def test_weight_count_matches_weight_system():
+    # orbit sizes over the dominant weights count Pi_lambda without it
+    for rs in (A1, A2, B2, G2):
+        lams = [(k,) for k in range(7)] if rs.rank == 1 else \
+            list(product(range(7), repeat=2))
+        for lam in lams:
+            assert rs.weight_count(lam) == len(rs.weight_system(lam)), \
+                (rs.name, lam)
+            assert sum(rs.orbit_size(mu) for mu in rs.dominant_weights(lam)) \
+                == rs.weight_count(lam)
+    with pytest.raises(LieError):
+        A2.weight_count((-1, 0))
+
+
 def test_weight_system_closed_under_weyl():
     for rs in (A2, B2, G2):
         for lam in [(1, 0), (1, 1), (0, 2)]:

@@ -58,6 +58,35 @@ def test_freudenthal_agrees_exhaustive_a2():
                     weight_mult_freudenthal(A2, lam, mu), (lam, mu)
 
 
+@pytest.mark.parametrize("rs", [A1, A2, B2, G2], ids=lambda rs: rs.name)
+def test_freudenthal_table_sums_to_weyl_dimension(rs):
+    # each dominant w stands for its W-orbit; the table must hold every
+    # dominant weight with its full multiplicity
+    from torus_tails.mult import _freudenthal_table
+    lams = [(k,) for k in range(7)] if rs.rank == 1 else \
+        list(product(range(7), repeat=2))
+    for lam in lams:
+        table = _freudenthal_table(rs, lam)
+        assert sorted(table) == rs.dominant_weights(lam)
+        assert sum(m * rs.orbit_size(w) for w, m in table.items()) == \
+            rs.dim_irrep(lam), (rs.name, lam)
+
+
+def test_adams_peel_builds_no_weight_system():
+    # the Freudenthal tables of the peel run on the dominant weights alone;
+    # (5, 4) at a = 4 is a color no other test peels
+    from torus_tails import lie
+    from torus_tails.mult import _adams_table, _freudenthal_table
+    before = lie._weight_system.cache_info()
+    misses = _freudenthal_table.cache_info().misses
+    table = _adams_table.__wrapped__(B2, (5, 4), 4)
+    assert table[(20, 16)] == 1
+    assert _freudenthal_table.cache_info().misses > misses
+    after = lie._weight_system.cache_info()
+    assert after.currsize == before.currsize
+    assert after.hits + after.misses == before.hits + before.misses
+
+
 def test_freudenthal_agrees_b2_g2():
     for rs in (B2, G2):
         lam = (1, 1)
@@ -154,7 +183,7 @@ def test_g2_zero_weight_a2_is_one():
 
 
 def test_adams_oracle_agrees_small_grid():
-    for rs in (A2, B2):
+    for rs in (A2, B2, G2):
         for a in (2, 3):
             for m1 in range(3):
                 for m2 in range(3 - m1):

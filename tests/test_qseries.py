@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from torus_tails.qseries import (SeriesDivisionError, SeriesError,
                                  ThetaParams, TruncatedSeries, div_binomial,
-                                 euler_phi, exact_div, geometric_inverse,
-                                 pochhammer, theta)
+                                 div_binomial_series, euler_phi, exact_div,
+                                 geometric_inverse, pochhammer, theta)
 from torus_tails.quasipoly import QuasiPolynomial
 
 
@@ -333,6 +333,36 @@ def test_div_binomial_several_shifts_qp(f, shifts, cutoff):
     assert got == divide_one_at_a_time(poly, shifts, cutoff)
     want = f if cutoff is None else f.truncated(cutoff)
     assert TruncatedSeries.make(got, 1, cutoff) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_polys, shift_lists, st.integers(1, 3), st.integers(1, 12),
+       st.none() | st.integers(-8, 40))
+def test_div_binomial_series_is_the_normalized_quotient(d, shifts, k, denom,
+                                                        cutoff):
+    # exponents and shifts scaled by k share factors with the denominator
+    shifts = [k * m for m in shifts]
+    f = TruncatedSeries.make({k * e: c for e, c in d.items()})
+    poly = (f * binomials(shifts)).as_dict()
+    want = TruncatedSeries.make(div_binomial(poly, shifts, cutoff), denom,
+                                cutoff)
+    assert div_binomial_series(poly, shifts, denom, cutoff) == want
+
+
+def test_div_binomial_series_reduces_past_the_lattice():
+    # (1 + q^2)(1 - q) / (1 - q) over q^(1/2): the lattice step is 1, but
+    # the quotient's exponents 0 and 2 share the factor 2 with the
+    # denominator, so the series is 1 + q
+    qp = QuasiPolynomial.linear(1, 2)
+    for coeff in (1, qp):
+        poly = {e: c * coeff for e, c in {0: 1, 1: -1, 2: 1, 3: -1}.items()}
+        got = div_binomial_series(poly, (1,), 2)
+        assert got == TruncatedSeries(1, ((0, coeff), (1, coeff)))
+        assert got == TruncatedSeries.make(div_binomial(poly, (1,)), 2)
+    # cancelling coefficients at the bottom of the dividend, and no terms
+    assert div_binomial_series({0: 0, 4: 1, 8: -1}, (4,), 8, 12) == \
+        TruncatedSeries(2, ((1, 1),), 3)
+    assert div_binomial_series({}, (3,), 6, 4) == TruncatedSeries(3, (), 2)
 
 
 def test_div_binomial_remainder_in_any_factor_raises():
