@@ -11,9 +11,10 @@ root product are expanded once into integer quadratic and linear
 coefficients, so a term costs a few integer products.  ``colored_jones``
 then divides by all the denominator factors in one ``div_binomial_series``
 over a dense exponent array, checking the remainder of each, and reads the
-series off that array in order.  The summation set comes from the dominant
-weights of V_lambda alone, each multiplicity by one Kostant sum, so the
-exact path leaves no process-wide table behind.
+series off that array in order.  Its summands are the unsorted summation
+set of ``mult._summation_scatter``, scattered from the dominant weights of
+V_lambda alone, each multiplicity by one Kostant sum, so the exact path
+sorts no summation set and leaves no process-wide table behind.
 ``jones_jet`` gives the shifted J-hat only below a q-order: it assembles just
 the summands with f*(mu) below delta* plus that order and divides by
 truncated geometric series.  Its multiplicities come from a row kernel: each
@@ -32,7 +33,8 @@ from math import gcd, isqrt, lcm
 from typing import Callable, Iterable
 
 from .lie import LieError, RootSystem, Weight
-from .mult import _kostant_sum, _kostant_tops, plethysm_mult, summation_set
+from .mult import (_kostant_sum, _kostant_tops, _summation_scatter,
+                   plethysm_mult, summation_set)
 from .qseries import TruncatedSeries, div_binomial_series
 
 
@@ -278,7 +280,8 @@ def colored_jones(rs: RootSystem, knot: TorusKnot, lam: Weight
         raise LieError("only rank <= 2 algebras are supported")
     if not rs.is_dominant(lam):
         raise LieError("color must be dominant")
-    acc = _numerator(rs, knot, lam, summation_set(rs, lam, knot.a).items(), 0)
+    acc = _numerator(rs, knot, lam,
+                     _summation_scatter(rs, lam, knot.a).items(), 0)
     poly = div_binomial_series(acc, _denominator_shifts(rs, knot, lam),
                                _exponent_denominator(rs, knot))
     if poly.is_zero:

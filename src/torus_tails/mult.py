@@ -12,11 +12,13 @@ Everything runs on the integer kernel of ``lie``: root coordinates scaled by
 multiplicity (``weight_mult``, ``plethysm_mult``, ``summation_set`` and the
 jet kernel of ``jones``) is one integer Kostant sum, ``_kostant_sum``, at
 any weight, over the bounded per-lambda table ``_kostant_tops``; no
-multiplicity is kept in a process-wide table.  ``summation_set`` scans the
-dominant nu <= lambda only, takes m_lambda^nu once for each, and scatters
-sign * m_lambda^nu to mu = a*nu' - (rho - sigma(rho)) over the W-images nu'
-of nu (formed only near the walls, where one can land) and the orbit pairs,
-so it needs no weight system and no per-point Weyl-group sum;
+multiplicity is kept in a process-wide table.  One scatter,
+``_summation_scatter``, scans the dominant nu <= lambda only, takes
+m_lambda^nu once for each, and adds sign * m_lambda^nu at
+mu = a*nu' - (rho - sigma(rho)) over the W-images nu' of nu (formed only
+near the walls, where one can land) and the orbit pairs, so it needs no
+weight system and no per-point Weyl-group sum.  ``colored_jones`` and
+``missing_points`` read its unsorted dict; ``summation_set`` sorts it.
 ``plethysm_mult`` is the per-point route.  The lattice L_{lambda,a} is held
 as residues of integer root coordinates mod a*root_det (``LatticeHull``),
 and the hull points are the dominant weights of V_(a*lambda) on it.  The
@@ -29,16 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import sub
 from typing import Iterable, Optional, Sequence
 
-from .kostant import kostant
+# OracleLimitError lives in kostant, whose DP guard raises it too
+from .kostant import OracleLimitError, kostant
 from .lie import LieError, RootSystem, Weight, _mat_apply
 from .quasipoly import QuasiPolynomial, fit_quasi_polynomial
-
-
-class OracleLimitError(ValueError):
-    """The brute-force oracle refused an input above its size guard."""
 
 
 # -- weight multiplicities ---------------------------------------------------
@@ -229,7 +227,7 @@ def _adams_table(rs: RootSystem, lam: Weight, a: int) -> dict[Weight, int]:
 
 
 def summation_set(rs: RootSystem, lam: Weight, a: int) -> dict[Weight, int]:
-    """S_{lambda,a} with plethysm multiplicities.
+    """S_{lambda,a} with plethysm multiplicities, sorted by mu.
 
     Defined geometrically: union over sigma of sigma(rho)-rho + a*Pi_lambda,
     intersected with the dominant cone.  The multiplicities are scattered
@@ -237,6 +235,13 @@ def summation_set(rs: RootSystem, lam: Weight, a: int) -> dict[Weight, int]:
     (-1)^sigma * m_lambda^nu, and these sum to the ``plethysm_mult`` identity
     at every mu.  Members whose multiplicity cancels to 0 are retained (the
     set is support-agnostic).
+    """
+    return dict(sorted(_summation_scatter(rs, lam, a).items()))
+
+
+def _summation_scatter(rs: RootSystem, lam: Weight, a: int
+                       ) -> dict[Weight, int]:
+    """``summation_set`` unsorted, members of multiplicity 0 included.
 
     The scan runs over the dominant nu <= lambda only (``dominant_weights``)
     and computes m_lambda^nu once for each by ``_kostant_sum``, so no weight
@@ -264,12 +269,19 @@ def summation_set(rs: RootSystem, lam: Weight, a: int) -> dict[Weight, int]:
         for image in images:
             if a * min(image) < low:
                 continue
-            scaled = tuple(a * c for c in image)
-            for w, sign in pairs:
-                mu = tuple(map(sub, scaled, w))
-                if min(mu) >= 0:
-                    out[mu] = out.get(mu, 0) + sign * m
-    return dict(sorted(out.items()))
+            if rs.rank == 1:
+                x = a * image[0]
+                for (w0,), sign in pairs:
+                    if x >= w0:
+                        mu = (x - w0,)
+                        out[mu] = out.get(mu, 0) + sign * m
+                continue
+            x, y = a * image[0], a * image[1]
+            for (w0, w1), sign in pairs:
+                u, v = x - w0, y - w1
+                if u >= 0 and v >= 0:
+                    out[u, v] = out.get((u, v), 0) + sign * m
+    return out
 
 
 @dataclass(frozen=True)
@@ -316,7 +328,7 @@ def lattice_hull(rs: RootSystem, lam: Weight, a: int) -> LatticeHull:
 def missing_points(rs: RootSystem, lam: Weight, a: int) -> tuple[Weight, ...]:
     """R_{lambda,a} = (hull points) minus S_{lambda,a}."""
     hull = lattice_hull(rs, lam, a)
-    s = set(summation_set(rs, lam, a))
+    s = _summation_scatter(rs, lam, a)
     return tuple(mu for mu in hull.points() if mu not in s)
 
 

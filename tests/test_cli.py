@@ -69,6 +69,33 @@ def test_kostant_command(capsys):
     assert doc["closed"] == 3 == doc["dp"]
 
 
+def test_kostant_command_far_from_the_origin(capsys):
+    # the DP oracle is a filled table, not a recursion, so its depth does not
+    # grow with alpha
+    code, out, _ = run(capsys, "kostant", "--algebra", "G2",
+                       "--alpha", "300,300")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["closed"] == doc["dp"] == 20029026
+
+
+def test_kostant_command_above_the_dp_guard_exits_2(capsys):
+    code, out, err = run(capsys, "kostant", "--algebra", "G2",
+                         "--alpha", "1100,1000")
+    assert code == 2
+    assert not out
+    assert "exceeds the oracle limit" in err
+
+
+def test_a1_jones_at_a_large_color(capsys):
+    # A1's weight multiplicities read the closed partition function; a
+    # recursive partition count exceeded Python's recursion limit here
+    code, out, _ = run(capsys, "jones", "--algebra", "A1", "--knot", "2,3",
+                       "--lambda", "1", "--n", "1000")
+    assert code == 0
+    assert json.loads(out)["result"]["lambda"] == [1000]
+
+
 def test_plethysm_command(capsys):
     code, out, _ = run(capsys, "plethysm", "--algebra", "A2",
                        "--lambda", "1,1", "--a", "4", "--mu", "0,0")

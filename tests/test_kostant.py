@@ -1,11 +1,16 @@
 """Kostant partition functions: closed chamber formulas against the DP."""
 
+from itertools import product
+
 import pytest
 
-from torus_tails.kostant import (kostant, kostant_closed_A2,
+from torus_tails import kostant as kostant_module
+from torus_tails.kostant import (MAX_DP_CELLS, OracleLimitError, kostant,
+                                 kostant_closed_A1, kostant_closed_A2,
                                  kostant_closed_B2, kostant_closed_G2,
                                  kostant_dp)
 from torus_tails.lie import get_root_system
+from torus_tails.mult import weight_mult
 
 A2 = get_root_system("A2")
 B2 = get_root_system("B2")
@@ -90,8 +95,9 @@ def test_zero_outside_positive_root_span():
 
 
 def test_fast_path_matches_dp_for_a1():
-    for u in range(10):
-        assert kostant(A1, (u,)) == kostant_dp(A1, (u,))
+    for u in range(-3, 2001):
+        assert kostant(A1, (u,)) == kostant_closed_A1((u,)) == \
+            kostant_dp(A1, (u,)), u
 
 
 def test_package_attribute_is_the_submodule():
@@ -100,3 +106,83 @@ def test_package_attribute_is_the_submodule():
     import torus_tails
     assert isinstance(torus_tails.kostant, types.ModuleType)
     assert torus_tails.kostant.kostant is kostant
+
+
+def _brute_force_counts(rs, bound):
+    """p(alpha) on [0, bound]^rank by listing every nonnegative integer
+    combination of positive roots that stays in the box."""
+    roots = rs.positive_roots_rc
+    counts = {}
+
+    def walk(k, point):
+        if k == len(roots):
+            counts[point] = counts.get(point, 0) + 1
+            return
+        while max(point) <= bound:
+            walk(k + 1, point)
+            point = tuple(c + r for c, r in zip(point, roots[k]))
+
+    walk(0, (0,) * rs.rank)
+    return counts
+
+
+@pytest.mark.parametrize("rs,bound", [(A1, 30), (A2, 12), (B2, 10),
+                                      (G2, 9)],
+                         ids=["A1", "A2", "B2", "G2"])
+def test_dp_equals_brute_force_count(rs, bound, monkeypatch):
+    # a cold table, filled for the box by growth from the first query
+    monkeypatch.setattr(kostant_module, "_tables", {})
+    counts = _brute_force_counts(rs, bound)
+    for alpha in product(range(bound + 1), repeat=rs.rank):
+        assert kostant_dp(rs, alpha) == counts.get(alpha, 0), \
+            (rs.name, alpha)
+
+
+def test_dp_table_is_bounded_by_the_grid(monkeypatch):
+    # each coordinate grows to the query and at most doubles, so the three
+    # 0..40 grids leave tables within twice the grid, and asking the grid
+    # again refills nothing
+    tables = {}
+    monkeypatch.setattr(kostant_module, "_tables", tables)
+    grid = list(product(range(41), repeat=2))
+    for rs in (A2, B2, G2):
+        for alpha in grid:
+            kostant_dp(rs, alpha)
+    assert len(tables) == 3
+    filled = {name: id(rows) for name, rows in tables.items()}
+    for rows in tables.values():
+        assert 41 <= len(rows) <= 2 * 41 and 41 <= len(rows[0]) <= 2 * 41
+    for rs in (A2, B2, G2):
+        for alpha in grid:
+            kostant_dp(rs, alpha)
+    assert {name: id(rows) for name, rows in tables.items()} == filled
+
+
+def test_dp_guard_raises_before_filling(monkeypatch):
+    tables = {}
+    monkeypatch.setattr(kostant_module, "_tables", tables)
+    with pytest.raises(OracleLimitError, match="exceeds the oracle limit"):
+        kostant_dp(G2, (1100, 1000))
+    with pytest.raises(OracleLimitError):
+        kostant_dp(A1, (MAX_DP_CELLS,))
+    assert not tables
+    # a query that fits alone is answered even when the doubled box would
+    # not fit
+    assert kostant_dp(A1, (MAX_DP_CELLS - 1,)) == 1
+    assert kostant_dp(A1, (MAX_DP_CELLS - 2,)) == 1
+    assert issubclass(OracleLimitError, ValueError)
+
+
+def test_oracle_limit_error_is_shared_with_mult():
+    from torus_tails import mult
+    assert mult.OracleLimitError is OracleLimitError
+
+
+def test_production_routes_leave_the_dp_table_alone(monkeypatch):
+    tables = {}
+    monkeypatch.setattr(kostant_module, "_tables", tables)
+    for rs in (A1, A2, B2, G2):
+        kostant(rs, (5000,) * rs.rank)
+        lam = (3,) * rs.rank
+        weight_mult(rs, lam, (1,) * rs.rank)
+    assert not tables

@@ -333,6 +333,24 @@ def test_scatter_summation_set_equals_pointwise(rs):
     assert zeros or rs.rank == 1
 
 
+@pytest.mark.parametrize("rs", [A1, A2, B2, G2], ids=lambda rs: rs.name)
+def test_summation_set_is_the_sorted_scatter(rs):
+    # colored_jones and missing_points read the unsorted scatter, the CLI
+    # and the extremizers the sorted summation set: one scatter feeds both,
+    # members that cancel to 0 included
+    from torus_tails.mult import _summation_scatter
+    zeros = 0
+    for a in (2, 3, 4, 5):
+        for lam in product(range(7), repeat=rs.rank):
+            scatter = _summation_scatter(rs, lam, a)
+            s = summation_set(rs, lam, a)
+            assert s == scatter and list(s) == sorted(scatter), \
+                (rs.name, lam, a)
+            assert set(missing_points(rs, lam, a)).isdisjoint(scatter)
+            zeros += sum(1 for m in s.values() if m == 0)
+    assert zeros or rs.rank == 1
+
+
 def test_adams_oracle_cache_is_bounded_and_stable():
     from torus_tails.mult import _adams_table
     assert _adams_table.cache_info().maxsize == 64
