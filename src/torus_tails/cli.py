@@ -65,8 +65,8 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
 def _emit(doc: dict, cfg: RunConfig, denom: int = 1) -> None:
     doc = {"config": {k: v for k, v in asdict(cfg).items() if v is not None},
            "version": __version__, "denom": denom, **doc}
-    json.dump(doc, sys.stdout, sort_keys=True, default=str)
-    sys.stdout.write("\n")
+    # json.dumps runs the C encoder; json.dump to a stream never does
+    sys.stdout.write(json.dumps(doc, sort_keys=True, default=str) + "\n")
 
 
 def _emit_csv(rows, header: Sequence[str]) -> None:

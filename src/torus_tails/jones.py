@@ -5,24 +5,28 @@ m^mu * q^{f*(mu)} * prod_{alpha>0}(1 - q^{(mu+rho,alpha)}), and the sum is
 divided by prod_{alpha>0}(1 - q^{(lambda+rho,alpha)}).  Exponents are integer
 numerators over D = 2*a*gram_scale from the start: D*f*(mu) and
 D*(mu+rho, alpha) are integers computed with the scaled inner product of
-``lie``.  ``colored_jones``, ``checked_sum`` and ``jones_jet`` share one
-assembly of the numerator: D*f*(mu) and the Weyl-identity expansion of the
-root product are expanded once into integer quadratic and linear
-coefficients, so a term costs a few integer products.  ``colored_jones``
-then divides by all the denominator factors in one ``div_binomial_series``
-over a dense exponent array, checking the remainder of each, and reads the
-series off that array in order.  Its summands are the unsorted summation
-set of ``mult._summation_scatter``, scattered from the dominant weights of
+``lie``.  D*f* is one integer quadratic in mu, its six coefficients from
+``_degree_quadratic``; the numerator, the jets, the Fraction forms and the
+stable limit of ``stability`` all read it, and ``_negative_range`` is the
+one solver for where such a quadratic is below a bound.
+``colored_jones``, ``checked_sum`` and ``jones_jet`` share one assembly of
+the numerator: D*f*(mu) and the Weyl-identity expansion of the root product
+are expanded once into integer quadratic and linear coefficients, so a term
+costs a few integer products.  ``colored_jones`` then divides by all the
+denominator factors in one ``div_binomial_series`` over a dense exponent
+array, checking the remainder of each, and reads the series off that array
+in order.  Its summands are the unsorted summation set of
+``mult._summation_scatter``, scattered from the dominant weights of
 V_lambda alone, each multiplicity by one Kostant sum, so the exact path
 sorts no summation set and leaves no process-wide table behind.
 ``jones_jet`` gives the shifted J-hat only below a q-order: it assembles just
 the summands with f*(mu) below delta* plus that order and divides by
 truncated geometric series.  Its multiplicities come from a row kernel: each
-row of the dominant cone ends where its integer quadratic D*f* reaches the
-bound, and the Kostant weight multiplicities are scattered over the
-Weyl-orbit shifts to the row's root-lattice coset points, so no point gets
-its own Weyl-group sum.  Degrees are exact rationals and every coefficient
-either route returns is exact.
+row of the dominant cone ends where D*f* reaches the bound
+(``_negative_range``), and the Kostant weight multiplicities are scattered
+over the Weyl-orbit shifts to the row's root-lattice coset points, so no
+point gets its own Weyl-group sum.  Degrees are exact rationals and every
+coefficient either route returns is exact.
 """
 
 from __future__ import annotations
@@ -65,26 +69,41 @@ def _exponent_denominator(rs: RootSystem, knot: TorusKnot) -> int:
     return 2 * knot.a * rs.gram_scale
 
 
-def _degree_coeffs(rs: RootSystem, knot: TorusKnot, lam: Weight, sign: int
-                   ) -> tuple[int, int, int]:
-    """(b, lin, const) with D*f*(mu) (sign -1) or D*f(mu) (sign +1)
-    = b*|mu|^2 + lin*(mu, rho) + const, in scaled inner products."""
+def _degree_quadratic(rs: RootSystem, knot: TorusKnot, lam: Weight, sign: int
+                      ) -> tuple[int, int, int, int, int, int]:
+    """(cxx, cxy, cyy, cx, cy, c0): D*f*(mu) (sign -1) or D*f(mu) (sign +1)
+    = cxx*x^2 + cxy*x*y + cyy*y^2 + cx*x + cy*y + c0 at mu = (x, y).
+
+    That is b*|mu|^2 + 2(b + sign*a)(mu, rho) + c0 in scaled inner products.
+    A rank-1 weight (x,) is read as (x, x) against a Gram matrix padded with
+    zeros, which gives y no coefficients.
+    """
     a, b = knot.a, knot.b
-    const = -a * (a * b * rs.norm2_int(lam)
-                  + 2 * (a * b + sign) * rs.inner_int(lam, rs.rho))
-    return b, 2 * (b + sign * a), const
+    g = rs.gram_int
+    (g00, g01), (g10, g11) = g if rs.rank == 2 else ((g[0][0], 0), (0, 0))
+    lin = 2 * (b + sign * a)
+    c0 = -a * (a * b * rs.norm2_int(lam)
+               + 2 * (a * b + sign) * rs.inner_int(lam, rs.rho))
+    return (b * g00, b * (g01 + g10), b * g11,
+            lin * (g00 + g01), lin * (g10 + g11), c0)
 
 
-def _degree_form(rs: RootSystem, knot: TorusKnot, lam: Weight, sign: int
-                 ) -> Callable[[Weight], int]:
-    """mu -> D*f*(mu) (sign -1) or D*f(mu) (sign +1), an integer."""
-    b, lin, const = _degree_coeffs(rs, knot, lam, sign)
-    rho = rs.rho
+def _degree_value(quad: tuple[int, ...], mu: Weight) -> int:
+    """The quadratic (cxx, cxy, cyy, cx, cy, c0) of ``_degree_quadratic`` at
+    mu = (x, y), or at (x, x) for a rank-1 mu."""
+    cxx, cxy, cyy, cx, cy, c0 = quad
+    x, y = mu[0], mu[-1]
+    return (cxx * x + cxy * y + cx) * x + (cyy * y + cy) * y + c0
 
-    def form(mu: Weight) -> int:
-        return b * rs.norm2_int(mu) + lin * rs.inner_int(mu, rho) + const
 
-    return form
+def _negative_range(c2: int, c1: int, c0: int) -> range:
+    """The integers x with c2*x^2 + c1*x + c0 < 0, for c2 > 0: those with
+    (2*c2*x + c1)^2 < c1^2 - 4*c2*c0, read off by isqrt."""
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc <= 0:
+        return range(0)
+    r = isqrt(disc - 1)
+    return range(-((r + c1) // (2 * c2)), (r - c1) // (2 * c2) + 1)
 
 
 def quadratic_forms(rs: RootSystem, knot: TorusKnot, lam: Weight
@@ -98,14 +117,14 @@ def quadratic_forms(rs: RootSystem, knot: TorusKnot, lam: Weight
     and f(mu) the same with b/a + 1 and ab + 1 in place of b/a - 1, ab - 1.
     """
     d = _exponent_denominator(rs, knot)
-    f_star_num = _degree_form(rs, knot, lam, -1)
-    f_max_num = _degree_form(rs, knot, lam, 1)
+    q_star = _degree_quadratic(rs, knot, lam, -1)
+    q_max = _degree_quadratic(rs, knot, lam, 1)
 
     def f_star(mu: Weight) -> Fraction:
-        return Fraction(f_star_num(mu), d)
+        return Fraction(_degree_value(q_star, mu), d)
 
     def f_max(mu: Weight) -> Fraction:
-        return Fraction(f_max_num(mu), d)
+        return Fraction(_degree_value(q_max, mu), d)
 
     return f_star, f_max
 
@@ -235,23 +254,20 @@ def _numerator(rs: RootSystem, knot: TorusKnot, lam: Weight,
     The product is expanded by the Weyl denominator identity
     prod_{alpha>0}(1 - e^alpha) = sum_sigma (-1)^sigma e^{rho - sigma(rho)},
     one term per orbit pair (w, sign) of ``rs.orbit_pairs()``, with exponent
-    D*f*(mu) + 2a*(mu + rho, w) - shift.  That is expanded once into
-    integers: quad(mu) + cx*x + cy*y + k at mu = (x, y), quad the quadratic
-    part of D*f*, and (cx, cy, k, sign) per pair, so a point costs a few
-    integer products.  A rank-1 weight is read as (x, x) against a Gram
-    matrix padded with zeros, which gives y no coefficients.
+    D*f*(mu) + 2a*(mu + rho, w) - shift.  That is quad(mu) + cx*x + cy*y + k
+    at mu = (x, y): quad the quadratic part of ``_degree_quadratic``, and per
+    pair (cx, cy, k, sign), its linear part plus that of 2a*(mu, w), padded
+    for rank 1 as there.  So a point costs a few integer products.
     """
-    b, lin, const = _degree_coeffs(rs, knot, lam, -1)
+    qxx, qxy, qyy, lx, ly, c0 = _degree_quadratic(rs, knot, lam, -1)
     two_a = 2 * knot.a
     g = rs.gram_int
     (g00, g01), (g10, g11) = g if rs.rank == 2 else ((g[0][0], 0), (0, 0))
-    qxx, qxy, qyy = b * g00, b * (g01 + g10), b * g11
-    rho = rs.rho
     forms = []
     for w, sign in rs.orbit_pairs():
-        v = tuple(lin * r + two_a * c for r, c in zip(rho, w))
-        forms.append((g00 * v[0] + g01 * v[-1], g10 * v[0] + g11 * v[-1],
-                      const - shift + two_a * rs.inner_int(rho, w), sign))
+        wx, wy = two_a * w[0], two_a * w[-1]
+        forms.append((lx + g00 * wx + g01 * wy, ly + g10 * wx + g11 * wy,
+                      c0 - shift + two_a * rs.inner_int(rs.rho, w), sign))
     acc: dict[int, int] = {}
     for mu, m in summands:
         if not m:
@@ -291,18 +307,18 @@ def colored_jones(rs: RootSystem, knot: TorusKnot, lam: Weight
 
 
 def _jet_multiplicities(rs: RootSystem, lam: Weight, a: int,
-                        form: Callable[[Weight], int], top: int
+                        quad: tuple[int, ...], top: int
                         ) -> dict[Weight, int]:
-    """mu -> m^mu_{lambda,a} over the dominant mu with form(mu) < top, by
+    """mu -> m^mu_{lambda,a} over the dominant mu with D*f*(mu) < top, by
     rows; mu with multiplicity 0 are left out.
 
-    form is an integer quadratic (D*f*) that strictly increases along both
-    fundamental weights on the dominant cone.  Row i therefore ends at the
-    first j with form(i, j) >= top, read off the row's quadratic by isqrt,
-    and the rows end at the first empty one.  S_{lambda,a} lies in the coset
-    a*lambda + (root lattice), so j steps over the coset's residues mod
-    root_det.  The multiplicities are scattered as in ``summation_set``:
-    each orbit pair (w, sign) with a | i + w_0 adds
+    quad is D*f* from ``_degree_quadratic``, which strictly increases along
+    both fundamental weights on the dominant cone.  Row i therefore ends at
+    the first j with D*f*(i, j) >= top, the end of ``_negative_range`` of the
+    row's quadratic in j, and the rows end at the first empty one.
+    S_{lambda,a} lies in the coset a*lambda + (root lattice), so j steps over
+    the coset's residues mod root_det.  The multiplicities are scattered as
+    in ``summation_set``: each orbit pair (w, sign) with a | i + w_0 adds
     sign * m_lambda^((mu+w)/a) at the j = -w_1 (mod a) of the coset (one
     step of lcm(root_det, a)), which sums to the ``plethysm_mult`` identity
     at every mu of the rows.  m_lambda^nu is ``mult._kostant_sum``, Kostant's
@@ -329,19 +345,15 @@ def _jet_multiplicities(rs: RootSystem, lam: Weight, a: int,
             total = seen[nu] = _kostant_sum(rs, tops, rs.root_coords_int(nu))
         return total
 
-    # form(i, j) - top = quad*j^2 + lin_i*j + const_i
-    quad = (form((0, 2)) - 2 * form((0, 1)) + form((0, 0))) // 2
+    # D*f*(i, j) - top = cyy*j^2 + (cxy*i + cy)*j + const
+    cxx, cxy, cyy, cx, cy, c0 = quad
     out: dict[Weight, int] = {}
     i = 0
     while True:
-        const = form((i, 0)) - top
+        const = (cxx * i + cx) * i + c0 - top
         if const >= 0:   # row i starts past the bound, and so do later rows
             return out
-        lin = form((i, 1)) - form((i, 0)) - quad
-        end = max(0, (isqrt(lin * lin - 4 * quad * const) - lin)
-                  // (2 * quad))
-        while quad * end * end + lin * end + const < 0:
-            end += 1
+        end = _negative_range(cyy, cxy * i + cy, const).stop
         row: dict[int, int] = {}
         for (w0, w1), sign in pairs:
             if (i + w0) % a:
@@ -386,11 +398,11 @@ def jones_jet(rs: RootSystem, knot: TorusKnot, lam: Weight, order: int
         raise LieError("color must be dominant")
     a = knot.a
     mu_min = minimizer_closed_form(rs, lam, a)
-    f_star = _degree_form(rs, knot, lam, -1)
-    shift = f_star(mu_min)
+    quad = _degree_quadratic(rs, knot, lam, -1)
+    shift = _degree_value(quad, mu_min)
     d = _exponent_denominator(rs, knot)
     bound = order * d
-    mults = _jet_multiplicities(rs, lam, a, f_star, shift + bound)
+    mults = _jet_multiplicities(rs, lam, a, quad, shift + bound)
     acc = _numerator(rs, knot, lam, mults.items(), shift, bound)
     jet = div_binomial_series(acc, _denominator_shifts(rs, knot, lam), d,
                               bound)
@@ -412,7 +424,7 @@ def checked_sum(rs: RootSystem, knot: TorusKnot, lam: Weight) -> TruncatedSeries
     if rs.rank != 2:
         raise LieError("checked sum is for the rank-2 algebras")
     mu_min = minimizer_closed_form(rs, lam, knot.a)
-    shift = _degree_form(rs, knot, lam, -1)(mu_min)
+    shift = _degree_value(_degree_quadratic(rs, knot, lam, -1), mu_min)
     acc = _numerator(rs, knot, lam, summation_set(rs, lam, knot.a).items(),
                      shift)
     out = TruncatedSeries.make(acc, _exponent_denominator(rs, knot), None)

@@ -50,14 +50,15 @@ class RootSystem:
     rank: int
     simple_roots: tuple[Weight, ...]          # alpha_i in weight coordinates
     positive_roots: tuple[Weight, ...]        # in weight coordinates
-    positive_roots_rc: tuple[Weight, ...]     # same roots in root coordinates
     gram: tuple[tuple[Fraction, ...], ...]    # Gram matrix of fundamental wts
-    fundamental_group_order: int
-    # derived from gram and simple_roots in __post_init__, so that
+    # derived from the fields above in __post_init__, so that
     # dataclasses.replace derives them again from the replaced fields
     gram_scale: int = field(init=False, repr=False, compare=False)
     gram_int: Matrix = field(init=False, repr=False, compare=False)
+    # the Cartan determinant, |weight lattice / root lattice|
     root_det: int = field(init=False, repr=False, compare=False)
+    positive_roots_rc: tuple[Weight, ...] = field(   # in root coordinates
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scale = lcm(*(Fraction(g).denominator for row in self.gram
@@ -69,6 +70,9 @@ class RootSystem:
         object.__setattr__(self, "gram_int", tuple(
             tuple(int(g * scale) for g in row) for row in self.gram))
         object.__setattr__(self, "root_det", det)
+        object.__setattr__(self, "positive_roots_rc", tuple(
+            tuple(c // det for c in self.root_coords_int(al))
+            for al in self.positive_roots))
 
     def __hash__(self) -> int:
         # the lru_cache tables key on the root system; hashing every field
@@ -291,36 +295,28 @@ _SYSTEMS = {
         name="A1", rank=1,
         simple_roots=((2,),),
         positive_roots=((2,),),
-        positive_roots_rc=((1,),),
         gram=((_fr(1, 2),),),
-        fundamental_group_order=2,
     ),
     # A2: all roots length^2 = 2.
     "A2": RootSystem(
         name="A2", rank=2,
         simple_roots=((2, -1), (-1, 2)),
         positive_roots=((2, -1), (-1, 2), (1, 1)),
-        positive_roots_rc=((1, 0), (0, 1), (1, 1)),
         gram=((_fr(2, 3), _fr(1, 3)), (_fr(1, 3), _fr(2, 3))),
-        fundamental_group_order=3,
     ),
     # B2: alpha1 long (length^2 = 2), alpha2 short (length^2 = 1).
     "B2": RootSystem(
         name="B2", rank=2,
         simple_roots=((2, -2), (-1, 2)),
         positive_roots=((2, -2), (-1, 2), (1, 0), (0, 2)),
-        positive_roots_rc=((1, 0), (0, 1), (1, 1), (1, 2)),
         gram=((_fr(1), _fr(1, 2)), (_fr(1, 2), _fr(1, 2))),
-        fundamental_group_order=2,
     ),
     # G2: alpha1 short (length^2 = 2), alpha2 long (length^2 = 6).
     "G2": RootSystem(
         name="G2", rank=2,
         simple_roots=((2, -1), (-3, 2)),
         positive_roots=((2, -1), (-3, 2), (-1, 1), (1, 0), (3, -1), (0, 1)),
-        positive_roots_rc=((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)),
         gram=((_fr(2), _fr(3)), (_fr(3), _fr(6))),
-        fundamental_group_order=1,
     ),
 }
 

@@ -38,6 +38,9 @@ from .kostant import OracleLimitError, kostant
 from .lie import LieError, RootSystem, Weight, _mat_apply
 from .quasipoly import QuasiPolynomial, fit_quasi_polynomial
 
+# the Adams oracle's guard: the largest |Pi_lambda| it peels
+MAX_ORACLE_WEIGHTS = 60000
+
 
 # -- weight multiplicities ---------------------------------------------------
 
@@ -181,18 +184,18 @@ def plethysm_mult(rs: RootSystem, lam: Weight, a: int, mu: Weight) -> int:
     return total
 
 
-def plethysm_adams_oracle(rs: RootSystem, lam: Weight, a: int, mu: Weight,
-                          max_weights: int = 60000) -> int:
+def plethysm_adams_oracle(rs: RootSystem, lam: Weight, a: int, mu: Weight
+                          ) -> int:
     """Decompose psi_a(ch_lambda) by greedy highest-weight peeling.
 
     Uses only Freudenthal multiplicities, staying independent of the
     Weyl-alternating production path.  The size guard, |Pi_lambda| counted
-    over the dominant weights, runs on every call; the peel runs once per
-    (lambda, a).
+    over the dominant weights against ``MAX_ORACLE_WEIGHTS``, runs on every
+    call; the peel runs once per (lambda, a).
     """
     if a < 2:
         raise ValueError("Adams parameter a must be >= 2")
-    if rs.weight_count(lam) > max_weights:
+    if rs.weight_count(lam) > MAX_ORACLE_WEIGHTS:
         raise OracleLimitError("oracle size limit")
     return _adams_table(rs, lam, a).get(mu, 0)
 
@@ -431,12 +434,11 @@ def plethysm_sequence(rs: RootSystem, lam: Weight, a: int, mu_hat: Weight,
 
 def plethysm_quasipoly_fit(rs: RootSystem, lam: Weight, a: int,
                            mu_hat: Weight, nu: Weight, n_max: int,
-                           n_min: int = 1, modulus: int = 1, n0: int = 0,
-                           max_period: int = 24) -> QuasiPolynomial:
+                           n_min: int = 1, modulus: int = 1, n0: int = 0
+                           ) -> QuasiPolynomial:
     """Fit n -> m^{mu_hat+n*nu}_{n*lambda,a} on a residue class of n."""
     if rs.rank != 2:
         raise LieError("plethysm fitting is for the rank-2 algebras")
     ns = [n for n in range(n_min, n_max + 1) if (n - n0) % modulus == 0]
     samples = plethysm_sequence(rs, lam, a, mu_hat, nu, ns)
-    return fit_quasi_polynomial(samples, max_period=max_period,
-                                require_integer_values=True)
+    return fit_quasi_polynomial(samples, require_integer_values=True)

@@ -281,67 +281,34 @@ def geometric_inverse(e: Exponent, order: Exponent) -> TruncatedSeries:
     return exact_div(TruncatedSeries.one(), e, order)
 
 
-def div_binomial(poly: Mapping[int, Coeff], shifts: Sequence[int],
-                 cutoff: Optional[int] = None) -> dict[int, Coeff]:
-    """poly / prod_{m in shifts}(1 - q^m) on exponent-numerator dicts, m > 0.
+def div_binomial_series(poly: Mapping[int, Coeff], shifts: Sequence[int],
+                        denom: int = 1, cutoff: Optional[int] = None
+                        ) -> TruncatedSeries:
+    """poly / prod_{m in shifts}(1 - q^m) over q^(1/denom), m > 0, with poly
+    mapping exponent numerators to coefficients (ints or quasi-polynomials).
 
     Without a cutoff poly is a polynomial and the division must be exact: a
     remainder in any factor raises SeriesDivisionError.  With one, the
     quotient is the power series poly * prod_m sum_j q^(jm) below q^cutoff,
-    exact there if poly is.  The coefficients may be ints or
-    quasi-polynomials.
-    """
-    lo, g, dense = _div_dense(poly, shifts, cutoff)
-    return {e: c for e, c in zip(range(lo, lo + g * len(dense), g), dense)
-            if c}
-
-
-def div_binomial_series(poly: Mapping[int, Coeff], shifts: Sequence[int],
-                        denom: int = 1, cutoff: Optional[int] = None
-                        ) -> TruncatedSeries:
-    """``div_binomial`` as a series over q^(1/denom), exact below q^cutoff.
-
-    Equals ``TruncatedSeries.make(div_binomial(poly, shifts, cutoff), denom,
-    cutoff)`` without a dict or a sort: the nonzero slots of the dense
-    quotient are read off in increasing exponent.  Every exponent lies on
-    the lattice lo + gZ, so the denominator is first reduced by
-    gcd(denom, lo, g, cutoff) on the lattice itself, then by whatever common
-    factor the nonzero exponents still share with it.
-    """
-    if denom <= 0:
-        raise SeriesError("denominator must be positive")
-    lo, g, dense = _div_dense(poly, shifts, cutoff)
-    order = 0 if cutoff is None else cutoff
-    h = gcd(denom, lo, g, order)
-    exps = list(compress(range(lo // h, (lo + g * len(dense)) // h, g // h),
-                         dense))
-    denom //= h
-    order //= h
-    rest = gcd(denom, order, *exps)
-    if rest > 1:
-        exps = [e // rest for e in exps]
-        denom //= rest
-        order //= rest
-    return TruncatedSeries(denom, tuple(zip(exps, filter(None, dense))),
-                           None if cutoff is None else order)
-
-
-def _div_dense(poly: Mapping[int, Coeff], shifts: Sequence[int],
-               cutoff: Optional[int]) -> tuple[int, int, list[Coeff]]:
-    """The quotient of ``div_binomial`` as (lo, g, dense): dense[i] is the
-    coefficient at q^(lo + g*i).
+    exact there if poly is.
 
     The work is done on a dense list over the lattice lo + gZ, lo the lowest
     exponent and g the gcd of the exponent differences and the shifts, which
     holds every exponent of the quotient.  Dividing by 1 - q^m is
     quot[i] = poly[i] + quot[i - m/g]: one running sum per residue class mod
     m/g.  An exact quotient ends m/g slots before its dividend, so those top
-    slots must be zero and are cut before the next factor.
+    slots must be zero and are cut before the next factor.  The nonzero
+    slots are then read off in increasing exponent, with no dict or sort.
+    The denominator is first reduced by gcd(denom, lo, g, cutoff) on the
+    lattice itself, then by whatever common factor the nonzero exponents
+    still share with it.
     """
+    if denom <= 0:
+        raise SeriesError("denominator must be positive")
     if any(m <= 0 for m in shifts):
         raise SeriesError("non-expandable denominator")
     if not poly:
-        return 0, 1, []
+        return TruncatedSeries.make({}, denom, cutoff)
     lo = min(poly)
     top = max(poly) if cutoff is None else cutoff - 1
     g = gcd(*shifts, *(e - lo for e in poly)) or 1
@@ -358,7 +325,19 @@ def _div_dense(poly: Mapping[int, Coeff], shifts: Sequence[int],
             if any(dense[keep:]):
                 raise SeriesDivisionError("division remainder nonzero")
             del dense[keep:]
-    return lo, g, dense
+    order = 0 if cutoff is None else cutoff
+    h = gcd(denom, lo, g, order)
+    exps = list(compress(range(lo // h, (lo + g * len(dense)) // h, g // h),
+                         dense))
+    denom //= h
+    order //= h
+    rest = gcd(denom, order, *exps)
+    if rest > 1:
+        exps = [e // rest for e in exps]
+        denom //= rest
+        order //= rest
+    return TruncatedSeries(denom, tuple(zip(exps, filter(None, dense))),
+                           None if cutoff is None else order)
 
 
 def exact_div(f: TruncatedSeries, e: Exponent,

@@ -8,7 +8,10 @@ phi_j -> phi_j q^(-j); the defect inequality is checked in that form.
 
 Three independent routes produce tails for the supported families: empirical
 detection from the computed polynomials, evaluation of the structural
-lattice-sum limit, and the closed theta-quotient forms.
+lattice-sum limit, and the closed theta-quotient forms.  The lattice-sum
+limit takes its q-exponents from the one degree quadratic of ``jones``
+(``_degree_quadratic``, re-centred at the minimizer) and its row bounds from
+the one row solver there (``_negative_range``).
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from fractions import Fraction
 from math import inf, isqrt
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .jones import (TorusKnot, _degree_form, _exponent_denominator,
-                    colored_jones, jones_jet, minimizer_closed_form)
+from .jones import (TorusKnot, _degree_quadratic, _degree_value,
+                    _exponent_denominator, _negative_range, colored_jones,
+                    jones_jet, minimizer_closed_form)
 from .lie import LieError, RootSystem, Weight
 from .mult import lattice_hull, plethysm_sequence
 from .quasipoly import FitError, QuasiPolynomial, fit_quasi_polynomial
@@ -47,16 +51,15 @@ def stable_coefficients(family: Mapping[int, TruncatedSeries], k_max: int
     return table
 
 
-def degree_quasipoly_fit(samples: Sequence[tuple[int, Fraction]],
-                         max_period: int = 24) -> QuasiPolynomial:
-    """Fit delta*(n) by a quasi-polynomial of degree <= 2 with holdout."""
-    usable = []
-    for p in range(1, max_period + 1):
-        if len(samples) >= (2 + 1) * p * 2:
-            usable.append(p)
-    if not usable:
+def degree_quasipoly_fit(samples: Sequence[tuple[int, Fraction]]
+                         ) -> QuasiPolynomial:
+    """Fit delta*(n) by a quasi-polynomial of degree <= 2 with holdout, on
+    the periods p <= 24 with at least 6p samples: twice the 3p coefficients
+    of a degree-2 fit."""
+    max_period = min(24, len(samples) // 6)
+    if not max_period:
         raise FitError("too few points for any candidate period")
-    return fit_quasi_polynomial(sorted(samples), max_period=usable[-1])
+    return fit_quasi_polynomial(sorted(samples), max_period=max_period)
 
 
 # -- tails: x-graded q-series with quasi-polynomial coefficients --------------
@@ -245,7 +248,7 @@ def minimal_class_modulus(rs: RootSystem, ray: Weight, a: int, n0: int
     whenever the minimizer table is residue-free and M*(ray - nu1) lands in
     a*Lambda_r.
     """
-    ad = a * rs.fundamental_group_order
+    ad = a * rs.root_det
     for m in sorted(d for d in range(1, ad + 1) if ad % d == 0):
         base = n0 if n0 > 0 else n0 + m
         ns = [base + i * m for i in range(4)]
@@ -268,8 +271,7 @@ def minimal_class_modulus(rs: RootSystem, ray: Weight, a: int, n0: int
 
 
 def detect_cstability(family: Mapping[int, TruncatedSeries], n0: int,
-                      modulus: int, k_max: int, q_order: int,
-                      max_period: int = 24) -> TailSeries:
+                      modulus: int, k_max: int, q_order: int) -> TailSeries:
     """Extract phi_0..phi_{k_max} by iterated fit-subtract-shift.
 
     The q^m coefficient of the stage-k residual equals phi_k's only once
@@ -309,8 +311,7 @@ def detect_cstability(family: Mapping[int, TruncatedSeries], n0: int,
             if not clean:
                 break
             try:
-                qp = fit_quasi_polynomial(clean, max_period=max_period,
-                                          require_integer_values=True,
+                qp = fit_quasi_polynomial(clean, require_integer_values=True,
                                           validate_all=True)
             except FitError as exc:
                 raise StabilityError(
@@ -397,16 +398,6 @@ def detect_jones_tail(rs: RootSystem, knot: TorusKnot, ray: Weight, n0: int,
 # -- structural tail: the stable-limit lattice sum ----------------------------
 
 
-def _negative_range(c2: int, c1: int, c0: int) -> range:
-    """The integers x with c2*x^2 + c1*x + c0 < 0, for c2 > 0: those with
-    (2*c2*x + c1)^2 < c1^2 - 4*c2*c0, read off by isqrt."""
-    disc = c1 * c1 - 4 * c2 * c0
-    if disc <= 0:
-        return range(0)
-    r = isqrt(disc - 1)
-    return range(-((r + c1) // (2 * c2)), (r - c1) // (2 * c2) + 1)
-
-
 def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
                            n0: int, x_order: int, q_order: int, n_max: int
                            ) -> TailSeries:
@@ -418,10 +409,11 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
     by prod_alpha (1 - x^{(ray,alpha)} q^{(rho,alpha)}).
 
     Exponents are integer numerators over D = 2*a*gram_scale, as in
-    ``jones``: D*Q(h) is the degree form of f* at nu0+h minus its value at
-    nu0, and D*L(h) = 2b (h, nu1) in the scaled inner product.  The root
-    product is the Weyl denominator identity ``jones._numerator`` uses,
-    applied to alpha -> q^{(v,alpha)} x^{(nu1,alpha)} with v = h+nu0+rho:
+    ``jones``: D*Q(h) is D*f*(nu0+h) - D*f*(nu0), the quadratic of
+    ``jones._degree_quadratic`` re-centred at nu0, and D*L(h) = 2b (h, nu1)
+    in the scaled inner product.  The root product is the Weyl denominator
+    identity ``jones._numerator`` uses, applied to
+    alpha -> q^{(v,alpha)} x^{(nu1,alpha)} with v = h+nu0+rho:
     the sum over sigma of (-1)^sigma q^{(v,w)} x^{(nu1,w)} with
     w = rho - sigma(rho).
 
@@ -430,7 +422,7 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
     D*Q(h) + low(v) < D*q_order, low(v) the sum of min(0, 2a (v, alpha)).
     With low bounded by its row value plus a linear term on each side of
     u2 = 0, a row is where one of two convex quadratics in u2 is below
-    D*q_order (``_negative_range``); their minima over u2 bound u1.
+    D*q_order (``jones._negative_range``); their minima over u2 bound u1.
     """
     if rs.rank != 2:
         raise LieError("stable-limit tails are for the rank-2 algebras")
@@ -442,8 +434,13 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
     if len(ns) < 4:
         raise StabilityError("need at least 4 class members below n_max")
     d = _exponent_denominator(rs, knot)
-    form = _degree_form(rs, knot, ray, -1)
-    base = form(nu0)
+    # D*Q(h) = D*f*(nu0 + h) - D*f*(nu0)
+    #        = c11 u1^2 + c12 u1 u2 + c22 u2^2 + l1 u1 + l2 u2,
+    # (l1, l2) the gradient of D*f* at nu0
+    c11, c12, c22, cx, cy, _ = _degree_quadratic(rs, knot, ray, -1)
+    l1 = 2 * c11 * nu0[0] + c12 * nu0[1] + cx
+    l2 = c12 * nu0[0] + 2 * c22 * nu0[1] + cy
+    q_hat = (c11, c12, c22, l1, l2, 0)
 
     # tangent-cone constraints (the n-independent inequalities)
     floor = [-nu0[i] if nu1[i] == 0 else -inf for i in range(2)]  # mu_i >= 0
@@ -470,17 +467,11 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
             raise StabilityError("lattice membership not stable on the class")
         return votes[0]
 
-    # the rows, with D*Q(h) = b |h|^2 + l1 u1 + l2 u2
-    # = c11 u1^2 + c12 u1 u2 + c22 u2^2 + l1 u1 + l2 u2
     top = d * q_order
 
     def low(v: Weight) -> int:
         return sum(min(0, 2 * a * rs.inner_int(v, al)) for al in roots)
 
-    g = rs.gram_int
-    c11, c12, c22 = b * g[0][0], 2 * b * g[0][1], b * g[1][1]
-    l1 = form((nu0[0] + 1, nu0[1])) - base - c11
-    l2 = form((nu0[0], nu0[1] + 1)) - base - c22
     v0 = (nu0[0] + rho[0], nu0[1] + rho[1])
     # low(u e) is u*low(e) for u >= 0 and -u*low(-e) for u <= 0
     sides = (low((0, 1)), -low((0, -1)))
@@ -491,13 +482,13 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
 
     summands = []
     for u1 in sorted(u for u in set().union(*u1_runs) if u >= floor[0]):
-        const = c11 * u1 * u1 + l1 * u1 + low((v0[0] + u1, v0[1])) - top
+        const = _degree_value(q_hat, (u1, 0)) + low((v0[0] + u1, v0[1])) - top
         runs = [_negative_range(c22, c12 * u1 + l2 + s, const) for s in sides]
         for u2 in sorted(u for u in set().union(*runs) if u >= floor[1]):
             hat = (u1, u2)
             mu = (nu0[0] + u1, nu0[1] + u2)
             rc = rs.root_coords_int(mu)
-            qn = form(mu) - base
+            qn = _degree_value(q_hat, hat)
             v = (mu[0] + rho[0], mu[1] + rho[1])
             if any(rc[i] > 0 for i in poly_req) or qn + low(v) >= top \
                     or not in_lattice(hat):

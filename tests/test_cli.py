@@ -54,12 +54,19 @@ def test_csv_coefficient_dump(capsys):
     assert all(len(line.split(",")) == 3 for line in lines[1:])
 
 
+# sha256 of the whole stdout below, recorded when the document was written
+# by json.dump to the stream
+JONES_STDOUT_SHA256 = \
+    "261fa3c968529933ca29cdb85289d549cbcc007495979cde2da8dc8f5fd66c1c"
+
+
 def test_output_byte_stable(capsys):
     args = ("jones", "--algebra", "A2", "--knot", "3,4",
             "--lambda", "1,1", "--n", "2")
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+    assert hashlib.sha256(out1.encode()).hexdigest() == JONES_STDOUT_SHA256
 
 
 def test_kostant_command(capsys):

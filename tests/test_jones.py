@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -162,6 +163,38 @@ def test_jet_equals_truncated_polynomial(rs):
                         full.truncated(order), (knot, lam, order)
 
 
+def _degree_formula(rs, knot, lam, sign, mu):
+    """f* (sign -1) or f (sign +1) at mu by the formula in the
+    ``quadratic_forms`` docstring, in Fractions."""
+    a, b = knot.a, knot.b
+    rho = rs.rho
+    return Fraction(b, 2 * a) * rs.norm2(mu) \
+        + (Fraction(b, a) + sign) * rs.inner(mu, rho) \
+        - Fraction(a * b, 2) * rs.norm2(lam) \
+        - (a * b + sign) * rs.inner(lam, rho)
+
+
+@pytest.mark.parametrize("rs", [A1, A2, B2, G2], ids=lambda rs: rs.name)
+def test_degree_quadratic_is_D_times_the_formula(rs):
+    # mu with negative coordinates too; a rank-1 (x,) is read as (x, x)
+    # against a zero-padded Gram, so y must get no coefficients
+    pts = list(product(range(-5, 6), repeat=rs.rank))
+    for knot in (TorusKnot(2, 3), TorusKnot(3, 5), TorusKnot(4, 7)):
+        d = jones._exponent_denominator(rs, knot)
+        for lam in ((0, 0), (1, 0), (0, 1), (2, 3), (5, 1)):
+            lam = lam[:rs.rank]
+            f_star, f_max = quadratic_forms(rs, knot, lam)
+            for sign, frac in ((-1, f_star), (1, f_max)):
+                quad = jones._degree_quadratic(rs, knot, lam, sign)
+                if rs.rank == 1:
+                    assert quad[1] == quad[2] == quad[4] == 0
+                for mu in pts:
+                    want = _degree_formula(rs, knot, lam, sign, mu)
+                    assert jones._degree_value(quad, mu) == d * want, \
+                        (knot, lam, sign, mu)
+                    assert frac(mu) == want
+
+
 def _ball(form, top):
     """Every dominant mu with form(mu) < top, by brute force."""
     i = 0
@@ -183,12 +216,15 @@ def test_jet_kernel_matches_plethysm_mult(rs):
         for ray in ((1, 0), (0, 1), (1, 1), (2, 1)):
             for n in (1, 4, 7):
                 lam = (n * ray[0], n * ray[1])
-                form = jones._degree_form(rs, knot, lam, -1)
-                shift = form(minimizer_closed_form(rs, lam, a))
+                quad = jones._degree_quadratic(rs, knot, lam, -1)
+                shift = jones._degree_value(
+                    quad, minimizer_closed_form(rs, lam, a))
                 for order in (7, 20):
                     top = shift + order * d
-                    got = jones._jet_multiplicities(rs, lam, a, form, top)
-                    ball = list(_ball(form, top))
+                    got = jones._jet_multiplicities(rs, lam, a, quad, top)
+                    ball = list(_ball(
+                        lambda mu: d * _degree_formula(rs, knot, lam, -1, mu),
+                        top))
                     assert got and set(got) <= set(ball), (a, lam, order)
                     for mu in ball:
                         assert got.get(mu, 0) == \

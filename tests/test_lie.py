@@ -109,9 +109,18 @@ def test_root_lattice_membership():
 
 
 def test_fundamental_group_orders():
-    assert (A2.fundamental_group_order, B2.fundamental_group_order,
-            G2.fundamental_group_order, A1.fundamental_group_order) \
+    # the fundamental group order is the Cartan determinant root_det
+    assert (A2.root_det, B2.root_det, G2.root_det, A1.root_det) \
         == (3, 2, 1, 2)
+
+
+def test_positive_roots_in_root_coordinates():
+    # derived from the weight coordinates; pinned to the tables once typed in
+    assert A1.positive_roots_rc == ((1,),)
+    assert A2.positive_roots_rc == ((1, 0), (0, 1), (1, 1))
+    assert B2.positive_roots_rc == ((1, 0), (0, 1), (1, 1), (1, 2))
+    assert G2.positive_roots_rc == ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1),
+                                    (3, 2))
 
 
 def test_weight_system_trivial_and_fundamental():

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from torus_tails import mult
 from torus_tails.lie import LieError, get_root_system
 from torus_tails.mult import (OracleLimitError, g2_plethysm_zero_a3,
                               g2_zero_weight_mult, lattice_hull,
@@ -194,9 +195,10 @@ def test_adams_oracle_agrees_small_grid():
                             (rs.name, a, lam, mu)
 
 
-def test_adams_oracle_guard():
+def test_adams_oracle_guard(monkeypatch):
+    monkeypatch.setattr(mult, "MAX_ORACLE_WEIGHTS", 10)
     with pytest.raises(OracleLimitError):
-        plethysm_adams_oracle(A2, (40, 40), 2, (0, 0), max_weights=10)
+        plethysm_adams_oracle(A2, (40, 40), 2, (0, 0))
 
 
 def test_adams_preserves_dimension():
@@ -351,7 +353,7 @@ def test_summation_set_is_the_sorted_scatter(rs):
     assert zeros or rs.rank == 1
 
 
-def test_adams_oracle_cache_is_bounded_and_stable():
+def test_adams_oracle_cache_is_bounded_and_stable(monkeypatch):
     from torus_tails.mult import _adams_table
     assert _adams_table.cache_info().maxsize == 64
     lam, a = (2, 1), 3
@@ -362,5 +364,6 @@ def test_adams_oracle_cache_is_bounded_and_stable():
     assert _adams_table.cache_info().hits == hits + len(pts)
     assert first == [plethysm_mult(A2, lam, a, mu) for mu in pts]
     # the size guard runs on every call, cached table or not
+    monkeypatch.setattr(mult, "MAX_ORACLE_WEIGHTS", 10)
     with pytest.raises(OracleLimitError):
-        plethysm_adams_oracle(A2, lam, a, pts[0], max_weights=10)
+        plethysm_adams_oracle(A2, lam, a, pts[0])

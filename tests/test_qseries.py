@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_tails.qseries import (SeriesDivisionError, SeriesError,
-                                 ThetaParams, TruncatedSeries, div_binomial,
+                                 ThetaParams, TruncatedSeries,
                                  div_binomial_series, euler_phi, exact_div,
                                  geometric_inverse, pochhammer, theta)
 from torus_tails.quasipoly import QuasiPolynomial
@@ -266,8 +266,7 @@ def test_evaluate_rejects_non_integer_values():
 def test_div_binomial_cutoff_is_geometric_product_int(poly, m, cutoff):
     want = (TruncatedSeries.make(poly) * geometric_inverse(m, cutoff)
             ).truncated(cutoff)
-    assert TruncatedSeries.make(div_binomial(poly, (m,), cutoff), 1,
-                                cutoff) == want
+    assert div_binomial_series(poly, (m,), 1, cutoff) == want
     assert exact_div(TruncatedSeries.make(poly), m, cutoff) == want
 
 
@@ -276,8 +275,7 @@ def test_div_binomial_cutoff_is_geometric_product_int(poly, m, cutoff):
 def test_div_binomial_cutoff_is_geometric_product_qp(f, m, cutoff):
     cut = cutoff if f.order is None else min(f.order, cutoff)
     want = (f * geometric_inverse(m, cutoff)).truncated(cut)
-    assert TruncatedSeries.make(div_binomial(dict(f.terms), (m,), cut), 1,
-                                cut) == want
+    assert div_binomial_series(dict(f.terms), (m,), 1, cut) == want
     assert exact_div(f, m, cutoff) == want
 
 
@@ -294,7 +292,7 @@ def binomials(shifts):
 
 def divide_one_at_a_time(poly, shifts, cutoff):
     for m in shifts:
-        poly = div_binomial(poly, (m,), cutoff)
+        poly = div_binomial_series(poly, (m,), 1, cutoff).as_dict()
     return poly
 
 
@@ -307,20 +305,18 @@ def test_div_binomial_several_shifts_int(d, shifts, cutoff):
     f = S(d)
     prod = f * binomials(shifts)
     poly = prod.as_dict()
-    got = div_binomial(poly, shifts, cutoff)
-    assert got == divide_one_at_a_time(poly, shifts, cutoff)
+    got = div_binomial_series(poly, shifts, 1, cutoff)
+    assert got.as_dict() == divide_one_at_a_time(poly, shifts, cutoff)
     if cutoff is None:
-        assert got == f.as_dict()
+        assert got.as_dict() == f.as_dict()
     else:
-        want = f.truncated(cutoff)
-        assert TruncatedSeries.make(got, 1, cutoff) == want
+        assert got == f.truncated(cutoff)
         # a power series for any poly, exact or not
         other = {e: c + 1 for e, c in poly.items()}
         inverse = TruncatedSeries.one()
         for m in shifts:
             inverse = inverse * geometric_inverse(m, max(cutoff, 1) + 8)
-        assert TruncatedSeries.make(div_binomial(other, shifts, cutoff), 1,
-                                    cutoff) == \
+        assert div_binomial_series(other, shifts, 1, cutoff) == \
             (TruncatedSeries.make(other) * inverse).truncated(cutoff)
 
 
@@ -329,10 +325,9 @@ def test_div_binomial_several_shifts_int(d, shifts, cutoff):
 def test_div_binomial_several_shifts_qp(f, shifts, cutoff):
     f = TruncatedSeries.make(dict(f.terms))     # a polynomial
     poly = dict((f * binomials(shifts)).terms)
-    got = div_binomial(poly, shifts, cutoff)
-    assert got == divide_one_at_a_time(poly, shifts, cutoff)
-    want = f if cutoff is None else f.truncated(cutoff)
-    assert TruncatedSeries.make(got, 1, cutoff) == want
+    got = div_binomial_series(poly, shifts, 1, cutoff)
+    assert got.as_dict() == divide_one_at_a_time(poly, shifts, cutoff)
+    assert got == (f if cutoff is None else f.truncated(cutoff))
 
 
 @settings(max_examples=150, deadline=None)
@@ -344,8 +339,8 @@ def test_div_binomial_series_is_the_normalized_quotient(d, shifts, k, denom,
     shifts = [k * m for m in shifts]
     f = TruncatedSeries.make({k * e: c for e, c in d.items()})
     poly = (f * binomials(shifts)).as_dict()
-    want = TruncatedSeries.make(div_binomial(poly, shifts, cutoff), denom,
-                                cutoff)
+    want = TruncatedSeries.make(
+        div_binomial_series(poly, shifts, 1, cutoff).as_dict(), denom, cutoff)
     assert div_binomial_series(poly, shifts, denom, cutoff) == want
 
 
@@ -358,7 +353,8 @@ def test_div_binomial_series_reduces_past_the_lattice():
         poly = {e: c * coeff for e, c in {0: 1, 1: -1, 2: 1, 3: -1}.items()}
         got = div_binomial_series(poly, (1,), 2)
         assert got == TruncatedSeries(1, ((0, coeff), (1, coeff)))
-        assert got == TruncatedSeries.make(div_binomial(poly, (1,)), 2)
+        assert got == TruncatedSeries.make(
+            div_binomial_series(poly, (1,)).as_dict(), 2)
     # cancelling coefficients at the bottom of the dividend, and no terms
     assert div_binomial_series({0: 0, 4: 1, 8: -1}, (4,), 8, 12) == \
         TruncatedSeries(2, ((1, 1),), 3)
@@ -370,14 +366,15 @@ def test_div_binomial_remainder_in_any_factor_raises():
     qp = QuasiPolynomial.linear(1, 2)
     for coeff in (1, qp):
         poly = {e: c * coeff for e, c in {0: 1, 1: 1, 2: -1, 3: -1}.items()}
-        assert div_binomial(poly, (2,)) == {0: coeff, 1: coeff}
+        assert div_binomial_series(poly, (2,)).as_dict() == \
+            {0: coeff, 1: coeff}
         for shifts in ((3,), (2, 3), (3, 2), (2, 2), (1, 2, 2)):
             with pytest.raises(SeriesDivisionError):
-                div_binomial(poly, shifts)
+                div_binomial_series(poly, shifts)
         # 1 - q^3 leaves a remainder on 1 - q^2, and what it leaves in the
         # list is divisible by 1 - q^2: only its own check can raise
         with pytest.raises(SeriesDivisionError):
-            div_binomial({0: coeff, 2: -coeff}, (3, 2))
+            div_binomial_series({0: coeff, 2: -coeff}, (3, 2))
         # the power series exists for every factor
-        assert div_binomial(poly, (2, 3), 4) == {0: coeff, 1: coeff,
-                                                 3: coeff}
+        assert div_binomial_series(poly, (2, 3), 1, 4).as_dict() == \
+            {0: coeff, 1: coeff, 3: coeff}

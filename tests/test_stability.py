@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torus_tails.jones import TorusKnot, jones_jet
+from torus_tails.jones import TorusKnot, _negative_range, jones_jet
 from torus_tails.lie import get_root_system
 from torus_tails.qseries import TruncatedSeries, euler_phi, geometric_inverse
 from torus_tails.quasipoly import QuasiPolynomial
 from torus_tails.stability import (StabilityError, TailSeries,
-                                   _negative_range, a1_theta_difference, a1_triple_product,
+                                   a1_theta_difference, a1_triple_product,
                                    degree_quasipoly_fit, detect_cstability,
                                    detect_jones_tail, jones_family,
                                    lemma_FG_inverse,
