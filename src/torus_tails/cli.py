@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -22,7 +23,7 @@ from .kostant import kostant, kostant_dp
 from .lie import LieError, get_root_system
 from .mult import lattice_hull, plethysm_mult, summation_set
 from .selfcheck import run_selftest
-from .qseries import SeriesDivisionError
+from .qseries import SeriesDivisionError, TruncatedSeries
 from .stability import (detect_jones_tail, jones_family, stable_coefficients,
                         tail_closed_T2b, tail_closed_T4b,
                         tail_eval_stable_limit)
@@ -62,11 +63,53 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
+# terms per json.dumps call when a series' terms list is written out
+TERMS_CHUNK = 4096
+
+
 def _emit(doc: dict, cfg: RunConfig, denom: int = 1) -> None:
+    """Write doc with the run's config, version and denom as one line of
+    sorted-key JSON.
+
+    A ``TruncatedSeries`` left in doc is written as its ``to_json_obj``, but
+    its terms list never exists whole: the document is encoded with a
+    numbered placeholder string in its place, and the terms are written at
+    the placeholder TERMS_CHUNK at a time.  Every piece goes through
+    json.dumps, which runs the C encoder (json.dump to a stream never does),
+    with the same separators, so the bytes are those of one json.dumps.
+    """
     doc = {"config": {k: v for k, v in asdict(cfg).items() if v is not None},
            "version": __version__, "denom": denom, **doc}
-    # json.dumps runs the C encoder; json.dump to a stream never does
-    sys.stdout.write(json.dumps(doc, sort_keys=True, default=str) + "\n")
+    spliced: list[TruncatedSeries] = []
+
+    def encode(obj):
+        if not isinstance(obj, TruncatedSeries):
+            return str(obj)
+        head = TruncatedSeries(obj.denom, order=obj.order).to_json_obj()
+        head["terms"] = f"\0{len(spliced)}\0"
+        spliced.append(obj)
+        return head
+
+    text = json.dumps(doc, sort_keys=True, default=encode)
+    out = sys.stdout
+    for i, part in enumerate(re.split(r'"\\u0000(\d+)\\u0000"', text)):
+        if i % 2 == 0:
+            out.write(part)
+            continue
+        s = spliced[int(part)]
+        out.write("[")
+        for j in range(0, len(s.exps), TERMS_CHUNK):
+            chunk = TruncatedSeries(s.denom, s.exps[j:j + TERMS_CHUNK],
+                                    s.coeffs[j:j + TERMS_CHUNK])
+            out.write((", " if j else "")
+                      + json.dumps(chunk.to_json_obj()["terms"])[1:-1])
+        out.write("]")
+    out.write("\n")
+
+
+def _keep(series: TruncatedSeries) -> TruncatedSeries:
+    """Leaves a series in its document, for ``_emit`` to write."""
+    return series
 
 
 def _emit_csv(rows, header: Sequence[str]) -> None:
@@ -84,11 +127,12 @@ def cmd_jones(args) -> int:
     lam = tuple(args.n * c for c in ray)
     res = colored_jones(rs, knot, lam)
     if args.format == "csv":
-        _emit_csv(((e, res.polynomial.denom, c)
-                   for e, c in res.polynomial.terms),
+        p = res.polynomial
+        _emit_csv(((e, p.denom, c) for e, c in zip(p.exps, p.coeffs)),
                   ("exponent_numerator", "denom", "coefficient"))
     else:
-        _emit({"result": res.to_json_obj()}, cfg, res.polynomial.denom)
+        _emit({"result": res.to_json_obj(series=_keep)}, cfg,
+              res.polynomial.denom)
     return EXIT_OK
 
 
@@ -133,7 +177,7 @@ def cmd_tail(args) -> int:
     else:
         tail = detect_jones_tail(rs, knot, ray, args.n0, args.n_max,
                                  args.x_order, args.q_order)
-    _emit({"tail": tail.to_json_obj()}, cfg)
+    _emit({"tail": tail.to_json_obj(series=_keep)}, cfg)
     return EXIT_OK
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from .lie import LieError, RootSystem, Weight
 from .mult import (_kostant_sum, _kostant_tops, _summation_scatter,
@@ -233,14 +233,17 @@ class ColoredJonesResult:
         """J-hat = q^{-delta*} J, min-degree 0."""
         return self.polynomial.shifted(-self.delta_star)
 
-    def to_json_obj(self) -> dict:
+    def to_json_obj(self, series: Callable[[TruncatedSeries], Any]
+                    = TruncatedSeries.to_json_obj) -> dict:
+        """The result as JSON data, with the polynomial encoded by
+        ``series``."""
         return {
             "knot": [self.knot.a, self.knot.b],
             "algebra": self.algebra,
             "lambda": list(self.lam),
             "delta_star": str(self.delta_star),
             "delta": str(self.delta),
-            "polynomial": self.polynomial.to_json_obj(),
+            "polynomial": series(self.polynomial),
         }
 
 
@@ -407,7 +410,7 @@ def jones_jet(rs: RootSystem, knot: TorusKnot, lam: Weight, order: int
     jet = div_binomial_series(acc, _denominator_shifts(rs, knot, lam), d,
                               bound)
     lead = plethysm_mult(rs, lam, a, mu_min)
-    if jet.terms[:1] != ((0, lead),):
+    if jet.exps[:1] != (0,) or jet.coeffs[0] != lead:
         raise JonesError(
             f"jet of {knot} at {rs.name} lambda={lam} does not start with "
             f"{lead}*q^0 at mu_min={mu_min} (minimizer inconsistency)")

@@ -173,13 +173,7 @@ class RootSystem:
         """(rho - sigma(rho), (-1)^sigma) over the Weyl group, sorted."""
         return _orbit_pairs(self)
 
-    # -- weight systems ------------------------------------------------------
-
-    def weight_system(self, lam: Weight) -> frozenset[Weight]:
-        """Pi_lambda: every weight of the irreducible V_lambda."""
-        if not self.is_dominant(lam):
-            raise LieError("highest weight must be dominant")
-        return _weight_system(self, lam)
+    # -- dominant weights ----------------------------------------------------
 
     def dominant_weights(self, lam: Weight) -> list[Weight]:
         """The dominant mu <= lam, the dominant weights of V_lambda, sorted.
@@ -267,16 +261,6 @@ def _orbit_pairs(rs: RootSystem) -> tuple[tuple[Weight, int], ...]:
         im = _mat_apply(mat, rho)
         pairs.append((tuple(rho[i] - im[i] for i in range(rs.rank)), sign))
     return tuple(sorted(pairs))
-
-
-# no multiplicity route builds weight systems; they serve weight_system's
-# callers, one color at a time
-@lru_cache(maxsize=64)
-def _weight_system(rs: RootSystem, lam: Weight) -> frozenset[Weight]:
-    # every weight of V_lambda is W-conjugate to exactly one dominant mu <= lam
-    mats = [mat for mat, _ in rs.weyl_elements]
-    return frozenset(_mat_apply(mat, mu) for mu in rs.dominant_weights(lam)
-                     for mat in mats)
 
 
 # the Adams oracle's size guard asks once per hull point

@@ -1,11 +1,13 @@
 """Exact truncated Laurent series in q with rational exponents.
 
-A series lives in R((q^(1/D))) for a global exponent denominator D: terms map
-exponent *numerators* (meaning q^(e/D)) to coefficients, and an optional
-truncation order O guarantees every coefficient at exponents below O/D is
-exact.  Coefficients at or beyond the order are unknown and never reported.
-Exponent arithmetic is pure integer arithmetic on the numerators; orders
-propagate to the tightest provably-exact bound.
+A series lives in R((q^(1/D))) for a global exponent denominator D.  It is
+stored as two parallel columns: the strictly increasing exponent *numerators*
+(meaning q^(e/D)) and their nonzero coefficients, so a term costs two tuple
+slots and no pair object; ``terms`` is the derived view of (e, c) pairs.  An
+optional truncation order O guarantees every coefficient at exponents below
+O/D is exact.  Coefficients at or beyond the order are unknown and never
+reported.  Exponent arithmetic is pure integer arithmetic on the numerators;
+orders propagate to the tightest provably-exact bound.
 
 The coefficient ring R is the integers or the quasi-polynomials in n (the
 tails' phi_k(n, q)).  The algebra needs only +, -, * and truthiness of the
@@ -20,8 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
 from math import gcd, lcm
-from operator import itemgetter
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 Exponent = Union[int, Fraction]
 Coeff = Any   # int or quasipoly.QuasiPolynomial
@@ -43,14 +44,16 @@ def _as_fraction(e: Exponent) -> Fraction:
 class TruncatedSeries:
     """Element of R((q^(1/denom))), exact below order/denom.
 
-    ``terms`` is a sorted tuple of (exponent_numerator, coefficient) pairs with
-    no zero coefficients; ``order`` is the truncation bound as an exponent
-    numerator, or None for an exact (untruncated) value such as a polynomial.
-    The zero constant is the empty term tuple with order None.
+    ``exps`` is the strictly increasing tuple of exponent numerators and
+    ``coeffs`` the tuple of their coefficients, none of them zero; ``order``
+    is the truncation bound as an exponent numerator, or None for an exact
+    (untruncated) value such as a polynomial.  The zero constant has empty
+    columns and order None.
     """
 
     denom: int = 1
-    terms: tuple[tuple[int, Coeff], ...] = ()
+    exps: tuple[int, ...] = ()
+    coeffs: tuple[Coeff, ...] = ()
     order: Optional[int] = None
 
     # -- construction -----------------------------------------------------
@@ -65,15 +68,8 @@ class TruncatedSeries:
             kept = {e: c for e, c in terms.items() if c}
         else:
             kept = {e: c for e, c in terms.items() if e < order and c}
-        g = gcd(denom, *kept) if denom > 1 else 1
-        if order is not None:
-            g = gcd(g, order)
-        if g > 1:
-            return TruncatedSeries(
-                denom // g,
-                tuple(sorted(zip([e // g for e in kept], kept.values()))),
-                None if order is None else order // g)
-        return TruncatedSeries(denom, tuple(sorted(kept.items())), order)
+        exps = sorted(kept)
+        return _columns(denom, exps, map(kept.__getitem__, exps), order)
 
     @staticmethod
     def from_exponents(terms: Mapping[Exponent, int],
@@ -97,32 +93,37 @@ class TruncatedSeries:
 
     @staticmethod
     def one() -> "TruncatedSeries":
-        return TruncatedSeries(terms=((0, 1),))
+        return TruncatedSeries(exps=(0,), coeffs=(1,))
 
     # -- views -------------------------------------------------------------
 
+    @property
+    def terms(self) -> tuple[tuple[int, Coeff], ...]:
+        """The (exponent_numerator, coefficient) pairs, built on each call."""
+        return tuple(zip(self.exps, self.coeffs))
+
     def as_dict(self) -> dict[int, int]:
-        return dict(self.terms)
+        return dict(zip(self.exps, self.coeffs))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.exps
 
     def order_exponent(self) -> Optional[Fraction]:
         return None if self.order is None else Fraction(self.order, self.denom)
 
     def min_degree(self) -> Fraction:
         """delta*: smallest stored exponent.  Undefined for empty series."""
-        if not self.terms:
+        if not self.exps:
             raise SeriesError("min degree of a series with no terms")
-        return Fraction(self.terms[0][0], self.denom)
+        return Fraction(self.exps[0], self.denom)
 
     def max_degree(self) -> Fraction:
         if self.order is not None:
             raise SeriesError("max degree of a truncated series")
-        if not self.terms:
+        if not self.exps:
             raise SeriesError("max degree of the zero series")
-        return Fraction(self.terms[-1][0], self.denom)
+        return Fraction(self.exps[-1], self.denom)
 
     def coefficient(self, exp: Exponent) -> int:
         """Coefficient at q^exp; raises if exp is at or beyond the order."""
@@ -134,9 +135,9 @@ class TruncatedSeries:
         en = int(e)
         if self.order is not None and en >= self.order:
             raise SeriesError("coefficient beyond truncation order")
-        i = bisect_left(self.terms, en, key=itemgetter(0))
-        if i < len(self.terms) and self.terms[i][0] == en:
-            return self.terms[i][1]
+        i = bisect_left(self.exps, en)
+        if i < len(self.exps) and self.exps[i] == en:
+            return self.coeffs[i]
         return 0
 
     # -- arithmetic --------------------------------------------------------
@@ -144,8 +145,8 @@ class TruncatedSeries:
     def _aligned(self, other: "TruncatedSeries"):
         d = lcm(self.denom, other.denom)
         f1, f2 = d // self.denom, d // other.denom
-        t1 = {e * f1: c for e, c in self.terms}
-        t2 = {e * f2: c for e, c in other.terms}
+        t1 = {e * f1: c for e, c in zip(self.exps, self.coeffs)}
+        t2 = {e * f2: c for e, c in zip(other.exps, other.coeffs)}
         o1 = None if self.order is None else self.order * f1
         o2 = None if other.order is None else other.order * f2
         return d, t1, o1, t2, o2
@@ -159,9 +160,8 @@ class TruncatedSeries:
         return TruncatedSeries.make(out, d, order)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.denom,
-                               tuple((e, -c) for e, c in self.terms),
-                               self.order)
+        return TruncatedSeries(self.denom, self.exps,
+                               tuple(-c for c in self.coeffs), self.order)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
@@ -190,23 +190,17 @@ class TruncatedSeries:
     def scaled(self, k: int) -> "TruncatedSeries":
         if k == 0:
             return TruncatedSeries(order=self.order, denom=self.denom)
-        return TruncatedSeries(self.denom,
-                               tuple((e, k * c) for e, c in self.terms),
-                               self.order)
+        return TruncatedSeries(self.denom, self.exps,
+                               tuple(k * c for c in self.coeffs), self.order)
 
     def shifted(self, exp: Exponent) -> "TruncatedSeries":
         """Multiply by q^exp."""
         f = _as_fraction(exp)
         d = lcm(self.denom, f.denominator)
         s = int(f * d)
-        if d == 1:  # integer exponents: nothing to merge or normalize
-            return TruncatedSeries(1, tuple((e + s, c) for e, c in self.terms),
-                                   None if self.order is None
-                                   else self.order + s)
         fac = d // self.denom
-        return TruncatedSeries.make(
-            {e * fac + s: c for e, c in self.terms}, d,
-            None if self.order is None else self.order * fac + s)
+        return _columns(d, [e * fac + s for e in self.exps], self.coeffs,
+                        None if self.order is None else self.order * fac + s)
 
     def truncated(self, order: Exponent) -> "TruncatedSeries":
         """Forget everything at or above q^order."""
@@ -215,18 +209,19 @@ class TruncatedSeries:
         o = int(f * d)
         fac = d // self.denom
         oo = o if self.order is None else min(o, self.order * fac)
-        return TruncatedSeries.make({e * fac: c for e, c in self.terms}, d, oo)
+        exps = [e * fac for e in self.exps]
+        i = bisect_left(exps, oo)
+        return _columns(d, exps[:i], self.coeffs[:i], oo)
 
     def evaluate(self, n: int) -> "TruncatedSeries":
         """The integer series whose coefficients are the quasi-polynomial
         coefficients of this one at n."""
-        vals: dict[int, int] = {}
-        for e, qp in self.terms:
-            v = qp(n)
-            if v.denominator != 1:
-                raise SeriesError(f"non-integer coefficient at n={n}")
-            vals[e] = int(v)
-        return TruncatedSeries.make(vals, self.denom, self.order)
+        vals = [qp(n) for qp in self.coeffs]
+        if any(v.denominator != 1 for v in vals):
+            raise SeriesError(f"non-integer coefficient at n={n}")
+        vals = [int(v) for v in vals]
+        return _columns(self.denom, list(compress(self.exps, vals)),
+                        filter(None, vals), self.order)
 
     def agrees_with(self, other: "TruncatedSeries", upto: Exponent) -> bool:
         """Coefficient-by-coefficient equality below q^upto."""
@@ -234,7 +229,7 @@ class TruncatedSeries:
         b = _as_fraction(upto)
         if diff.order is not None and Fraction(diff.order, diff.denom) < b:
             raise SeriesError("comparison bound beyond common exactness")
-        return all(Fraction(e, diff.denom) >= b for e, _ in diff.terms)
+        return not diff.exps or Fraction(diff.exps[0], diff.denom) >= b
 
     # -- serialization -----------------------------------------------------
 
@@ -242,7 +237,7 @@ class TruncatedSeries:
         return {
             "denom": self.denom,
             "order": self.order,
-            "terms": [[e, str(c)] for e, c in self.terms],
+            "terms": [[e, str(c)] for e, c in zip(self.exps, self.coeffs)],
         }
 
     @staticmethod
@@ -251,18 +246,31 @@ class TruncatedSeries:
                                     int(obj["denom"]), obj.get("order"))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.exps:
             body = "0"
         else:
             parts = []
-            for e, c in self.terms[:12]:
+            for e, c in zip(self.exps[:12], self.coeffs[:12]):
                 exp = Fraction(e, self.denom)
                 coeff = f"{c:+d}" if isinstance(c, int) else f"+({c!r})"
                 parts.append(coeff if exp == 0 else f"{coeff}*q^{exp}")
-            body = " ".join(parts) + (" + ..." if len(self.terms) > 12 else "")
+            body = " ".join(parts) + (" + ..." if len(self.exps) > 12 else "")
         if self.order is not None:
             body += f" + O(q^{Fraction(self.order, self.denom)})"
         return body
+
+
+def _columns(denom: int, exps: Sequence[int], coeffs: Iterable[Coeff],
+             order: Optional[int]) -> TruncatedSeries:
+    """The series of increasing ``exps`` and their nonzero ``coeffs`` over
+    q^(1/denom), with denom reduced by its common factor with the exponents
+    and the order."""
+    g = gcd(denom, *exps, 0 if order is None else order) if denom > 1 else 1
+    if g > 1:
+        exps = [e // g for e in exps]
+        denom //= g
+        order = None if order is None else order // g
+    return TruncatedSeries(denom, tuple(exps), tuple(coeffs), order)
 
 
 def _min_order(o1: Optional[int], o2: Optional[int]) -> Optional[int]:
@@ -298,10 +306,10 @@ def div_binomial_series(poly: Mapping[int, Coeff], shifts: Sequence[int],
     quot[i] = poly[i] + quot[i - m/g]: one running sum per residue class mod
     m/g.  An exact quotient ends m/g slots before its dividend, so those top
     slots must be zero and are cut before the next factor.  The nonzero
-    slots are then read off in increasing exponent, with no dict or sort.
-    The denominator is first reduced by gcd(denom, lo, g, cutoff) on the
-    lattice itself, then by whatever common factor the nonzero exponents
-    still share with it.
+    slots are then read off in increasing exponent, straight into the two
+    columns, with no dict, sort or pair.  The denominator is first reduced by
+    gcd(denom, lo, g, cutoff) on the lattice itself, then by whatever common
+    factor the nonzero exponents still share with it.
     """
     if denom <= 0:
         raise SeriesError("denominator must be positive")
@@ -325,19 +333,11 @@ def div_binomial_series(poly: Mapping[int, Coeff], shifts: Sequence[int],
             if any(dense[keep:]):
                 raise SeriesDivisionError("division remainder nonzero")
             del dense[keep:]
-    order = 0 if cutoff is None else cutoff
-    h = gcd(denom, lo, g, order)
-    exps = list(compress(range(lo // h, (lo + g * len(dense)) // h, g // h),
-                         dense))
-    denom //= h
-    order //= h
-    rest = gcd(denom, order, *exps)
-    if rest > 1:
-        exps = [e // rest for e in exps]
-        denom //= rest
-        order //= rest
-    return TruncatedSeries(denom, tuple(zip(exps, filter(None, dense))),
-                           None if cutoff is None else order)
+    h = gcd(denom, lo, g, 0 if cutoff is None else cutoff)
+    exps = tuple(compress(range(lo // h, (lo + g * len(dense)) // h, g // h),
+                          dense))
+    return _columns(denom // h, exps, filter(None, dense),
+                    None if cutoff is None else cutoff // h)
 
 
 def exact_div(f: TruncatedSeries, e: Exponent,
@@ -359,7 +359,8 @@ def exact_div(f: TruncatedSeries, e: Exponent,
     fac = d // f.denom
     cut = _min_order(None if f.order is None else f.order * fac,
                      None if of is None else int(of * d))
-    return div_binomial_series({ex * fac: c for ex, c in f.terms},
+    return div_binomial_series({ex * fac: c
+                                for ex, c in zip(f.exps, f.coeffs)},
                                (int(ef * d),), d, cut)
 
 

@@ -52,7 +52,7 @@ KNOT_LIST = ((2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (5, 6))
 
 def _series_prefix(s: TruncatedSeries, upto: int) -> dict[int, int]:
     out = {}
-    for e, c in s.terms:
+    for e, c in zip(s.exps, s.coeffs):
         ef = Fraction(e, s.denom)
         if ef <= upto:
             out[int(ef)] = c

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isqrt
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .jones import (TorusKnot, _degree_quadratic, _degree_value,
                     _exponent_denominator, _negative_range, colored_jones,
@@ -71,12 +71,14 @@ def qp_series(s: TruncatedSeries, linear: Optional[TruncatedSeries] = None
     ``linear``: a series over the quasi-polynomials in n."""
     if s.denom != 1 or (linear is not None and linear.denom != 1):
         raise StabilityError("tail series need integer q-exponents")
-    out = TruncatedSeries.make(
-        {e: QuasiPolynomial.constant(c) for e, c in s.terms}, 1, s.order)
+    out = TruncatedSeries(1, s.exps,
+                          tuple(map(QuasiPolynomial.constant, s.coeffs)),
+                          s.order)
     if linear is not None:
-        out = out + TruncatedSeries.make(
-            {e: QuasiPolynomial.linear(0, c) for e, c in linear.terms},
-            1, linear.order)
+        out = out + TruncatedSeries(
+            1, linear.exps,
+            tuple(QuasiPolynomial.linear(0, c) for c in linear.coeffs),
+            linear.order)
     return out
 
 
@@ -129,7 +131,7 @@ class TailSeries:
             if any(p.order is not None and q_order > p.order
                    for p in (p1, p2)):
                 raise StabilityError("comparison beyond exactness")
-            t1, t2 = dict(p1.terms), dict(p2.terms)
+            t1, t2 = p1.as_dict(), p2.as_dict()
             for e in sorted(set(t1) | set(t2)):
                 if e >= q_order:
                     break
@@ -138,16 +140,17 @@ class TailSeries:
                     return (k, e)
         return None
 
-    def to_json_obj(self) -> dict:
+    def to_json_obj(self, series: Callable[[TruncatedSeries], Any]
+                    = TruncatedSeries.to_json_obj) -> dict:
         """Integral a + b n coefficients go to series_const and
-        series_linear_n; every other quasi-polynomial goes whole to
-        series_periodic."""
+        series_linear_n, each encoded by ``series``; every other
+        quasi-polynomial goes whole to series_periodic."""
         phis = []
         for k, p in enumerate(self.phis):
             const: dict[int, int] = {}
             linear: dict[int, int] = {}
             extra = []
-            for e, qp in p.terms:
+            for e, qp in zip(p.exps, p.coeffs):
                 cs = qp.coeffs[0][1]
                 if qp.period == 1 and qp.degree <= 1 and \
                         all(c.denominator == 1 for c in cs):
@@ -157,11 +160,11 @@ class TailSeries:
                 else:
                     extra.append([e, qp.to_json_obj()])
             entry: dict = {"k": k, "q_order": p.order,
-                           "series_const": TruncatedSeries.make(
-                               const, 1, p.order).to_json_obj()}
+                           "series_const": series(TruncatedSeries.make(
+                               const, 1, p.order))}
             if linear:
-                entry["series_linear_n"] = TruncatedSeries.make(
-                    linear, 1, p.order).to_json_obj()
+                entry["series_linear_n"] = series(TruncatedSeries.make(
+                    linear, 1, p.order))
             if extra:
                 entry["series_periodic"] = extra
             phis.append(entry)
@@ -333,7 +336,7 @@ def detect_cstability(family: Mapping[int, TruncatedSeries], n0: int,
         for n in ns:
             ev = phi.evaluate(n)
             diff = dict(residual[n])
-            for e, c in ev.terms:
+            for e, c in zip(ev.exps, ev.coeffs):
                 v = diff.get(e, 0) - c
                 if v:
                     diff[e] = v
@@ -373,7 +376,7 @@ def _defect_threshold(family: Mapping[int, TruncatedSeries], tail: TailSeries,
             bound = k * (n + 1)
             if horizon is not None and horizon <= bound:
                 continue  # uncheckable at this truncation
-            if defect.terms and defect.min_degree() <= bound:
+            if defect.exps and defect.min_degree() <= bound:
                 ok = False
                 break
         if ok:

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from torus_tails import cli
 from torus_tails.cli import main
 
 
@@ -60,13 +65,42 @@ JONES_STDOUT_SHA256 = \
     "261fa3c968529933ca29cdb85289d549cbcc007495979cde2da8dc8f5fd66c1c"
 
 
+JONES_ARGS = ("jones", "--algebra", "A2", "--knot", "3,4",
+              "--lambda", "1,1", "--n", "2")
+
+
 def test_output_byte_stable(capsys):
-    args = ("jones", "--algebra", "A2", "--knot", "3,4",
-            "--lambda", "1,1", "--n", "2")
-    _, out1, _ = run(capsys, *args)
-    _, out2, _ = run(capsys, *args)
+    _, out1, _ = run(capsys, *JONES_ARGS)
+    _, out2, _ = run(capsys, *JONES_ARGS)
     assert out1 == out2
     assert hashlib.sha256(out1.encode()).hexdigest() == JONES_STDOUT_SHA256
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_output_bytes_do_not_depend_on_term_chunks(capsys, monkeypatch,
+                                                  chunk):
+    # the terms lists are written chunk by chunk; the pinned polynomial has
+    # 58 terms, so it ends on a chunk boundary at 1 and 2 and off one at 7
+    monkeypatch.setattr(cli, "TERMS_CHUNK", chunk)
+    _, out, _ = run(capsys, *JONES_ARGS)
+    assert hashlib.sha256(out.encode()).hexdigest() == JONES_STDOUT_SHA256
+    args = ("A2", "--knot 2,7 --ray 1,0 --method closed --x-order 3 "
+            "--q-order 60")
+    _, out, _ = run(capsys, "tail", "--algebra", args[0], *args[1].split())
+    payload = json.dumps(json.loads(out)["tail"], sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == TAIL_GOLDEN[args]
+
+
+def test_python_m_runs_the_cli():
+    # from a bare checkout: the package is not installed, src is on the path
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, (str(src),
+                                         os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "torus_tails", *JONES_ARGS],
+                          capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == JONES_STDOUT_SHA256
 
 
 def test_kostant_command(capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -15,7 +16,7 @@ from torus_tails.jones import (JonesError, TorusKnot, checked_sum,
 from torus_tails.lie import LieError, get_root_system
 from torus_tails.mult import plethysm_mult
 from torus_tails.qseries import TruncatedSeries
-from torus_tails.stability import jones_family
+from torus_tails.stability import TailSeries, jones_family, tail_closed_T4b
 
 A1 = get_root_system("A1")
 A2 = get_root_system("A2")
@@ -300,6 +301,51 @@ def test_jones_payload_golden(algebra, knot, lam):
         for order in (1, 10, 40):
             assert jones_jet(rs, TorusKnot(*knot), lam, order) == \
                 res.shifted.truncated(order)
+
+
+def assert_columnar(s):
+    # the stored layout: increasing exponents, no zero coefficient, and the
+    # pairs view built from the two columns
+    assert all(a < b for a, b in zip(s.exps, s.exps[1:]))
+    assert len(s.coeffs) == len(s.exps) and all(s.coeffs)
+    assert s.terms == tuple(zip(s.exps, s.coeffs))
+
+
+@pytest.mark.parametrize("algebra, knot, lam", list(JONES_GOLDEN), ids=[
+    f"{alg}-T{a}{b}-{','.join(map(str, lam))}"
+    for alg, (a, b), lam in JONES_GOLDEN])
+def test_series_columns(algebra, knot, lam):
+    poly = colored_jones(get_root_system(algebra), TorusKnot(*knot),
+                         lam).polynomial
+    assert_columnar(poly)
+    assert TruncatedSeries.from_json_obj(poly.to_json_obj()) == poly
+
+
+def test_jet_and_tail_columns():
+    jet = jones_jet(A2, TorusKnot(4, 5), (20, 20), 40)
+    assert_columnar(jet)
+    assert TruncatedSeries.from_json_obj(jet.to_json_obj()) == jet
+    tail = tail_closed_T4b(5, 2, 40)     # quasi-polynomial coefficients
+    for phi in tail.phis:
+        assert_columnar(phi)
+    assert TailSeries.from_json_obj(tail.to_json_obj()) == tail
+
+
+def test_polynomial_memory_per_term():
+    # two tuple slots and two int objects: about 80 B a term here; one
+    # (e, c) pair per term took about 124 B
+    knot, lam = TorusKnot(4, 5), (40, 40)
+    colored_jones(A2, knot, lam)      # fill the process-wide tables first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = colored_jones(A2, knot, lam)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    terms = len(res.polynomial.exps)
+    assert terms > 30000
+    assert held < 96 * terms, held / terms
 
 
 def _unbounded_tables():

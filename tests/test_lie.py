@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from torus_tails.lie import LieError, get_root_system
+from weight_systems import weight_system
 
 A1 = get_root_system("A1")
 A2 = get_root_system("A2")
@@ -124,13 +125,13 @@ def test_positive_roots_in_root_coordinates():
 
 
 def test_weight_system_trivial_and_fundamental():
-    assert A2.weight_system((0, 0)) == {(0, 0)}
-    assert A2.weight_system((1, 0)) == {(1, 0), (-1, 1), (0, -1)}
+    assert weight_system(A2, (0, 0)) == {(0, 0)}
+    assert weight_system(A2, (1, 0)) == {(1, 0), (-1, 1), (0, -1)}
 
 
 def test_weight_system_requires_dominant():
     with pytest.raises(LieError):
-        A2.weight_system((-1, 0))
+        weight_system(A2, (-1, 0))
 
 
 def test_dominant_weights_match_the_dominance_order():
@@ -153,7 +154,7 @@ def test_weight_count_matches_weight_system():
         lams = [(k,) for k in range(7)] if rs.rank == 1 else \
             list(product(range(7), repeat=2))
         for lam in lams:
-            assert rs.weight_count(lam) == len(rs.weight_system(lam)), \
+            assert rs.weight_count(lam) == len(weight_system(rs, lam)), \
                 (rs.name, lam)
     with pytest.raises(LieError):
         A2.weight_count((-1, 0))
@@ -162,7 +163,7 @@ def test_weight_count_matches_weight_system():
 def test_weight_system_closed_under_weyl():
     for rs in (A2, B2, G2):
         for lam in [(1, 0), (1, 1), (0, 2)]:
-            system = rs.weight_system(lam)
+            system = weight_system(rs, lam)
             for mat, _ in rs.weyl_elements:
                 for mu in system:
                     im = tuple(sum(mat[i][j] * mu[j] for j in range(2))
@@ -188,7 +189,7 @@ def test_multiplicity_sums_match_dimension():
             for m2 in range(7 - m1):
                 lam = (m1, m2)
                 total = sum(weight_mult(rs, lam, mu)
-                            for mu in rs.weight_system(lam))
+                            for mu in weight_system(rs, lam))
                 assert total == rs.dim_irrep(lam), (rs.name, lam)
 
 

@@ -352,13 +352,14 @@ def test_div_binomial_series_reduces_past_the_lattice():
     for coeff in (1, qp):
         poly = {e: c * coeff for e, c in {0: 1, 1: -1, 2: 1, 3: -1}.items()}
         got = div_binomial_series(poly, (1,), 2)
-        assert got == TruncatedSeries(1, ((0, coeff), (1, coeff)))
+        assert got == TruncatedSeries(1, (0, 1), (coeff, coeff))
         assert got == TruncatedSeries.make(
             div_binomial_series(poly, (1,)).as_dict(), 2)
     # cancelling coefficients at the bottom of the dividend, and no terms
     assert div_binomial_series({0: 0, 4: 1, 8: -1}, (4,), 8, 12) == \
-        TruncatedSeries(2, ((1, 1),), 3)
-    assert div_binomial_series({}, (3,), 6, 4) == TruncatedSeries(3, (), 2)
+        TruncatedSeries(2, (1,), (1,), 3)
+    assert div_binomial_series({}, (3,), 6, 4) == \
+        TruncatedSeries(3, (), (), 2)
 
 
 def test_div_binomial_remainder_in_any_factor_raises():

@@ -246,6 +246,23 @@ def test_stable_limit_matches_jets(algebra, knot, ray):
         assert not (jet - tail.partial_sum(n, 2)).terms
 
 
+@pytest.mark.parametrize("ray, nu0", [((1, 0), (1, 0)), ((0, 1), (0, 1))],
+                         ids=["l1", "l2"])
+def test_stable_limit_nu0_gradient_matches_jets(ray, nu0):
+    # the parity grid's A2 T(4,5) families at n0 = 1 have nu0 != (0, 0), so
+    # the gradient (l1, l2) of D*f* at nu0 enters the tail; n_max 60 gives
+    # their class (modulus 12) enough members.  Every G2 class the stable
+    # limit accepts has nu0 = (0, 0): its minimizers are (0, 0) from n = 2.
+    rs, knot, q_order = get_root_system("A2"), TorusKnot(4, 5), 20
+    assert minimal_class_modulus(rs, ray, knot.a, 1) == (12, (0, 0), nu0)
+    tail = tail_eval_stable_limit(rs, knot, ray, 1, 2, q_order, 60)
+    assert tail.residue == (1, 12)
+    for n in (13, 25, 37):
+        jet = jones_jet(rs, knot, tuple(n * c for c in ray), q_order)
+        assert jet.terms
+        assert not (jet - tail.partial_sum(n, 2)).terms
+
+
 def test_stable_limit_g2_t34_rho_q100():
     # n_max 36 and 150 sample the same quasi-polynomials, and the tail's
     # partial sums are the jets while q^(2n) lies past the jet order
