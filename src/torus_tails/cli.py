@@ -22,7 +22,6 @@ from .jones import (JonesError, TorusKnot, colored_jones,
 from .kostant import kostant, kostant_dp
 from .lie import LieError, get_root_system
 from .mult import lattice_hull, plethysm_mult, summation_set
-from .selfcheck import run_selftest
 from .qseries import SeriesDivisionError, TruncatedSeries
 from .stability import (detect_jones_tail, jones_family, stable_coefficients,
                         tail_closed_T2b, tail_closed_T4b,
@@ -47,13 +46,6 @@ class RunConfig:
     k_max: Optional[int] = None
     method: Optional[str] = None
     output: str = "json"
-
-
-def _parse_pair(text: str) -> tuple[int, int]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"expected two comma-separated integers, got {text!r}")
-    return int(parts[0]), int(parts[1])
 
 
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
@@ -120,7 +112,7 @@ def _emit_csv(rows, header: Sequence[str]) -> None:
 
 def cmd_jones(args) -> int:
     rs = get_root_system(args.algebra)
-    knot = TorusKnot(*_parse_pair(args.knot))
+    knot = TorusKnot(*_parse_weight(args.knot, 2))
     ray = _parse_weight(args.ray, rs.rank)
     cfg = RunConfig("jones", rs.name, (knot.a, knot.b), ray, n=args.n,
                     output=args.format)
@@ -138,7 +130,7 @@ def cmd_jones(args) -> int:
 
 def cmd_degree(args) -> int:
     rs = get_root_system(args.algebra)
-    knot = TorusKnot(*_parse_pair(args.knot))
+    knot = TorusKnot(*_parse_weight(args.knot, 2))
     ray = _parse_weight(args.ray, rs.rank)
     cfg = RunConfig("degree", rs.name, (knot.a, knot.b), ray,
                     n_max=args.n_max, output=args.format)
@@ -157,7 +149,7 @@ def cmd_degree(args) -> int:
 
 def cmd_tail(args) -> int:
     rs = get_root_system(args.algebra)
-    knot = TorusKnot(*_parse_pair(args.knot))
+    knot = TorusKnot(*_parse_weight(args.knot, 2))
     ray = (1, 1) if args.ray == "rho" else _parse_weight(args.ray, rs.rank)
     cfg = RunConfig("tail", rs.name, (knot.a, knot.b), ray, n_max=args.n_max,
                     x_order=args.x_order, q_order=args.q_order,
@@ -183,7 +175,7 @@ def cmd_tail(args) -> int:
 
 def cmd_stable_coeffs(args) -> int:
     rs = get_root_system(args.algebra)
-    knot = TorusKnot(*_parse_pair(args.knot))
+    knot = TorusKnot(*_parse_weight(args.knot, 2))
     ray = (1, 1) if args.ray == "rho" else _parse_weight(args.ray, rs.rank)
     cfg = RunConfig("stable-coeffs", rs.name, (knot.a, knot.b), ray,
                     n_max=args.n_max, k_max=args.k_max, output=args.format)
@@ -204,7 +196,7 @@ def cmd_stable_coeffs(args) -> int:
 
 def cmd_kostant(args) -> int:
     rs = get_root_system(args.algebra)
-    alpha = _parse_pair(args.alpha) if rs.rank == 2 else (int(args.alpha),)
+    alpha = _parse_weight(args.alpha, rs.rank)
     cfg = RunConfig("kostant", rs.name, output=args.format)
     _emit({"alpha": list(alpha), "closed": kostant(rs, alpha),
            "dp": kostant_dp(rs, alpha)}, cfg)
@@ -229,7 +221,7 @@ def cmd_summation_set(args) -> int:
     if args.drop_zero:
         s = {mu: m for mu, m in s.items() if m}
     _emit({"lambda": list(lam), "a": args.a,
-           "set": [[list(mu), m] for mu, m in sorted(s.items())]}, cfg)
+           "set": [[list(mu), m] for mu, m in s.items()]}, cfg)
     return EXIT_OK
 
 
@@ -259,6 +251,7 @@ def cmd_minimizer(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selfcheck import run_selftest     # only this command needs it
     cfg = RunConfig("selftest", method=args.filter, output=args.format)
     reports = run_selftest(args.filter)
     if args.format == "json":

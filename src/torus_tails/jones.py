@@ -256,7 +256,7 @@ def _numerator(rs: RootSystem, knot: TorusKnot, lam: Weight,
 
     The product is expanded by the Weyl denominator identity
     prod_{alpha>0}(1 - e^alpha) = sum_sigma (-1)^sigma e^{rho - sigma(rho)},
-    one term per orbit pair (w, sign) of ``rs.orbit_pairs()``, with exponent
+    one term per orbit pair (w, sign) of ``rs.orbit_pairs``, with exponent
     D*f*(mu) + 2a*(mu + rho, w) - shift.  That is quad(mu) + cx*x + cy*y + k
     at mu = (x, y): quad the quadratic part of ``_degree_quadratic``, and per
     pair (cx, cy, k, sign), its linear part plus that of 2a*(mu, w), padded
@@ -267,7 +267,7 @@ def _numerator(rs: RootSystem, knot: TorusKnot, lam: Weight,
     g = rs.gram_int
     (g00, g01), (g10, g11) = g if rs.rank == 2 else ((g[0][0], 0), (0, 0))
     forms = []
-    for w, sign in rs.orbit_pairs():
+    for w, sign in rs.orbit_pairs:
         wx, wy = two_a * w[0], two_a * w[-1]
         forms.append((lx + g00 * wx + g01 * wy, ly + g10 * wx + g11 * wy,
                       c0 - shift + two_a * rs.inner_int(rs.rho, w), sign))
@@ -330,7 +330,7 @@ def _jet_multiplicities(rs: RootSystem, lam: Weight, a: int,
     """
     d = rs.root_det
     step = lcm(d, a)
-    pairs = rs.orbit_pairs()
+    pairs = rs.orbit_pairs
     tops = _kostant_tops(rs, lam)
     # per (i mod d, -w_1 mod a): the residues j mod step on the coset with
     # j = -w_1 (mod a)

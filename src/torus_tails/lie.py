@@ -59,6 +59,12 @@ class RootSystem:
     root_det: int = field(init=False, repr=False, compare=False)
     positive_roots_rc: tuple[Weight, ...] = field(   # in root coordinates
         init=False, repr=False, compare=False)
+    # all (matrix, determinant sign) pairs of the Weyl group, sorted
+    weyl_elements: tuple[tuple[Matrix, int], ...] = field(
+        init=False, repr=False, compare=False)
+    # (rho - sigma(rho), (-1)^sigma) over the Weyl group, sorted
+    orbit_pairs: tuple[tuple[Weight, int], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scale = lcm(*(Fraction(g).denominator for row in self.gram
@@ -73,6 +79,12 @@ class RootSystem:
         object.__setattr__(self, "positive_roots_rc", tuple(
             tuple(c // det for c in self.root_coords_int(al))
             for al in self.positive_roots))
+        weyl = _weyl_closure(self)
+        rho = self.rho
+        object.__setattr__(self, "weyl_elements", weyl)
+        object.__setattr__(self, "orbit_pairs", tuple(sorted(
+            (tuple(r - i for r, i in zip(rho, _mat_apply(mat, rho))), sign)
+            for mat, sign in weyl)))
 
     def __hash__(self) -> int:
         # the lru_cache tables key on the root system; hashing every field
@@ -147,11 +159,6 @@ class RootSystem:
                            - (self.simple_roots[i][j] if k == i else 0)
                            for k in range(n)) for j in range(n))
 
-    @property
-    def weyl_elements(self) -> tuple[tuple[Matrix, int], ...]:
-        """All (matrix, determinant sign) pairs, generated by closure."""
-        return _weyl_closure(self)
-
     def reflect(self, mu: Weight, i: int) -> Weight:
         return tuple(mu[j] - mu[i] * self.simple_roots[i][j]
                      for j in range(self.rank))
@@ -168,10 +175,6 @@ class RootSystem:
 
     def is_dominant(self, mu: Weight) -> bool:
         return all(c >= 0 for c in mu)
-
-    def orbit_pairs(self) -> tuple[tuple[Weight, int], ...]:
-        """(rho - sigma(rho), (-1)^sigma) over the Weyl group, sorted."""
-        return _orbit_pairs(self)
 
     # -- dominant weights ----------------------------------------------------
 
@@ -234,8 +237,8 @@ class RootSystem:
         return int(num)
 
 
-@lru_cache(maxsize=None)
 def _weyl_closure(rs: RootSystem) -> tuple[tuple[Matrix, int], ...]:
+    """All (matrix, determinant sign) pairs, generated by closure."""
     gens = [rs.simple_reflection(i) for i in range(rs.rank)]
     ident: Matrix = tuple(tuple(1 if i == j else 0 for j in range(rs.rank))
                           for i in range(rs.rank))
@@ -253,24 +256,10 @@ def _weyl_closure(rs: RootSystem) -> tuple[tuple[Matrix, int], ...]:
     return tuple(sorted(found.items()))
 
 
-@lru_cache(maxsize=None)
-def _orbit_pairs(rs: RootSystem) -> tuple[tuple[Weight, int], ...]:
-    rho = rs.rho
-    pairs = []
-    for mat, sign in rs.weyl_elements:
-        im = _mat_apply(mat, rho)
-        pairs.append((tuple(rho[i] - im[i] for i in range(rs.rank)), sign))
-    return tuple(sorted(pairs))
-
-
 # the Adams oracle's size guard asks once per hull point
 @lru_cache(maxsize=64)
 def _weight_count(rs: RootSystem, lam: Weight) -> int:
     return sum(map(rs.orbit_size, rs.dominant_weights(lam)))
-
-
-def _fr(num: int, den: int = 1) -> Fraction:
-    return Fraction(num, den)
 
 
 _SYSTEMS = {
@@ -279,28 +268,30 @@ _SYSTEMS = {
         name="A1", rank=1,
         simple_roots=((2,),),
         positive_roots=((2,),),
-        gram=((_fr(1, 2),),),
+        gram=((Fraction(1, 2),),),
     ),
     # A2: all roots length^2 = 2.
     "A2": RootSystem(
         name="A2", rank=2,
         simple_roots=((2, -1), (-1, 2)),
         positive_roots=((2, -1), (-1, 2), (1, 1)),
-        gram=((_fr(2, 3), _fr(1, 3)), (_fr(1, 3), _fr(2, 3))),
+        gram=((Fraction(2, 3), Fraction(1, 3)),
+              (Fraction(1, 3), Fraction(2, 3))),
     ),
     # B2: alpha1 long (length^2 = 2), alpha2 short (length^2 = 1).
     "B2": RootSystem(
         name="B2", rank=2,
         simple_roots=((2, -2), (-1, 2)),
         positive_roots=((2, -2), (-1, 2), (1, 0), (0, 2)),
-        gram=((_fr(1), _fr(1, 2)), (_fr(1, 2), _fr(1, 2))),
+        gram=((Fraction(1), Fraction(1, 2)),
+              (Fraction(1, 2), Fraction(1, 2))),
     ),
     # G2: alpha1 short (length^2 = 2), alpha2 long (length^2 = 6).
     "G2": RootSystem(
         name="G2", rank=2,
         simple_roots=((2, -1), (-3, 2)),
         positive_roots=((2, -1), (-3, 2), (-1, 1), (1, 0), (3, -1), (0, 1)),
-        gram=((_fr(2), _fr(3)), (_fr(3), _fr(6))),
+        gram=((Fraction(2), Fraction(3)), (Fraction(3), Fraction(6))),
     ),
 }
 

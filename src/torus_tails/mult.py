@@ -172,11 +172,11 @@ def plethysm_mult(rs: RootSystem, lam: Weight, a: int, mu: Weight) -> int:
     tops = _kostant_tops(rs, lam)
     if rs.rank == 1:
         return sum(sign * _kostant_sum(rs, tops, rs.root_coords_int(
-            ((mu[0] + w0) // a,))) for (w0,), sign in rs.orbit_pairs()
+            ((mu[0] + w0) // a,))) for (w0,), sign in rs.orbit_pairs
             if not (mu[0] + w0) % a)
     total = 0
     m0, m1 = mu
-    for (w0, w1), sign in rs.orbit_pairs():
+    for (w0, w1), sign in rs.orbit_pairs:
         c0, c1 = m0 + w0, m1 + w1
         if not c0 % a and not c1 % a:
             total += sign * _kostant_sum(
@@ -259,7 +259,7 @@ def _summation_scatter(rs: RootSystem, lam: Weight, a: int
         raise LieError("highest weight must be dominant")
     if a < 2:
         raise ValueError("Adams parameter a must be >= 2")
-    pairs = rs.orbit_pairs()
+    pairs = rs.orbit_pairs
     # a*nu_i - w_i >= 0 for some pair needs a*nu_i >= min(w_i)
     low = min(c for w, _ in pairs for c in w)
     tops = _kostant_tops(rs, lam)
@@ -325,7 +325,7 @@ def lattice_hull(rs: RootSystem, lam: Weight, a: int) -> LatticeHull:
     return LatticeHull(rs, lam, a, frozenset(
         tuple(c % step for c in rs.root_coords_int(
             tuple(a * lam[i] - w[i] for i in range(rs.rank))))
-        for w, _ in rs.orbit_pairs()))
+        for w, _ in rs.orbit_pairs))
 
 
 def missing_points(rs: RootSystem, lam: Weight, a: int) -> tuple[Weight, ...]:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from functools import lru_cache
+from typing import Callable, Optional
 
 from .jones import (TorusKnot, colored_jones, maximizer_bruteforce,
                     minimizer_bruteforce, minimizer_closed_form,
@@ -59,7 +60,7 @@ def _series_prefix(s: TruncatedSeries, upto: int) -> dict[int, int]:
     return out
 
 
-def check_golden_t45_printed(q_order: int = 90) -> dict:
+def check_golden_t45_printed() -> dict:
     """Criterion 1: the closed T(4,5) tail numerators reproduce the golden
     coefficient tables through q^87, one mismatch report per half.
 
@@ -67,7 +68,7 @@ def check_golden_t45_printed(q_order: int = 90) -> dict:
     polynomials J-hat_88 and J-hat_90 (see GOLDEN_A0), since the published
     A0 listing is wrong at the 15 exponents of PRINTED_A0_ERRATA.
     """
-    a0, a1 = t4b_series(5, q_order)
+    a0, a1 = t4b_series(5, 90)
     got0 = _series_prefix(a0, 87)
     got1 = _series_prefix(a1, 87)
     mism0 = {e: (GOLDEN_A0.get(e, 0), got0.get(e, 0))
@@ -86,9 +87,10 @@ def check_golden_t45_printed(q_order: int = 90) -> dict:
     }
 
 
-def check_golden_t45_substance(n: int = 89) -> dict:
+def check_golden_t45_substance() -> dict:
     """Companion to criterion 1: the computed A0/A1 agree with the exact
-    polynomial J-hat_{T(4,5), n*rho} at every q-power through 87."""
+    polynomial J-hat_{T(4,5), n*rho} at every q-power through 87, n = 89."""
+    n = 89
     a0, a1 = t4b_series(5, 90)
     jh = colored_jones(get_root_system("A2"), TorusKnot(4, 5), (n, n)).shifted
     bad = []
@@ -103,7 +105,7 @@ def check_golden_t45_substance(n: int = 89) -> dict:
     }
 
 
-def check_three_way_tails(t23_nmax: int = 198, t45_nmax: int = 145) -> dict:
+def check_three_way_tails() -> dict:
     """Criterion 2: detection, stable-limit evaluation and closed forms agree
     (T(2,3): x^2/q^30 per class with the class sign; T(4,5): x^1/q^60)."""
     A2 = get_root_system("A2")
@@ -111,8 +113,7 @@ def check_three_way_tails(t23_nmax: int = 198, t45_nmax: int = 145) -> dict:
 
     closed23 = tail_closed_T2b(3, 2, 30)
     for n0 in (6, 1):
-        det = detect_jones_tail(A2, TorusKnot(2, 3), (1, 0), n0, t23_nmax,
-                                2, 30)
+        det = detect_jones_tail(A2, TorusKnot(2, 3), (1, 0), n0, 198, 2, 30)
         sign = 1 if n0 % 2 == 0 else -1
         start = det.threshold or 12
         if not det.agrees_with(closed23.scale(sign), 2, 30, start=start):
@@ -125,7 +126,7 @@ def check_three_way_tails(t23_nmax: int = 198, t45_nmax: int = 145) -> dict:
                 ("T23 detect vs stable-limit", n0,
                  det.first_disagreement(sl, 2, 30, start)))
 
-    det45 = detect_jones_tail(A2, TorusKnot(4, 5), (1, 1), 1, t45_nmax, 1, 60)
+    det45 = detect_jones_tail(A2, TorusKnot(4, 5), (1, 1), 1, 145, 1, 60)
     closed45 = tail_closed_T4b(5, 1, 60)
     start = det45.threshold or 9
     if not det45.agrees_with(closed45, 1, 60, start=start):
@@ -142,9 +143,10 @@ def check_three_way_tails(t23_nmax: int = 198, t45_nmax: int = 145) -> dict:
     }
 
 
-def check_trefoil_theta_tail(q_order: int = 50) -> dict:
+def check_trefoil_theta_tail() -> dict:
     """Criterion 3: tail_closed_T2b(3) equals the (q)_inf quotient form,
     both sides evaluated independently in the series module."""
+    q_order = 50
     t = tail_closed_T2b(3, 2, q_order)
     phi_inf = euler_phi(q_order)
     inv1 = geometric_inverse(1, q_order)
@@ -169,16 +171,14 @@ def check_trefoil_theta_tail(q_order: int = 50) -> dict:
     }
 
 
-def check_degree_formulas(max_m: int = 5,
-                          knots: Iterable[tuple[int, int]] = KNOT_LIST,
-                          progress: Optional[Callable[[str], None]] = None
-                          ) -> dict:
+def check_degree_formulas() -> dict:
     """Criterion 4: delta* = f*(mu_table) = f*(mu_bruteforce) and
     delta = f(a*lambda) for every rank-2 algebra, small weight and knot."""
+    max_m = 5
     bad = []
     for name in RANK2_ALGEBRAS:
         rs = get_root_system(name)
-        for (a, b) in knots:
+        for (a, b) in KNOT_LIST:
             for m1 in range(max_m + 1):
                 for m2 in range(max_m + 1 - m1):
                     lam = (m1, m2)
@@ -193,8 +193,6 @@ def check_degree_formulas(max_m: int = 5,
                     if not ok:
                         bad.append((name, (a, b), lam, str(res.delta_star),
                                     str(f_star(mu_t)), mu_t, mu_b))
-            if progress:
-                progress(f"degree {name} T({a},{b}) done")
     return {
         "name": "4. degree formulas",
         "ok": not bad,
@@ -202,9 +200,10 @@ def check_degree_formulas(max_m: int = 5,
     }
 
 
-def check_extremizers(max_m: int = 8) -> dict:
+def check_extremizers() -> dict:
     """Criterion 5: brute-force argmin/argmax over S_{lambda,a} are unique,
     match the closed-form table / a*lambda, and the top multiplicity is 1."""
+    max_m = 8
     bad = []
     for name in RANK2_ALGEBRAS:
         rs = get_root_system(name)
@@ -231,8 +230,9 @@ def check_extremizers(max_m: int = 8) -> dict:
     }
 
 
-def check_kostant_grids(bound: int = 40) -> dict:
+def check_kostant_grids() -> dict:
     """Criterion 6: closed forms equal the DP on the full grid, per algebra."""
+    bound = 40
     bad = []
     for name, closed in (("A2", kostant_closed_A2), ("B2", kostant_closed_B2),
                          ("G2", kostant_closed_G2)):
@@ -250,9 +250,10 @@ def check_kostant_grids(bound: int = 40) -> dict:
     }
 
 
-def check_plethysm_oracle(max_m: int = 4) -> dict:
+def check_plethysm_oracle() -> dict:
     """Criterion 7: the Weyl-alternating plethysm multiplicities equal the
     Adams character-peeling oracle on every hull point."""
+    max_m = 4
     bad = []
     for name in ("A2", "B2"):
         rs = get_root_system(name)
@@ -303,12 +304,10 @@ def check_missing_points() -> dict:
     }
 
 
-_QHOLONOMIC_CACHE: dict = {}
-
-
-def _qholonomic_parts(n_max: int = 30) -> tuple[list, dict, list, list]:
-    if n_max in _QHOLONOMIC_CACHE:
-        return _QHOLONOMIC_CACHE[n_max]
+# criteria 9 and 9s share one computation of the two families
+@lru_cache(maxsize=1)
+def _qholonomic_parts() -> tuple[list, dict, list, list]:
+    n_max = 30
     A2 = get_root_system("A2")
     fit_failures = []
     fams = {}
@@ -335,15 +334,13 @@ def _qholonomic_parts(n_max: int = 30) -> tuple[list, dict, list, list]:
         for n in range(3, n_max - 1):
             if table[(k, n + 2)] - 2 * table[(k, n + 1)] + table[(k, n)] != 0:
                 broken.append((k, n))
-    out = (fit_failures, table, broken, list(range(3, n_max - 1)))
-    _QHOLONOMIC_CACHE[n_max] = out
-    return out
+    return fit_failures, table, broken, list(range(3, n_max - 1))
 
 
-def check_qholonomic(n_max: int = 30) -> dict:
+def check_qholonomic() -> dict:
     """Criterion 9: quadratic degree fits with holdout, and the
     second-difference recursion a_k(n+2) - 2a_k(n+1) + a_k(n) = 0 of the
-    T(4,5) coefficients for 3 <= n <= n_max-2 and 0 <= k <= min(20, n).
+    T(4,5) coefficients for 3 <= n <= 28 and 0 <= k <= min(20, n).
 
     The range comes from the depth of the tail: J-hat_n agrees with phi_0
     below q^(n+1), so a_k(n) = A0[k] + n*A1[k] is linear in n for k <= n.
@@ -351,7 +348,7 @@ def check_qholonomic(n_max: int = 30) -> dict:
     q^(n+1), so the second difference at n = k-1 is 2k); the companion
     check pins that the range is sharp.
     """
-    fit_failures, table, _, ns = _qholonomic_parts(n_max)
+    fit_failures, table, _, ns = _qholonomic_parts()
     broken = [(k, n) for n in ns for k in range(min(20, n) + 1)
               if table[(k, n + 2)] - 2 * table[(k, n + 1)] + table[(k, n)]]
     return {
@@ -364,10 +361,10 @@ def check_qholonomic(n_max: int = 30) -> dict:
     }
 
 
-def check_qholonomic_substance(n_max: int = 30) -> dict:
+def check_qholonomic_substance() -> dict:
     """Companion to criterion 9: the recursion holds exactly on n >= k, and
     the frontier is sharp (each k >= 4 fails at n = k-1)."""
-    fit_failures, table, broken, ns = _qholonomic_parts(n_max)
+    fit_failures, table, broken, ns = _qholonomic_parts()
     bad = list(fit_failures)
     broken_set = set(broken)
     for k in range(21):
@@ -384,9 +381,10 @@ def check_qholonomic_substance(n_max: int = 30) -> dict:
     }
 
 
-def check_theta_identities(q_order: int = 50) -> dict:
+def check_theta_identities() -> dict:
     """Criterion 10: theta functional identities for the tail parameters and
     the three expressions for A_{5,1} pairwise to q^60."""
+    q_order = 50
     failures = []
     pairs = [(Fraction(3), Fraction(1, 2)), (Fraction(3), Fraction(7, 2)),
              (Fraction(5), Fraction(3, 2)), (Fraction(5), Fraction(7, 2)),

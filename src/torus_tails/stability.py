@@ -209,19 +209,14 @@ def lemma_FG_transform(tail: TailSeries, c: int, d: int,
     return TailSeries(tail.residue, tuple(psis), tail.threshold)
 
 
-def lemma_FG_inverse(tail: TailSeries, c: int, d: int,
-                     x_order: Optional[int] = None) -> TailSeries:
+def lemma_FG_inverse(tail: TailSeries, c: int, d: int) -> TailSeries:
     """F = G*(1-q^d x^c): phi_k = psi_k - psi_{k-c} q^d."""
     if c < 1 or d < 0:
         raise ValueError("need c >= 1, d >= 0")
-    kmax = tail.x_order if x_order is None else x_order
-    phis: list[TruncatedSeries] = []
-    for k in range(kmax + 1):
-        acc = tail.phis[k] if k <= tail.x_order else TruncatedSeries.zero()
-        if k - c >= 0 and k - c <= tail.x_order:
-            acc = acc - tail.phis[k - c].shifted(d)
-        phis.append(acc)
-    return TailSeries(tail.residue, tuple(phis), tail.threshold)
+    phis = tail.phis
+    return TailSeries(tail.residue, tuple(
+        phi - phis[k - c].shifted(d) if k >= c else phi
+        for k, phi in enumerate(phis)), tail.threshold)
 
 
 # -- empirical detection ------------------------------------------------------
@@ -522,7 +517,7 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
     acc: list[dict[int, QuasiPolynomial]] = [{} for _ in range(x_order + 1)]
     for qe, xe, v, t_fit in summands:
         signed = {1: t_fit, -1: -t_fit}
-        for w, sign in rs.orbit_pairs():
+        for w, sign in rs.orbit_pairs:
             qw, xw = 2 * a * rs.inner_int(v, w), 2 * a * rs.inner_int(nu1, w)
             if qw % d or xw % d:
                 raise StabilityError("non-integral exponent in tail product")
@@ -585,7 +580,7 @@ def t4b_series(b: int, q_order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     # the exponent (b/12) Q(u) + (b/4 - 1)(u1 + u2) is >= (b/12) u_i^2, so
     # this box covers everything below q_order
     u_bound = isqrt(12 * q_order // b) + 2
-    for (s, t), sign in rs.orbit_pairs():
+    for (s, t), sign in rs.orbit_pairs:
         for u1 in range(0, u_bound + 1):
             if (u1 + s) % 4:
                 continue

@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from torus_tails import jones, kostant, lie, mult
+from torus_tails import jones, kostant, lie, mult, qseries, stability
 from torus_tails.jones import (JonesError, TorusKnot, checked_sum,
                                colored_jones, jones_jet, maximizer_bruteforce,
                                minimizer_bruteforce, minimizer_closed_form,
@@ -349,46 +349,37 @@ def test_polynomial_memory_per_term():
 
 
 def _unbounded_tables():
-    # every maxsize=None table of lie, mult and kostant, warmed with the
-    # per-root-system Weyl data of A2 so later growth means a per-color leak
-    tables = [fn for mod in (lie, mult, kostant) for fn in vars(mod).values()
-              if hasattr(fn, "cache_info") and fn.cache_info().maxsize is None]
-    assert tables
-    plethysm_mult(A2, (1, 1), 2, (0, 0))
-    return tables
+    # the maxsize=None tables of the modules on the Jones and tail routes,
+    # any of which could grow with the color
+    return [name for mod in (lie, kostant, mult, jones, qseries, stability)
+            for name, fn in vars(mod).items()
+            if hasattr(fn, "cache_info") and fn.cache_info().maxsize is None]
 
 
 def test_jet_leaves_weight_mult_table_alone():
     # the jets take each multiplicity from one Kostant sum over a bounded
-    # per-lambda table, so no unbounded table grows along the family
-    tables = _unbounded_tables()
-    before = [fn.cache_info().currsize for fn in tables]
+    # per-lambda table, so no unbounded table exists to grow along the family
     jones_family(A2, TorusKnot(2, 3), (1, 0), range(20, 41), 40)
-    assert [fn.cache_info().currsize for fn in tables] == before
+    assert _unbounded_tables() == []
 
 
 def test_colored_jones_leaves_global_tables_alone():
     # the summation set scans the dominant weights and computes each
-    # multiplicity once, so no unbounded table grows.  (12, 13) is on no ray
-    # the other tests walk, so the check holds in any test order.
-    tables = _unbounded_tables()
-    before = [fn.cache_info().currsize for fn in tables]
+    # multiplicity once, in bounded tables only
     for lam in ((12, 12), (12, 13)):
         colored_jones(A2, TorusKnot(4, 5), lam)
-    assert [fn.cache_info().currsize for fn in tables] == before
+    assert _unbounded_tables() == []
 
 
 def test_multiplicity_routes_leave_unbounded_tables_alone():
     # plethysm_mult's per-point route shares the bounded per-lambda tables
     # of the jets and colored_jones
-    tables = _unbounded_tables()
-    before = [fn.cache_info().currsize for fn in tables]
     for n in range(30, 61):
         lam = (n, n + 1)
         for mu in ((0, 0), (1, 2), minimizer_closed_form(A2, lam, 2)):
             plethysm_mult(A2, lam, 2, mu)
             plethysm_mult(A2, lam, 3, mu)
-    assert [fn.cache_info().currsize for fn in tables] == before
+    assert _unbounded_tables() == []
 
 
 def test_a1_smoke_family():

@@ -37,18 +37,18 @@ def test_orbit_table_A2():
     # positive roots
     expected = {((0, 0), 1), ((2, -1), -1), ((-1, 2), -1), ((0, 3), 1),
                 ((3, 0), 1), ((2, 2), -1)}
-    assert set(A2.orbit_pairs()) == expected
+    assert set(A2.orbit_pairs) == expected
 
 
 def test_orbit_table_B2():
     expected = {((0, 0), 1), ((2, -2), -1), ((-1, 2), -1), ((-1, 4), 1),
                 ((3, -2), 1), ((3, 0), -1), ((0, 4), -1), ((2, 2), 1)}
-    assert set(B2.orbit_pairs()) == expected
+    assert set(B2.orbit_pairs) == expected
 
 
 def test_orbit_identity_entry():
     for rs in (A1, A2, B2, G2):
-        assert ((0,) * rs.rank, 1) in rs.orbit_pairs()
+        assert ((0,) * rs.rank, 1) in rs.orbit_pairs
 
 
 def test_orbit_pairs_cache_matches_fresh_computation():
@@ -59,14 +59,14 @@ def test_orbit_pairs_cache_matches_fresh_computation():
             im = tuple(sum(row[j] * rho[j] for j in range(rs.rank))
                        for row in mat)
             fresh.append((tuple(rho[i] - im[i] for i in range(rs.rank)), sign))
-        assert rs.orbit_pairs() == tuple(sorted(fresh))
-        assert rs.orbit_pairs() is rs.orbit_pairs()
+        assert rs.orbit_pairs == tuple(sorted(fresh))
+        assert rs.orbit_pairs is rs.orbit_pairs
 
 
 def test_orbit_entries_are_positive_root_sums():
     # Kostant: rho - sigma(rho) is a sum of distinct positive roots
     for rs in (A2, B2, G2):
-        for w, _ in rs.orbit_pairs():
+        for w, _ in rs.orbit_pairs:
             rc = rs.to_root_coords(w)
             assert all(c.denominator == 1 and c >= 0 for c in rc), (rs.name, w)
 

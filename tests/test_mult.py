@@ -239,7 +239,7 @@ def on_translates(rs, lam, a, mu):
     step = a * rs.root_det
     return any(all(c % step == 0 for c in rs.root_coords_int(
         tuple(m - a * l + c for m, l, c in zip(mu, lam, w))))
-        for w, _ in rs.orbit_pairs())
+        for w, _ in rs.orbit_pairs)
 
 
 def reference_hull_points(rs, lam, a):
@@ -327,7 +327,7 @@ def test_scatter_summation_set_equals_pointwise(rs):
             s = summation_set(rs, lam, a)
             # the geometric definition, built here independently
             points = {tuple(a * n - c for n, c in zip(nu, w))
-                      for w, _ in rs.orbit_pairs()
+                      for w, _ in rs.orbit_pairs
                       for nu in weight_system(rs, lam)}
             assert set(s) == {mu for mu in points if min(mu) >= 0}
             for mu, m in s.items():

@@ -100,6 +100,32 @@ def test_detect_jones_tail_jets_match_full_family(knot, ray, n0, n_max,
     assert detect_jones_tail(A2, knot, ray, n0, n_max, 1, q_order) == full
 
 
+# Detection must raise rather than return a plausible wrong tail.  Both
+# tests below fail today, because detection returns a tail that disagrees
+# with the closed form or the stable limit; strict=True makes the fix that
+# flips them visible.
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="detection returns a tail wrong at (1, 10)")
+def test_detect_t45_rho_raises_data_horizon_error():
+    with pytest.raises(StabilityError, match="data horizon"):
+        detect_jones_tail(A2, TorusKnot(4, 5), (1, 1), 1, 40, 1, 12)
+
+
+@pytest.mark.parametrize("n_max", (24, 30, 36))
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="detection returns a tail wrong at (1, 0)")
+def test_detect_g2_t34_rho_raises_or_matches_stable_limit(n_max):
+    G2, knot = get_root_system("G2"), TorusKnot(3, 4)
+    ref = tail_eval_stable_limit(G2, knot, (1, 1), 1, 1, 6, 60)
+    try:
+        det = detect_jones_tail(G2, knot, (1, 1), 1, n_max, 1, 6)
+    except StabilityError:
+        return
+    # both routes take their class from minimal_class_modulus
+    assert det.residue == ref.residue
+    assert det.first_disagreement(ref, 1, 6, det.threshold or 0) is None
+
+
 def test_partial_sum_defect_inequality(trefoil_family):
     tail = detect_cstability(trefoil_family, 6, 6, 1, 8)
     assert tail.threshold is not None
