@@ -51,15 +51,6 @@ PRINTED_A0_ERRATA = {36: (0, -2), 37: (0, 2), 46: (0, 2), 48: (1, -1),
 KNOT_LIST = ((2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (5, 6))
 
 
-def _series_prefix(s: TruncatedSeries, upto: int) -> dict[int, int]:
-    out = {}
-    for e, c in zip(s.exps, s.coeffs):
-        ef = Fraction(e, s.denom)
-        if ef <= upto:
-            out[int(ef)] = c
-    return out
-
-
 def check_golden_t45_printed() -> dict:
     """Criterion 1: the closed T(4,5) tail numerators reproduce the golden
     coefficient tables through q^87, one mismatch report per half.
@@ -69,8 +60,8 @@ def check_golden_t45_printed() -> dict:
     A0 listing is wrong at the 15 exponents of PRINTED_A0_ERRATA.
     """
     a0, a1 = t4b_series(5, 90)
-    got0 = _series_prefix(a0, 87)
-    got1 = _series_prefix(a1, 87)
+    got0 = a0.truncated(88).as_dict()
+    got1 = a1.truncated(88).as_dict()
     mism0 = {e: (GOLDEN_A0.get(e, 0), got0.get(e, 0))
              for e in sorted(set(GOLDEN_A0) | set(got0))
              if GOLDEN_A0.get(e, 0) != got0.get(e, 0)}

@@ -11,7 +11,10 @@ detection from the computed polynomials, evaluation of the structural
 lattice-sum limit, and the closed theta-quotient forms.  The lattice-sum
 limit takes its q-exponents from the one degree quadratic of ``jones``
 (``_degree_quadratic``, re-centred at the minimizer) and its row bounds from
-the one row solver there (``_negative_range``).
+the one row solver there (``_negative_range``).  The stable limit and both
+closed forms are each one numerator over prod (1 - x^c q^d), divided out
+by the one quotient ``_tail_quotient``; detection keeps each member's
+residual as a series whose order is its exactness window.
 """
 
 from __future__ import annotations
@@ -190,21 +193,15 @@ class TailSeries:
 # -- denominator transforms of tails ------------------------------------------
 
 
-def lemma_FG_transform(tail: TailSeries, c: int, d: int,
-                       x_order: Optional[int] = None) -> TailSeries:
+def lemma_FG_transform(tail: TailSeries, c: int, d: int) -> TailSeries:
     """G = F/(1-q^d x^c): psi_k = sum_{i+jc=k} phi_i q^(jd)."""
     if c < 1 or d < 0:
         raise ValueError("need c >= 1, d >= 0")
-    kmax = tail.x_order if x_order is None else x_order
     psis = []
-    for k in range(kmax + 1):
+    for k in range(tail.x_order + 1):
         acc = TruncatedSeries.zero()
-        j = 0
-        while j * c <= k:
-            i = k - j * c
-            if i <= tail.x_order:
-                acc = acc + tail.phis[i].shifted(j * d)
-            j += 1
+        for j in range(k // c + 1):
+            acc = acc + tail.phis[k - j * c].shifted(j * d)
         psis.append(acc)
     return TailSeries(tail.residue, tuple(psis), tail.threshold)
 
@@ -217,6 +214,33 @@ def lemma_FG_inverse(tail: TailSeries, c: int, d: int) -> TailSeries:
     return TailSeries(tail.residue, tuple(
         phi - phis[k - c].shifted(d) if k >= c else phi
         for k, phi in enumerate(phis)), tail.threshold)
+
+
+def _check_orders(x_name: str, x_order: int, q_order: int) -> None:
+    """Reject a tail request with no x-term or no q-term."""
+    if x_order < 0:
+        raise ValueError(f"{x_name} must be >= 0, got {x_order}")
+    if q_order < 1:
+        raise ValueError(f"q_order must be >= 1, got {q_order}")
+
+
+def _tail_quotient(residue: tuple[int, int],
+                   numerator: Sequence[TruncatedSeries],
+                   factors: Iterable[tuple[int, int]], x_order: int,
+                   q_order: int) -> TailSeries:
+    """numerator / prod (1 - x^c q^d) over the factors (c, d), through
+    x^x_order and below q^q_order.  Division only raises the x-degree, so the
+    numerator is cut to its first x_order + 1 phis (missing ones are zero)."""
+    phis = list(numerator[:x_order + 1])
+    phis += [TruncatedSeries(order=q_order)] * (x_order + 1 - len(phis))
+    tail = TailSeries(residue, tuple(phis))
+    for c, d in factors:
+        if c:
+            tail = lemma_FG_transform(tail, c, d)
+        else:
+            tail = TailSeries(residue, tuple(exact_div(p, d, q_order)
+                                             for p in tail.phis))
+    return TailSeries(residue, tuple(p.truncated(q_order) for p in tail.phis))
 
 
 # -- empirical detection ------------------------------------------------------
@@ -276,10 +300,11 @@ def detect_cstability(family: Mapping[int, TruncatedSeries], n0: int,
     n > m, so each coefficient is fit on its stabilized suffix (training on
     the last points, the fit must match every stabilized sample); the
     certified order of phi_k is capped by the first power with no stabilized
-    sample, and each member carries an exactness window that shrinks by n per
-    stage.  Asking for q_order beyond the certified cap raises a data-horizon
-    error naming the shortfall.
+    sample, and each member's residual is a series whose order, its exactness
+    window, shrinks by n per stage.  Asking for q_order beyond the certified
+    cap raises a data-horizon error naming the shortfall.
     """
+    _check_orders("k_max", k_max, q_order)
     ns = sorted(n for n in family if n % modulus == n0 % modulus)
     if len(ns) < 3:
         raise StabilityError("need at least 3 family members in the class")
@@ -287,25 +312,18 @@ def detect_cstability(family: Mapping[int, TruncatedSeries], n0: int,
     # few stabilized samples to pin their n-dependence; later stages must not
     # consume them
     weak_width = 3 * modulus
-    residual: dict[int, dict[int, int]] = {}
-    window: dict[int, Optional[int]] = {}
-    for n in ns:
-        f = family[n]
-        if f.denom != 1:
-            raise StabilityError("family members must have integer exponents")
-        residual[n] = f.as_dict()
-        window[n] = f.order
+    residual = {n: family[n] for n in ns}
+    if any(f.denom != 1 for f in residual.values()):
+        raise StabilityError("family members must have integer exponents")
     phis: list[TruncatedSeries] = []
     for k in range(k_max + 1):
+        samples = {n: residual[n].as_dict() for n in ns}
         coeffs: dict[int, QuasiPolynomial] = {}
         cap = 0
         while True:
-            m = cap
-            clean = []
-            for n in ns:
-                o = window[n]
-                if n > m and (o is None or m < o):
-                    clean.append((n, residual[n].get(m, 0)))
+            clean = [(n, samples[n].get(cap, 0)) for n in ns
+                     if n > cap and (residual[n].order is None
+                                     or cap < residual[n].order)]
             if not clean:
                 break
             try:
@@ -313,10 +331,10 @@ def detect_cstability(family: Mapping[int, TruncatedSeries], n0: int,
                                           validate_all=True)
             except FitError as exc:
                 raise StabilityError(
-                    f"c-stability not detected in range at x^{k}, q^{m}: "
+                    f"c-stability not detected in range at x^{k}, q^{cap}: "
                     f"{exc}") from exc
             if qp:
-                coeffs[m] = qp
+                coeffs[cap] = qp
             cap += 1
         if cap < q_order:
             raise StabilityError(
@@ -329,26 +347,16 @@ def detect_cstability(family: Mapping[int, TruncatedSeries], n0: int,
             break
         trust = cap - weak_width
         for n in ns:
-            ev = phi.evaluate(n)
-            diff = dict(residual[n])
-            for e, c in zip(ev.exps, ev.coeffs):
-                v = diff.get(e, 0) - c
-                if v:
-                    diff[e] = v
-                else:
-                    diff.pop(e, None)
-            o = trust if window[n] is None else min(window[n], trust)
-            diff = {e: c for e, c in diff.items() if e < o}
-            if any(e < n for e in diff):
+            diff = (residual[n] - phi.evaluate(n)).truncated(trust)
+            if diff.exps and diff.exps[0] < n:
                 raise StabilityError(
                     f"member n={n} breaks the partial-sum structure at "
                     f"stage {k}: residual term below q^n")
-            residual[n] = {e - n: c for e, c in diff.items()}
-            window[n] = o - n
+            residual[n] = diff.shifted(-n)
     tail = TailSeries((n0 % modulus, modulus), tuple(phis))
     threshold = _defect_threshold(family, tail, ns, k_max, q_order)
     return TailSeries(tail.residue,
-                      tuple(p.truncated(max(q_order, 1)) for p in tail.phis),
+                      tuple(p.truncated(q_order) for p in tail.phis),
                       threshold)
 
 
@@ -422,6 +430,7 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
     u2 = 0, a row is where one of two convex quadratics in u2 is below
     D*q_order (``jones._negative_range``); their minima over u2 bound u1.
     """
+    _check_orders("x_order", x_order, q_order)
     if rs.rank != 2:
         raise LieError("stable-limit tails are for the rank-2 algebras")
     a, b = knot.a, knot.b
@@ -506,7 +515,7 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
             if qn % d:
                 raise StabilityError(f"non-integral tail exponent at {hat}")
             try:
-                t_fit = fit_quasi_polynomial(samples, max_period=24,
+                t_fit = fit_quasi_polynomial(samples,
                                              require_integer_values=True)
             except FitError as exc:
                 raise StabilityError(
@@ -525,21 +534,17 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
             if k <= x_order and e < q_order:
                 c = signed[sign]
                 acc[k][e] = acc[k][e] + c if e in acc[k] else c
-    tail = TailSeries((n0 % modulus, modulus), tuple(
-        TruncatedSeries.make(terms, 1, q_order) for terms in acc))
     # divide by prod (1 - x^{(ray,alpha)} q^{(rho,alpha)})
+    factors = []
     for al in roots:
         xc, xr = divmod(rs.inner_int(ray, al), rs.gram_scale)
         qd, qr = divmod(rs.inner_int(rho, al), rs.gram_scale)
         if xr or qr or xc < 0:
             raise StabilityError("non-integral prefactor exponents")
-        if xc == 0:
-            tail = TailSeries(tail.residue, tuple(exact_div(p, qd, q_order)
-                                                  for p in tail.phis))
-        else:
-            tail = lemma_FG_transform(tail, xc, qd)
-    return TailSeries(tail.residue,
-                      tuple(p.truncated(q_order) for p in tail.phis))
+        factors.append((xc, qd))
+    return _tail_quotient((n0 % modulus, modulus), [
+        TruncatedSeries.make(terms, 1, q_order) for terms in acc], factors,
+        x_order, q_order)
 
 
 # -- closed forms -------------------------------------------------------------
@@ -550,18 +555,12 @@ def tail_closed_T2b(b: int, x_order: int, q_order: int) -> TailSeries:
     ((1-q)(1-qx)(1-q^2 x)) for odd b > 2."""
     if b % 2 == 0 or b <= 2:
         raise ValueError("need odd b > 2")
+    _check_orders("x_order", x_order, q_order)
     th1 = theta(ThetaParams(Fraction(b), Fraction(b, 2) - 1), q_order)
     th2 = theta(ThetaParams(Fraction(b), Fraction(b, 2) + 2), q_order)
-    phis = {0: qp_series(th1),
-            1: qp_series(th2.shifted(3).truncated(q_order)),
-            2: qp_series(th1.shifted(3).truncated(q_order))}
-    base = TailSeries((0, 1), tuple(
-        exact_div(phis.get(k, TruncatedSeries(order=q_order)), 1, q_order)
-        for k in range(max(2, x_order) + 1)))                # 1/(1-q)
-    base = lemma_FG_transform(base, 1, 1, x_order=x_order)   # 1/(1-qx)
-    base = lemma_FG_transform(base, 1, 2, x_order=x_order)   # 1/(1-q^2 x)
-    return TailSeries(base.residue,
-                      tuple(p.truncated(q_order) for p in base.phis[:x_order + 1]))
+    return _tail_quotient((0, 1), [qp_series(th1), qp_series(th2.shifted(3)),
+                                   qp_series(th1.shifted(3))],
+                          [(0, 1), (1, 1), (1, 2)], x_order, q_order)
 
 
 def t4b_series(b: int, q_order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -614,43 +613,25 @@ def t4b_series(b: int, q_order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
 
 def tail_closed_T4b(b: int, x_order: int, q_order: int) -> TailSeries:
     """(A_{b,0} + n A_{b,1}) / ((1-xq)^2 (1-x^2 q^2)) for odd b > 4."""
+    _check_orders("x_order", x_order, q_order)
     a0, a1 = t4b_series(b, q_order)
-    num = qp_series(a0, linear=a1)
-    base = TailSeries((0, 1), tuple(
-        [num] + [TruncatedSeries(order=q_order)] * x_order))
-    base = lemma_FG_transform(base, 1, 1, x_order=x_order)
-    base = lemma_FG_transform(base, 1, 1, x_order=x_order)
-    base = lemma_FG_transform(base, 2, 2, x_order=x_order)
-    return TailSeries(base.residue,
-                      tuple(p.truncated(q_order) for p in base.phis))
+    return _tail_quotient((0, 1), [qp_series(a0, linear=a1)],
+                          [(1, 1), (1, 1), (2, 2)], x_order, q_order)
 
 
 def a1_theta_difference(b: int, q_order: int) -> TruncatedSeries:
-    """A_{b,1} as (q)_inf times a difference of two unary theta sums.
+    """A_{b,1} = (q)_inf (theta_{15,1/2} + q^3 theta_{15,19/2}) for b = 5.
 
-    The second sum runs over n in 3/5+Z; writing n = (5m+3)/5 the exponent is
-    (15 m^2 + 19 m + 6)/2 = (3m+2)(5m+3)/2 and the alternating sign is read
-    off the numerator, (-1)^(5m+3) = (-1)^(m+1).  Pinned against the
-    unambiguous lattice-sum form of the same series.
+    The printed form subtracts a second unary theta sum over n in 3/5+Z.
+    With n = (5m+3)/5 its terms are (-1)^(5m+3) q^((3m+2)(5m+3)/2), that is
+    -(-1)^m q^((15 m^2 + 19 m + 6)/2), so subtracting it adds q^3
+    theta_{15,19/2}.  Pinned against the lattice-sum form of the series.
     """
     if b != 5:
         raise ValueError("the printed theta-difference form is for b = 5")
-    t_int: dict[int, int] = {}
-    t_frac: dict[int, int] = {}
-    reach = isqrt(q_order) + 4   # (15m^2 +- ...)/2 > q_order well before this
-    for m in range(-reach, reach + 1):
-        sign = 1 if m % 2 == 0 else -1
-        e1 = 15 * m * m + m
-        assert e1 % 2 == 0
-        if 0 <= e1 // 2 < q_order:
-            t_int[e1 // 2] = t_int.get(e1 // 2, 0) + sign
-        e2 = 15 * m * m + 19 * m + 6
-        assert e2 % 2 == 0
-        if 0 <= e2 // 2 < q_order:
-            t_frac[e2 // 2] = t_frac.get(e2 // 2, 0) - sign
-    diff = TruncatedSeries.make(t_int, 1, q_order) - \
-        TruncatedSeries.make(t_frac, 1, q_order)
-    return (euler_phi(q_order) * diff).truncated(q_order)
+    th1 = theta(ThetaParams(15, Fraction(1, 2)), q_order)
+    th2 = theta(ThetaParams(15, Fraction(19, 2)), q_order)
+    return (euler_phi(q_order) * (th1 + th2.shifted(3))).truncated(q_order)
 
 
 def a1_triple_product(b: int, q_order: int) -> TruncatedSeries:

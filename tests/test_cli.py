@@ -411,3 +411,19 @@ def test_tail_stable_limit_b2_exits_2(capsys):
     assert code == 2
     assert not out
     assert "non-integral" in err
+
+
+@pytest.mark.parametrize("method", ["closed", "stable-limit", "detect"])
+@pytest.mark.parametrize("orders, name", [
+    (("--x-order", "-1", "--q-order", "10"), "must be >= 0, got -1"),
+    (("--x-order", "1", "--q-order", "0"), "q_order must be >= 1"),
+    (("--x-order", "1", "--q-order", "-3"), "q_order must be >= 1"),
+])
+def test_tail_empty_or_negative_orders_exit_2(capsys, method, orders, name):
+    # a tail with no x-term or no q-term is refused, not printed empty
+    code, out, err = run(capsys, "tail", "--algebra", "A2", "--knot", "2,5",
+                         "--ray", "1,0", "--method", method,
+                         "--n-max", "36", *orders)
+    assert code == 2
+    assert out == ""
+    assert name in err

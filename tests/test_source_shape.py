@@ -7,7 +7,7 @@ from pathlib import Path
 
 import torus_tails
 
-MAX_DEFAULTED_PARAMETERS = 27
+MAX_DEFAULTED_PARAMETERS = 26
 
 
 def _nodes():

@@ -126,6 +126,27 @@ def test_detect_g2_t34_rho_raises_or_matches_stable_limit(n_max):
     assert det.first_disagreement(ref, 1, 6, det.threshold or 0) is None
 
 
+# Repro 3 (census probe): detection at n_max 60 against the stable limit at
+# n_max 40; today the tails disagree at (1, 17), (1, 19), (1, 19) and (1, 0).
+@pytest.mark.parametrize("algebra, knot, ray", [
+    ("A2", (5, 6), (1, 1)),
+    ("G2", (3, 4), (1, 0)),
+    ("G2", (3, 5), (1, 0)),
+    ("G2", (3, 5), (1, 1)),
+], ids=["A2-T56-rho", "G2-T34-10", "G2-T35-10", "G2-T35-rho"])
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="detection returns a tail wrong below x^1 q^20")
+def test_detect_census_raises_or_matches_stable_limit(algebra, knot, ray):
+    rs, knot = get_root_system(algebra), TorusKnot(*knot)
+    ref = tail_eval_stable_limit(rs, knot, ray, 1, 1, 20, 40)
+    try:
+        det = detect_jones_tail(rs, knot, ray, 1, 60, 1, 20)
+    except StabilityError:
+        return
+    assert det.residue == ref.residue
+    assert det.first_disagreement(ref, 1, 20, det.threshold or 0) is None
+
+
 def test_partial_sum_defect_inequality(trefoil_family):
     tail = detect_cstability(trefoil_family, 6, 6, 1, 8)
     assert tail.threshold is not None
@@ -148,6 +169,20 @@ def test_tail_closed_T2b_trefoil_phi0():
 def test_tail_closed_T2b_rejects_even():
     with pytest.raises(ValueError):
         tail_closed_T2b(4, 2, 20)
+
+
+@pytest.mark.parametrize("x_order, q_order, name", [
+    (-1, 10, "x_order"), (1, 0, "q_order"), (1, -5, "q_order")])
+def test_tail_routes_reject_empty_orders(trefoil_family, x_order, q_order,
+                                         name):
+    for route in (lambda: tail_closed_T2b(5, x_order, q_order),
+                  lambda: tail_closed_T4b(5, x_order, q_order),
+                  lambda: tail_eval_stable_limit(A2, TorusKnot(2, 3), (1, 0),
+                                                 6, x_order, q_order, 36)):
+        with pytest.raises(ValueError, match=name):
+            route()
+    with pytest.raises(ValueError, match="k_max" if x_order < 0 else name):
+        detect_cstability(trefoil_family, 6, 6, x_order, q_order)
 
 
 def test_detect_constant_family():
@@ -203,6 +238,24 @@ def test_closed_tail_golden(name, b, x_order, q_order):
     tail = fn(b, x_order, q_order)
     assert tail_values(tail, x_order) == \
         CLOSED_TAIL_GOLDEN[name, b, x_order, q_order]
+
+
+@pytest.mark.parametrize("route", [
+    lambda x: tail_closed_T2b(5, x, 40),
+    lambda x: tail_closed_T4b(7, x, 40),
+    lambda x: tail_eval_stable_limit(A2, TorusKnot(2, 3), (1, 0), 6, x, 20,
+                                     36),
+    lambda x: tail_eval_stable_limit(get_root_system("G2"), TorusKnot(2, 3),
+                                     (0, 1), 1, x, 20, 30),
+], ids=["T2b", "T4b", "A2-stable-limit", "G2-stable-limit"])
+def test_low_x_order_is_a_prefix_of_x_order_3(route):
+    # dividing by prod (1 - x^c q^d) never lowers the x-degree, so asking
+    # for fewer x-terms must give exactly the first ones
+    full = route(3)
+    for x in (0, 1, 2):
+        tail = route(x)
+        assert tail.phis == full.phis[:x + 1]
+        assert tail.residue == full.residue
 
 
 def test_a1_theta_forms_match():
