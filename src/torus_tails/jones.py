@@ -341,13 +341,6 @@ def _jet_multiplicities(rs: RootSystem, lam: Weight, a: int,
     # m_lambda^nu by Kostant's formula at any weight nu, kept for this call
     # only: each nu is met from up to |W| mu
     seen: dict[Weight, int] = {}
-
-    def weight_mult(nu: Weight) -> int:
-        total = seen.get(nu)
-        if total is None:
-            total = seen[nu] = _kostant_sum(rs, tops, rs.root_coords_int(nu))
-        return total
-
     # D*f*(i, j) - top = cyy*j^2 + (cxy*i + cy)*j + const
     cxx, cxy, cyy, cx, cy, c0 = quad
     out: dict[Weight, int] = {}
@@ -364,7 +357,11 @@ def _jet_multiplicities(rs: RootSystem, lam: Weight, a: int,
             nu0 = (i + w0) // a
             for j0 in starts[i % d, -w1 % a]:
                 for j in range(j0, end, step):
-                    m = weight_mult((nu0, (j + w1) // a))
+                    nu = (nu0, (j + w1) // a)
+                    m = seen.get(nu)
+                    if m is None:
+                        m = seen[nu] = _kostant_sum(rs, tops,
+                                                    rs.root_coords_int(nu))
                     if m:
                         row[j] = row.get(j, 0) + sign * m
         for j, m in row.items():

@@ -11,8 +11,9 @@ Everything runs on the integer kernel of ``lie``: root coordinates scaled by
 ``root_det`` and inner products scaled by ``gram_scale``.  Every weight
 multiplicity (``weight_mult``, ``plethysm_mult``, ``summation_set`` and the
 jet kernel of ``jones``) is one integer Kostant sum, ``_kostant_sum``, at
-any weight, over the bounded per-lambda table ``_kostant_tops``; no
-multiplicity is kept in a process-wide table.  One scatter,
+any weight, over the bounded per-lambda table ``_kostant_tops``; one
+divisibility test on its first top returns 0 off lambda's root-lattice
+coset.  No multiplicity is kept in a process-wide table.  One scatter,
 ``_summation_scatter``, scans the dominant nu <= lambda only, takes
 m_lambda^nu once for each, and adds sign * m_lambda^nu at
 mu = a*nu' - (rho - sigma(rho)) over the W-images nu' of nu (formed only
@@ -59,23 +60,27 @@ def _kostant_sum(rs: RootSystem, tops: tuple[tuple[Weight, int], ...],
     tops is ``_kostant_tops(rs, lambda)`` and rc is root_coords_int(nu):
     the sum of sign * P((top - rc)/root_det) over the entries whose
     difference is a nonnegative root-lattice vector, P the partition
-    function.
+    function.  Every top sigma(lambda+rho) - rho lies in lambda + Q, so the
+    first top decides for all of them whether nu is on the coset of lambda;
+    off it the sum is 0, on it only the signs of the differences are tested.
     """
     d = rs.root_det
     total = 0
     if rs.rank == 1:
         (r0,) = rc
+        if (tops[0][0][0] - r0) % d:
+            return 0
         for (t0,), sign in tops:
-            u = t0 - r0
-            if u >= 0 and not u % d:
-                total += sign * kostant(rs, (u // d,))
+            if t0 >= r0:
+                total += sign * kostant(rs, ((t0 - r0) // d,))
         return total
     r0, r1 = rc
+    (t0, t1), _ = tops[0]
+    if (t0 - r0) % d or (t1 - r1) % d:
+        return 0
     for (t0, t1), sign in tops:
-        u = t0 - r0
-        v = t1 - r1
-        if u >= 0 and v >= 0 and not u % d and not v % d:
-            total += sign * kostant(rs, (u // d, v // d))
+        if t0 >= r0 and t1 >= r1:
+            total += sign * kostant(rs, ((t0 - r0) // d, (t1 - r1) // d))
     return total
 
 

@@ -7,7 +7,8 @@ slots and no pair object; ``terms`` is the derived view of (e, c) pairs.  An
 optional truncation order O guarantees every coefficient at exponents below
 O/D is exact.  Coefficients at or beyond the order are unknown and never
 reported.  Exponent arithmetic is pure integer arithmetic on the numerators;
-orders propagate to the tightest provably-exact bound.
+orders propagate to the tightest provably-exact bound.  A sum or difference
+is one merge of the two exponent columns, each cut at the common order.
 
 The coefficient ring R is the integers or the quasi-polynomials in n (the
 tails' phi_k(n, q)).  The algebra needs only +, -, * and truthiness of the
@@ -142,47 +143,65 @@ class TruncatedSeries:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _aligned(self, other: "TruncatedSeries"):
-        d = lcm(self.denom, other.denom)
-        f1, f2 = d // self.denom, d // other.denom
-        t1 = {e * f1: c for e, c in zip(self.exps, self.coeffs)}
-        t2 = {e * f2: c for e, c in zip(other.exps, other.coeffs)}
-        o1 = None if self.order is None else self.order * f1
-        o2 = None if other.order is None else other.order * f2
-        return d, t1, o1, t2, o2
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        d, t1, o1, t2, o2 = self._aligned(other)
-        out = dict(t1)
-        for e, c in t2.items():
-            out[e] = out[e] + c if e in out else c
-        order = _min_order(o1, o2)
-        return TruncatedSeries.make(out, d, order)
+        return self._merged(other, other.coeffs)
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(self.denom, self.exps,
                                tuple(-c for c in self.coeffs), self.order)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
+        return self._merged(other, tuple(-c for c in other.coeffs))
+
+    def _merged(self, other: "TruncatedSeries", coeffs2: Sequence[Coeff]
+                ) -> "TruncatedSeries":
+        """self plus the series of other's exponents with ``coeffs2``: one
+        merge of the two increasing exponent columns, each cut at the common
+        order, adding where the exponents meet and dropping zero sums."""
+        d = lcm(self.denom, other.denom)
+        e1, o1 = _rescaled(self, d // self.denom)
+        e2, o2 = _rescaled(other, d // other.denom)
+        order = _min_order(o1, o2)
+        n1 = len(e1) if order is None else bisect_left(e1, order)
+        n2 = len(e2) if order is None else bisect_left(e2, order)
+        c1 = self.coeffs
+        exps: list[int] = []
+        coeffs: list[Coeff] = []
+        i = j = 0
+        while i < n1 and j < n2:
+            x, y = e1[i], e2[j]
+            c = c1[i] if x < y else coeffs2[j] if y < x else c1[i] + coeffs2[j]
+            if c:
+                exps.append(min(x, y))
+                coeffs.append(c)
+            i += x <= y
+            j += y <= x
+        exps += e1[i:n1]
+        coeffs += c1[i:n1]
+        exps += e2[j:n2]
+        coeffs += coeffs2[j:n2]
+        return _columns(d, exps, coeffs, order)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if (self.is_zero and self.order is None) or \
            (other.is_zero and other.order is None):
             return TruncatedSeries.zero()
-        d, t1, o1, t2, o2 = self._aligned(other)
-        m1 = min(t1) if t1 else o1
-        m2 = min(t2) if t2 else o2
+        d = lcm(self.denom, other.denom)
+        e1, o1 = _rescaled(self, d // self.denom)
+        e2, o2 = _rescaled(other, d // other.denom)
+        m1 = e1[0] if e1 else o1
+        m2 = e2[0] if e2 else o2
         order = _min_order(
             None if o2 is None or m1 is None else m1 + o2,
             None if o1 is None or m2 is None else m2 + o1,
         )
         out: dict[int, Coeff] = {}
-        for e1, c1 in t1.items():
-            for e2, c2 in t2.items():
-                e = e1 + e2
+        terms2 = tuple(zip(e2, other.coeffs))
+        for x, c1 in zip(e1, self.coeffs):
+            for y, c2 in terms2:
+                e = x + y
                 if order is not None and e >= order:
-                    continue
+                    break   # the exponents of other increase
                 c = c1 * c2
                 out[e] = out[e] + c if e in out else c
         return TruncatedSeries.make(out, d, order)
@@ -271,6 +290,15 @@ def _columns(denom: int, exps: Sequence[int], coeffs: Iterable[Coeff],
         denom //= g
         order = None if order is None else order // g
     return TruncatedSeries(denom, tuple(exps), tuple(coeffs), order)
+
+
+def _rescaled(s: TruncatedSeries, f: int
+              ) -> tuple[Sequence[int], Optional[int]]:
+    """The exponent column and order of s over denominator f*s.denom."""
+    if f == 1:
+        return s.exps, s.order
+    return ([e * f for e in s.exps],
+            None if s.order is None else s.order * f)
 
 
 def _min_order(o1: Optional[int], o2: Optional[int]) -> Optional[int]:

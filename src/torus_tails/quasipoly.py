@@ -301,9 +301,11 @@ def fit_quasi_polynomial(samples: Sequence[tuple[int, Rat]],
                     continue
             except FitError:
                 continue
+            # int coefficients take integer values at every integer n
             checked = pts if validate_all else pts[-train_len - holdout:]
-            if require_integer_values and any(
-                    qp(n).denominator != 1 for n, _ in checked):
+            if require_integer_values and not all(
+                    type(c) is int for cs in coeffs.values() for c in cs) \
+                    and any(qp(n).denominator != 1 for n, _ in checked):
                 continue
             return qp.canonical()
     raise FitError("not quasi-polynomial in tested range")

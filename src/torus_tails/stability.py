@@ -30,8 +30,8 @@ from .jones import (TorusKnot, _degree_quadratic, _degree_value,
 from .lie import LieError, RootSystem, Weight
 from .mult import lattice_hull, plethysm_sequence
 from .quasipoly import FitError, QuasiPolynomial, fit_quasi_polynomial
-from .qseries import (ThetaParams, TruncatedSeries, euler_phi, exact_div,
-                      theta)
+from .qseries import (ThetaParams, TruncatedSeries, _min_order, euler_phi,
+                      exact_div, theta)
 
 
 class StabilityError(ValueError):
@@ -71,18 +71,18 @@ def degree_quasipoly_fit(samples: Sequence[tuple[int, Fraction]]
 def qp_series(s: TruncatedSeries, linear: Optional[TruncatedSeries] = None
               ) -> TruncatedSeries:
     """The coefficients of s as constants in n, plus n times those of
-    ``linear``: a series over the quasi-polynomials in n."""
+    ``linear``: a series over the quasi-polynomials in n, each a + b*n built
+    once over the union of the two exponent columns."""
     if s.denom != 1 or (linear is not None and linear.denom != 1):
         raise StabilityError("tail series need integer q-exponents")
-    out = TruncatedSeries(1, s.exps,
-                          tuple(map(QuasiPolynomial.constant, s.coeffs)),
-                          s.order)
-    if linear is not None:
-        out = out + TruncatedSeries(
-            1, linear.exps,
-            tuple(QuasiPolynomial.linear(0, c) for c in linear.coeffs),
-            linear.order)
-    return out
+    if linear is None:
+        return TruncatedSeries(1, s.exps,
+                               tuple(map(QuasiPolynomial.constant, s.coeffs)),
+                               s.order)
+    a, b = s.as_dict(), linear.as_dict()
+    return TruncatedSeries.make(
+        {e: QuasiPolynomial.linear(a.get(e, 0), b.get(e, 0))
+         for e in a.keys() | b.keys()}, 1, _min_order(s.order, linear.order))
 
 
 @dataclass(frozen=True)
@@ -194,15 +194,13 @@ class TailSeries:
 
 
 def lemma_FG_transform(tail: TailSeries, c: int, d: int) -> TailSeries:
-    """G = F/(1-q^d x^c): psi_k = sum_{i+jc=k} phi_i q^(jd)."""
+    """G = F/(1-q^d x^c): psi_k = sum_{i+jc=k} phi_i q^(jd), computed by the
+    recurrence psi_k = phi_k + q^d psi_{k-c} (psi_k = phi_k for k < c)."""
     if c < 1 or d < 0:
         raise ValueError("need c >= 1, d >= 0")
-    psis = []
-    for k in range(tail.x_order + 1):
-        acc = TruncatedSeries.zero()
-        for j in range(k // c + 1):
-            acc = acc + tail.phis[k - j * c].shifted(j * d)
-        psis.append(acc)
+    psis: list[TruncatedSeries] = []
+    for k, phi in enumerate(tail.phis):
+        psis.append(phi + psis[k - c].shifted(d) if k >= c else phi)
     return TailSeries(tail.residue, tuple(psis), tail.threshold)
 
 
@@ -368,13 +366,15 @@ def _defect_threshold(family: Mapping[int, TruncatedSeries], tail: TailSeries,
 
     Stages whose truncation horizon cannot reach the bound k(n+1) (large n,
     deep k) are uncheckable and skipped; a violation inside a certified
-    horizon stops the scan.
+    horizon stops the scan.  Each member keeps one running defect,
+    defect_k = defect_{k-1} - phi_k(n) q^(kn), so no partial sum is rebuilt.
     """
     good_from = None
     for n in sorted(ns, reverse=True):
         ok = True
+        defect = family[n]
         for k in range(k_max + 1):
-            defect = family[n] - tail.partial_sum(n, k)
+            defect = defect - tail.phis[k].evaluate(n).shifted(k * n)
             horizon = defect.order_exponent()
             bound = k * (n + 1)
             if horizon is not None and horizon <= bound:
@@ -440,6 +440,7 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
     ns = list(range(n0 % modulus or modulus, n_max + 1, modulus))
     if len(ns) < 4:
         raise StabilityError("need at least 4 class members below n_max")
+    split = max(3, len(ns) // 2)
     d = _exponent_denominator(rs, knot)
     # D*Q(h) = D*f*(nu0 + h) - D*f*(nu0)
     #        = c11 u1^2 + c12 u1 u2 + c22 u2^2 + l1 u1 + l2 u2,
@@ -504,8 +505,10 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
             integral = xn % d == 0 and xn >= 0
             if integral and xn > x_order * d:
                 continue
-            samples = plethysm_sequence(rs, ray, a, mu, nu1, ns)
-            if not any(m for _, m in samples[-max(3, len(samples) // 2):]):
+            # the late members decide vanishing; the early ones are sampled
+            # only for the points that survive
+            late = plethysm_sequence(rs, ray, a, mu, nu1, ns[-split:])
+            if not any(m for _, m in late):
                 continue  # multiplicity eventually vanishes on this ray
             if not integral:
                 # eventually-nonzero multiplicities here would break the
@@ -514,8 +517,9 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
                     f"summand at {hat} has x-exponent {Fraction(xn, d)}")
             if qn % d:
                 raise StabilityError(f"non-integral tail exponent at {hat}")
+            samples = plethysm_sequence(rs, ray, a, mu, nu1, ns[:-split])
             try:
-                t_fit = fit_quasi_polynomial(samples,
+                t_fit = fit_quasi_polynomial(samples + late,
                                              require_integer_values=True)
             except FitError as exc:
                 raise StabilityError(

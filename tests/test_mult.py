@@ -74,6 +74,24 @@ def test_freudenthal_table_sums_to_weyl_dimension(rs):
             rs.dim_irrep(lam), (rs.name, lam)
 
 
+@pytest.mark.parametrize("rs", [A1, A2, B2, G2], ids=lambda rs: rs.name)
+def test_weight_mult_matches_freudenthal_on_and_off_the_coset(rs):
+    # a box one step past Pi_lambda holds weights off lambda's root-lattice
+    # coset (no G2 weight is off it: root_det is 1), where Kostant's sum
+    # returns 0 from its first top and Freudenthal's table has no entry
+    lams = [(k,) for k in range(5)] if rs.rank == 1 else \
+        [(1, 0), (0, 1), (2, 1), (1, 2)]
+    for lam in lams:
+        r = max(abs(c) for mu in weight_system(rs, lam) for c in mu) + 1
+        off = 0
+        for mu in product(range(-r, r + 1), repeat=rs.rank):
+            assert weight_mult(rs, lam, mu) == \
+                weight_mult_freudenthal(rs, lam, mu), (lam, mu)
+            off += not rs.in_root_lattice(
+                tuple(l - m for l, m in zip(lam, mu)))
+        assert off or rs.root_det == 1
+
+
 def test_adams_peel_builds_no_weight_system():
     # the Freudenthal tables of the peel run on the dominant weights alone,
     # and the program has no weight-system builder to call (the tests' one

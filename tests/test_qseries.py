@@ -1,6 +1,7 @@
 """Truncated-series arithmetic, special series, and their exactness rules."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from torus_tails.qseries import (SeriesDivisionError, SeriesError,
                                  div_binomial_series, euler_phi, exact_div,
                                  geometric_inverse, pochhammer, theta)
 from torus_tails.quasipoly import QuasiPolynomial
+from torus_tails.stability import TailSeries, lemma_FG_transform
 
 
 def S(terms, order=None):
@@ -379,3 +381,58 @@ def test_div_binomial_remainder_in_any_factor_raises():
         # the power series exists for every factor
         assert div_binomial_series(poly, (2, 3), 1, 4).as_dict() == \
             {0: coeff, 1: coeff, 3: coeff}
+
+
+# -- sums and the FG quotient against their dict-sum definitions -------------
+
+
+def dict_sum(parts, denom):
+    """make of the summed term dicts of the (sign, series) parts over
+    q^(1/denom), at the smallest of their orders."""
+    out, orders = {}, []
+    for sign, f in parts:
+        k = denom // f.denom
+        for e, c in zip(f.exps, f.coeffs):
+            out[e * k] = out[e * k] + sign * c if e * k in out else sign * c
+        if f.order is not None:
+            orders.append(f.order * k)
+    return TruncatedSeries.make(out, denom, min(orders, default=None))
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series over q^(1/D), D <= 4, truncated or not, both with int or
+    both with quasi-polynomial coefficients."""
+    coeff = quasipolys() if draw(st.booleans()) else \
+        st.integers(-3, 3).filter(bool)
+    pair = []
+    for _ in range(2):
+        terms = draw(st.dictionaries(st.integers(-8, 16), coeff, max_size=6))
+        pair.append(TruncatedSeries.make(terms, draw(st.integers(1, 4)),
+                                         draw(st.none() | st.integers(-8, 20))))
+    return pair
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_pairs(), st.booleans())
+def test_sum_and_difference_equal_the_dict_sum(pair, cancel):
+    f, g = pair
+    if cancel:   # g repeats part of f with the opposite sign
+        g = g + TruncatedSeries(f.denom, f.exps[::2],
+                                tuple(-c for c in f.coeffs[::2]), f.order)
+    d = lcm(f.denom, g.denom)
+    assert f + g == dict_sum([(1, f), (1, g)], d)
+    assert f - g == dict_sum([(1, f), (-1, g)], d)
+    zero = f - f
+    assert not zero.exps and zero.order_exponent() == f.order_exponent()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(qp_series(), min_size=1, max_size=5), st.sampled_from((1, 2)),
+       st.integers(0, 3))
+def test_fg_recurrence_equals_its_definition(phis, c, d):
+    tail = lemma_FG_transform(TailSeries((0, 1), tuple(phis)), c, d)
+    for k in range(len(phis)):
+        want = dict_sum([(1, phis[k - j * c].shifted(j * d))
+                         for j in range(k // c + 1)], 1)
+        assert tail.phi(k) == want, k

@@ -300,6 +300,19 @@ def test_stable_limit_matches_closed_t45():
     assert sl.agrees_with(closed, 1, 40, start=8)
 
 
+def test_stable_limit_samples_vanishing_points_on_late_members(monkeypatch):
+    # a point whose late members all vanish is skipped before its early
+    # members are sampled; the surviving points are sampled on every member
+    from torus_tails import mult
+    calls = []
+    real = mult.plethysm_mult
+    monkeypatch.setattr(mult, "plethysm_mult",
+                        lambda *args: calls.append(args) or real(*args))
+    tail = tail_eval_stable_limit(A2, TorusKnot(2, 3), (1, 0), 6, 3, 250, 36)
+    assert len(calls) == 471
+    assert tail.agrees_with(tail_closed_T2b(3, 3, 250), 3, 250)
+
+
 def test_stable_limit_trivial_ray():
     sl = tail_eval_stable_limit(A2, TorusKnot(2, 3), (0, 0), 1, 1, 10, 30)
     assert sl.phi(0).evaluate(3).as_dict() == {0: 1}
