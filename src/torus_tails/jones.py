@@ -9,10 +9,10 @@ D*(mu+rho, alpha) are integers computed with the scaled inner product of
 ``_degree_quadratic``; the numerator, the jets, the Fraction forms and the
 stable limit of ``stability`` all read it, and ``_negative_range`` is the
 one solver for where such a quadratic is below a bound.
-``colored_jones``, ``checked_sum`` and ``jones_jet`` share one assembly of
-the numerator: D*f*(mu) and the Weyl-identity expansion of the root product
-are expanded once into integer quadratic and linear coefficients, so a term
-costs a few integer products.  ``colored_jones`` then divides by all the
+``colored_jones`` and ``jones_jet`` share one assembly of the numerator:
+D*f*(mu) and the Weyl-identity expansion of the root product are expanded
+once into integer quadratic and linear coefficients, so a term costs a few
+integer products.  ``colored_jones`` then divides by all the
 denominator factors in one ``div_binomial_series`` over a dense exponent
 array, checking the remainder of each, and reads the series off that array
 in order.  Its summands are the unsorted summation set of
@@ -413,22 +413,3 @@ def jones_jet(rs: RootSystem, knot: TorusKnot, lam: Weight, order: int
             f"{lead}*q^0 at mu_min={mu_min} (minimizer inconsistency)")
     return jet
 
-
-def checked_sum(rs: RootSystem, knot: TorusKnot, lam: Weight) -> TruncatedSeries:
-    """J-check: the shifted summation with exponents relative to mu_min.
-
-    Equals q^{-delta*} J * prod(1 - q^{(lambda+rho,alpha)}); its min-degree
-    must be 0 with nonzero constant term, else the minimizer table and the
-    summation set disagree.
-    """
-    if rs.rank != 2:
-        raise LieError("checked sum is for the rank-2 algebras")
-    mu_min = minimizer_closed_form(rs, lam, knot.a)
-    shift = _degree_value(_degree_quadratic(rs, knot, lam, -1), mu_min)
-    acc = _numerator(rs, knot, lam, summation_set(rs, lam, knot.a).items(),
-                     shift)
-    out = TruncatedSeries.make(acc, _exponent_denominator(rs, knot), None)
-    if out.is_zero or out.min_degree() != 0:
-        raise JonesError("checked sum min-degree is not 0 "
-                         "(minimizer inconsistency)")
-    return out

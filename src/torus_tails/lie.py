@@ -127,29 +127,9 @@ class RootSystem:
         return (mu[0] * a[1][1] - mu[1] * a[1][0],
                 a[0][0] * mu[1] - a[0][1] * mu[0])
 
-    def to_root_coords(self, mu: Weight) -> tuple[Fraction, ...]:
-        """Coordinates of mu over the simple-root basis (exact rationals)."""
-        return tuple(Fraction(c, self.root_det)
-                     for c in self.root_coords_int(mu))
-
-    def from_root_coords(self, rc) -> Weight:
-        out = [0] * self.rank
-        for i, c in enumerate(rc):
-            for j in range(self.rank):
-                out[j] += c * self.simple_roots[i][j]
-        if any(Fraction(x).denominator != 1 for x in out):
-            raise LieError("non-integral weight coordinates")
-        return tuple(int(x) for x in out)
-
     def in_root_lattice(self, mu: Weight) -> bool:
         d = self.root_det
         return all(c % d == 0 for c in self.root_coords_int(mu))
-
-    def dominates(self, lam: Weight, mu: Weight) -> bool:
-        """mu <= lam: lam - mu is a nonnegative integer sum of simple roots."""
-        d = self.root_det
-        diff = tuple(lam[i] - mu[i] for i in range(self.rank))
-        return all(c >= 0 and c % d == 0 for c in self.root_coords_int(diff))
 
     # -- Weyl group ---------------------------------------------------------
 
@@ -225,17 +205,6 @@ class RootSystem:
             raise LieError("highest weight must be dominant")
         return _weight_count(self, lam)
 
-    def dim_irrep(self, lam: Weight) -> int:
-        """dim V_lambda by the Weyl dimension formula (independent oracle)."""
-        rho = self.rho
-        num = Fraction(1)
-        for alpha in self.positive_roots:
-            lr = tuple(lam[i] + rho[i] for i in range(self.rank))
-            num *= Fraction(self.inner(lr, alpha), self.inner(rho, alpha))
-        if num.denominator != 1:
-            raise LieError("Weyl dimension formula gave a non-integer")
-        return int(num)
-
 
 def _weyl_closure(rs: RootSystem) -> tuple[tuple[Matrix, int], ...]:
     """All (matrix, determinant sign) pairs, generated by closure."""
@@ -304,5 +273,4 @@ def get_root_system(name: str) -> RootSystem:
     return _SYSTEMS[key]
 
 
-ALGEBRAS = tuple(_SYSTEMS)
 RANK2_ALGEBRAS = ("A2", "B2", "G2")

@@ -37,7 +37,6 @@ from typing import Iterable, Optional, Sequence
 # OracleLimitError lives in kostant, whose DP guard raises it too
 from .kostant import OracleLimitError, kostant
 from .lie import LieError, RootSystem, Weight, _mat_apply
-from .quasipoly import QuasiPolynomial, fit_quasi_polynomial
 
 # the Adams oracle's guard: the largest |Pi_lambda| it peels
 MAX_ORACLE_WEIGHTS = 60000
@@ -436,14 +435,3 @@ def plethysm_sequence(rs: RootSystem, lam: Weight, a: int, mu_hat: Weight,
         out.append((n, plethysm_mult(rs, ln, a, target)))
     return out
 
-
-def plethysm_quasipoly_fit(rs: RootSystem, lam: Weight, a: int,
-                           mu_hat: Weight, nu: Weight, n_max: int,
-                           n_min: int = 1, modulus: int = 1, n0: int = 0
-                           ) -> QuasiPolynomial:
-    """Fit n -> m^{mu_hat+n*nu}_{n*lambda,a} on a residue class of n."""
-    if rs.rank != 2:
-        raise LieError("plethysm fitting is for the rank-2 algebras")
-    ns = [n for n in range(n_min, n_max + 1) if (n - n0) % modulus == 0]
-    samples = plethysm_sequence(rs, lam, a, mu_hat, nu, ns)
-    return fit_quasi_polynomial(samples, require_integer_values=True)

@@ -250,7 +250,6 @@ def _interpolate(points: Sequence[tuple[int, Rat]]) -> tuple[Rat, ...]:
 
 def fit_quasi_polynomial(samples: Sequence[tuple[int, Rat]],
                          max_period: int = 24,
-                         require_integer_values: bool = False,
                          validate_all: bool = False,
                          ) -> QuasiPolynomial:
     """Fit the tail of an integer-indexed sequence by a quasi-polynomial.
@@ -262,7 +261,9 @@ def fit_quasi_polynomial(samples: Sequence[tuple[int, Rat]],
     the training interpolation must also reproduce any extra training points
     of its class.  With ``validate_all`` the fit must instead match every
     supplied sample (used where the caller has already restricted to a
-    stabilized window).
+    stabilized window).  The fit equals every training and validation
+    sample, so integer samples give integer values there; no separate
+    integrality check is needed.
     """
     pts = sorted(samples)
     if len(set(n for n, _ in pts)) != len(pts):
@@ -300,12 +301,6 @@ def fit_quasi_polynomial(samples: Sequence[tuple[int, Rat]],
                 if any(qp(n) != v for n, v in validate):
                     continue
             except FitError:
-                continue
-            # int coefficients take integer values at every integer n
-            checked = pts if validate_all else pts[-train_len - holdout:]
-            if require_integer_values and not all(
-                    type(c) is int for cs in coeffs.values() for c in cs) \
-                    and any(qp(n).denominator != 1 for n, _ in checked):
                 continue
             return qp.canonical()
     raise FitError("not quasi-polynomial in tested range")

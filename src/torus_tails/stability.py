@@ -27,11 +27,11 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 from .jones import (TorusKnot, _degree_quadratic, _degree_value,
                     _exponent_denominator, _negative_range, colored_jones,
                     jones_jet, minimizer_closed_form)
-from .lie import LieError, RootSystem, Weight
+from .lie import LieError, RootSystem, Weight, get_root_system
 from .mult import lattice_hull, plethysm_sequence
 from .quasipoly import FitError, QuasiPolynomial, fit_quasi_polynomial
 from .qseries import (ThetaParams, TruncatedSeries, _min_order, euler_phi,
-                      exact_div, theta)
+                      exact_div, pochhammer, theta)
 
 
 class StabilityError(ValueError):
@@ -204,16 +204,6 @@ def lemma_FG_transform(tail: TailSeries, c: int, d: int) -> TailSeries:
     return TailSeries(tail.residue, tuple(psis), tail.threshold)
 
 
-def lemma_FG_inverse(tail: TailSeries, c: int, d: int) -> TailSeries:
-    """F = G*(1-q^d x^c): phi_k = psi_k - psi_{k-c} q^d."""
-    if c < 1 or d < 0:
-        raise ValueError("need c >= 1, d >= 0")
-    phis = tail.phis
-    return TailSeries(tail.residue, tuple(
-        phi - phis[k - c].shifted(d) if k >= c else phi
-        for k, phi in enumerate(phis)), tail.threshold)
-
-
 def _check_orders(x_name: str, x_order: int, q_order: int) -> None:
     """Reject a tail request with no x-term or no q-term."""
     if x_order < 0:
@@ -325,8 +315,7 @@ def detect_cstability(family: Mapping[int, TruncatedSeries], n0: int,
             if not clean:
                 break
             try:
-                qp = fit_quasi_polynomial(clean, require_integer_values=True,
-                                          validate_all=True)
+                qp = fit_quasi_polynomial(clean, validate_all=True)
             except FitError as exc:
                 raise StabilityError(
                     f"c-stability not detected in range at x^{k}, q^{cap}: "
@@ -519,8 +508,7 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
                 raise StabilityError(f"non-integral tail exponent at {hat}")
             samples = plethysm_sequence(rs, ray, a, mu, nu1, ns[:-split])
             try:
-                t_fit = fit_quasi_polynomial(samples + late,
-                                             require_integer_values=True)
+                t_fit = fit_quasi_polynomial(samples + late)
             except FitError as exc:
                 raise StabilityError(
                     f"tail multiplicity at {hat} not quasi-polynomial: {exc}"
@@ -572,8 +560,6 @@ def t4b_series(b: int, q_order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     numerator, as explicit lattice double sums (odd b > 4)."""
     if b % 2 == 0 or b <= 4:
         raise ValueError("need odd b > 4")
-    from .lie import get_root_system
-
     rs = get_root_system("A2")
     # twelve times the exponents; a0 holds twelve times its coefficients
     a0: dict[int, int] = {}
@@ -642,8 +628,6 @@ def a1_triple_product(b: int, q_order: int) -> TruncatedSeries:
     """A_{b,1} via the quintuple of Pochhammer products printed for b = 5."""
     if b != 5:
         raise ValueError("the printed product form is for b = 5")
-    from .qseries import pochhammer
-
     p1 = pochhammer(7, q_order, 15) * pochhammer(8, q_order, 15) \
         * pochhammer(15, q_order, 15)
     p2 = pochhammer(13, q_order, 15) * pochhammer(15, q_order, 15) \

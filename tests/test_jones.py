@@ -9,13 +9,13 @@ from itertools import product
 import pytest
 
 from torus_tails import jones, kostant, lie, mult, qseries, stability
-from torus_tails.jones import (JonesError, TorusKnot, checked_sum,
-                               colored_jones, jones_jet, maximizer_bruteforce,
+from torus_tails.jones import (JonesError, TorusKnot, colored_jones,
+                               jones_jet, maximizer_bruteforce,
                                minimizer_bruteforce, minimizer_closed_form,
                                quadratic_forms)
 from torus_tails.lie import LieError, get_root_system
-from torus_tails.mult import plethysm_mult
-from torus_tails.qseries import TruncatedSeries
+from torus_tails.mult import plethysm_mult, summation_set
+from torus_tails.qseries import TruncatedSeries, exact_div
 from torus_tails.stability import TailSeries, jones_family, tail_closed_T4b
 
 A1 = get_root_system("A1")
@@ -121,34 +121,41 @@ def test_maximizer_is_scaled_color():
                 assert mult == 1
 
 
+def _checked_sum(rs, knot, lam):
+    """q^{-delta*} J * prod(1 - q^{(lambda+rho,alpha)}): the numerator over
+    the summation set, exponents relative to mu_min."""
+    mu_min = minimizer_closed_form(rs, lam, knot.a)
+    shift = jones._degree_value(
+        jones._degree_quadratic(rs, knot, lam, -1), mu_min)
+    acc = jones._numerator(rs, knot, lam,
+                           summation_set(rs, lam, knot.a).items(), shift)
+    return TruncatedSeries.make(acc, jones._exponent_denominator(rs, knot),
+                                None)
+
+
 def test_checked_sum_consistency():
+    # the checked sum starts at q^0 with a nonzero constant, is the shifted
+    # J times the denominator product and divides back to the shifted J
     for rs, knot, lam in ((A2, TorusKnot(2, 3), (3, 0)),
                           (A2, TorusKnot(4, 5), (2, 2)),
                           (B2, TorusKnot(2, 5), (0, 1)),
                           (G2, TorusKnot(2, 3), (1, 0))):
         res = colored_jones(rs, knot, lam)
-        chk = checked_sum(rs, knot, lam)
+        chk = _checked_sum(rs, knot, lam)
         assert chk.min_degree() == 0
         assert chk.coefficient(0) != 0
         rho = rs.rho
+        shifts = [rs.inner(tuple(lam[i] + rho[i] for i in range(rs.rank)), al)
+                  for al in rs.positive_roots]
         prod = TruncatedSeries.one()
-        for al in rs.positive_roots:
-            e = rs.inner(tuple(lam[i] + rho[i] for i in range(rs.rank)), al)
+        for e in shifts:
             prod = prod * TruncatedSeries.from_exponents({0: 1, e: -1})
         assert res.shifted * prod == chk
-
-
-def test_checked_sum_divides_to_shifted():
-    from torus_tails.qseries import exact_div
-    rs, knot, lam = A2, TorusKnot(2, 3), (3, 0)
-    chk = checked_sum(rs, knot, lam)
-    rho = rs.rho
-    out = chk
-    for al in rs.positive_roots:
-        out = exact_div(out, rs.inner(
-            tuple(lam[i] + rho[i] for i in range(rs.rank)), al))
-    assert out == colored_jones(rs, knot, lam).shifted
-    assert out.min_degree() == 0
+        out = chk
+        for e in shifts:
+            out = exact_div(out, e)
+        assert out == res.shifted
+        assert out.min_degree() == 0
 
 
 @pytest.mark.parametrize("rs", [A2, B2, G2], ids=lambda rs: rs.name)

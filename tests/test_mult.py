@@ -10,9 +10,10 @@ from torus_tails.mult import (OracleLimitError, g2_plethysm_zero_a3,
                               g2_zero_weight_mult, lattice_hull,
                               missing_point_bound_check, missing_points,
                               plethysm_adams_oracle, plethysm_mult,
-                              plethysm_quasipoly_fit, summation_set,
+                              plethysm_sequence, summation_set,
                               weight_mult, weight_mult_freudenthal)
-from weight_systems import weight_system
+from torus_tails.quasipoly import fit_quasi_polynomial
+from weight_systems import dim_irrep, from_root_coords, weight_system
 
 A1 = get_root_system("A1")
 A2 = get_root_system("A2")
@@ -71,7 +72,7 @@ def test_freudenthal_table_sums_to_weyl_dimension(rs):
         table = _freudenthal_table(rs, lam)
         assert sorted(table) == rs.dominant_weights(lam)
         assert sum(m * rs.orbit_size(w) for w, m in table.items()) == \
-            rs.dim_irrep(lam), (rs.name, lam)
+            dim_irrep(rs, lam), (rs.name, lam)
 
 
 @pytest.mark.parametrize("rs", [A1, A2, B2, G2], ids=lambda rs: rs.name)
@@ -190,7 +191,7 @@ def test_g2_zero_weight_closed_forms():
         for u in range(21):
             if not (3 * v <= 2 * u <= 4 * v):
                 continue
-            lam = G2.from_root_coords((u, v))
+            lam = from_root_coords(G2, (u, v))
             assert g2_zero_weight_mult(u, v) == weight_mult(G2, lam, (0, 0))
             assert g2_plethysm_zero_a3(u, v) == \
                 plethysm_mult(G2, lam, 3, (0, 0))
@@ -200,7 +201,7 @@ def test_g2_zero_weight_a2_is_one():
     for v in range(8):
         for u in range(17):
             if 3 * v <= 2 * u <= 4 * v:
-                lam = G2.from_root_coords((u, v))
+                lam = from_root_coords(G2, (u, v))
                 assert plethysm_mult(G2, lam, 2, (0, 0)) == 1
 
 
@@ -227,9 +228,9 @@ def test_adams_preserves_dimension():
     for rs in (A2, B2):
         for a in (2, 3):
             for lam in [(1, 0), (1, 1), (2, 1)]:
-                total = sum(m * rs.dim_irrep(mu)
+                total = sum(m * dim_irrep(rs, mu)
                             for mu, m in summation_set(rs, lam, a).items())
-                assert total == rs.dim_irrep(lam), (rs.name, a, lam)
+                assert total == dim_irrep(rs, lam), (rs.name, a, lam)
 
 
 def test_summation_set_examples():
@@ -309,7 +310,8 @@ def test_missing_point_bound():
 
 
 def test_plethysm_quasipoly_fit_t45():
-    qp = plethysm_quasipoly_fit(A2, (1, 1), 4, (0, 0), (0, 0), 16)
+    qp = fit_quasi_polynomial(
+        plethysm_sequence(A2, (1, 1), 4, (0, 0), (0, 0), range(1, 17)))
     assert qp.degree == 1
     assert qp(50) == 51  # m^0_{n rho, 4} = n + 1
 
@@ -317,15 +319,16 @@ def test_plethysm_quasipoly_fit_t45():
 def test_plethysm_quasipoly_fit_sign_ray():
     # m^{n*lambda2}_{n*lambda1, 2} = (-1)^n: the parity table's case 2 applies
     # at odd n
-    qp = plethysm_quasipoly_fit(A2, (1, 0), 2, (0, 0), (0, 1), 16)
+    qp = fit_quasi_polynomial(
+        plethysm_sequence(A2, (1, 0), 2, (0, 0), (0, 1), range(1, 17)))
     assert qp.degree == 0 and qp.period == 2
     assert qp(34) == 1 and qp(33) == -1
 
 
 def test_plethysm_quasipoly_fit_constant_on_class():
     # restricted to even n the same ray is constant 1
-    qp = plethysm_quasipoly_fit(A2, (1, 0), 2, (0, 0), (0, 1), 20,
-                                modulus=2, n0=0)
+    qp = fit_quasi_polynomial(
+        plethysm_sequence(A2, (1, 0), 2, (0, 0), (0, 1), range(2, 21, 2)))
     assert qp.degree == 0 and qp(34) == 1
 
 

@@ -64,8 +64,7 @@ def test_fraction_tuples_equal_int_tuples():
 
 def test_non_integral_fit_keeps_its_fraction():
     # n(n+1)/2 on the class n = 1 mod 3: integer values, coefficients 1/2
-    qp = fit([(n, n * (n + 1) // 2) for n in range(1, 60, 3)],
-             require_integer_values=True)
+    qp = fit([(n, n * (n + 1) // 2) for n in range(1, 60, 3)])
     assert qp.coeffs == ((0, (0, Fraction(1, 2), Fraction(1, 2))),)
     assert [type(c) for c in qp.coeffs[0][1]] == [int, Fraction, Fraction]
     assert qp(100) == 5050
