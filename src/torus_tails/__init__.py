@@ -5,13 +5,14 @@ __version__ = "0.1.0"
 
 from .jones import (ColoredJonesResult, TorusKnot, colored_jones, jones_jet,
                     maximizer_bruteforce, minimizer_bruteforce,
-                    minimizer_closed_form, quadratic_forms)
+                    minimizer_closed_form, missing_point_bound_check,
+                    quadratic_forms)
 from .kostant import (kostant_closed_A2, kostant_closed_B2, kostant_closed_G2,
                       kostant_dp)
 from .lie import RootSystem, Weight, get_root_system
-from .mult import (LatticeHull, lattice_hull, missing_point_bound_check,
-                   missing_points, plethysm_adams_oracle, plethysm_mult,
-                   summation_set, weight_mult, weight_mult_freudenthal)
+from .mult import (LatticeHull, lattice_hull, missing_points,
+                   plethysm_adams_oracle, plethysm_mult, summation_set,
+                   weight_mult, weight_mult_freudenthal)
 from .qseries import (SeriesDivisionError, SeriesError, ThetaParams,
                       TruncatedSeries, euler_phi, exact_div,
                       geometric_inverse, pochhammer, theta)

@@ -21,7 +21,8 @@ from .jones import (JonesError, TorusKnot, colored_jones,
                     quadratic_forms)
 from .kostant import kostant, kostant_dp
 from .lie import LieError, get_root_system
-from .mult import lattice_hull, plethysm_mult, summation_set
+from .mult import (lattice_hull, missing_points, plethysm_mult,
+                   summation_set)
 from .qseries import SeriesDivisionError, TruncatedSeries
 from .stability import (detect_jones_tail, jones_family, stable_coefficients,
                         tail_closed_T2b, tail_closed_T4b,
@@ -217,11 +218,10 @@ def cmd_summation_set(args) -> int:
     rs = get_root_system(args.algebra)
     lam = _parse_weight(args.lam, rs.rank)
     cfg = RunConfig("summation-set", rs.name, ray=lam, output=args.format)
-    s = summation_set(rs, lam, args.a)
-    if args.drop_zero:
-        s = {mu: m for mu, m in s.items() if m}
+    s = sorted(summation_set(rs, lam, args.a).items())
     _emit({"lambda": list(lam), "a": args.a,
-           "set": [[list(mu), m] for mu, m in s.items()]}, cfg)
+           "set": [[list(mu), m] for mu, m in s
+                   if m or not args.drop_zero]}, cfg)
     return EXIT_OK
 
 
@@ -229,10 +229,10 @@ def cmd_missing_points(args) -> int:
     rs = get_root_system(args.algebra)
     lam = _parse_weight(args.lam, rs.rank)
     cfg = RunConfig("missing-points", rs.name, ray=lam, output=args.format)
-    points = lattice_hull(rs, lam, args.a).points()
-    s = summation_set(rs, lam, args.a)
-    _emit({"lambda": list(lam), "a": args.a, "hull_size": len(points),
-           "missing": [list(mu) for mu in points if mu not in s]}, cfg)
+    _emit({"lambda": list(lam), "a": args.a,
+           "hull_size": len(lattice_hull(rs, lam, args.a).points()),
+           "missing": [list(mu) for mu in missing_points(rs, lam, args.a)]},
+          cfg)
     return EXIT_OK
 
 

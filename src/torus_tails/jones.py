@@ -15,10 +15,12 @@ once into integer quadratic and linear coefficients, so a term costs a few
 integer products.  ``colored_jones`` then divides by all the
 denominator factors in one ``div_binomial_series`` over a dense exponent
 array, checking the remainder of each, and reads the series off that array
-in order.  Its summands are the unsorted summation set of
-``mult._summation_scatter``, scattered from the dominant weights of
-V_lambda alone, each multiplicity by one Kostant sum, so the exact path
-sorts no summation set and leaves no process-wide table behind.
+in order.  Its summands are ``mult.summation_set`` as it comes, unsorted,
+scattered from the dominant weights of V_lambda alone, each multiplicity by
+one Kostant sum, so the exact path sorts no summation set and leaves no
+process-wide table behind.  The case tables of ``minimizer_closed_form``
+also bound the missing points (``missing_point_bound_check``), so that
+check lives here and ``mult`` imports nothing from this module.
 ``jones_jet`` gives the shifted J-hat only below a q-order: it assembles just
 the summands with f*(mu) below delta* plus that order and divides by
 truncated geometric series.  Its multiplicities come from a row kernel: each
@@ -37,7 +39,7 @@ from math import gcd, isqrt, lcm
 from typing import Any, Callable, Iterable
 
 from .lie import LieError, RootSystem, Weight
-from .mult import (_kostant_sum, _kostant_tops, _summation_scatter,
+from .mult import (_kostant_sum, _kostant_tops, missing_points,
                    plethysm_mult, summation_set)
 from .qseries import TruncatedSeries, div_binomial_series
 
@@ -174,6 +176,51 @@ def minimizer_closed_form(rs: RootSystem, lam: Weight, a: int) -> Weight:
     raise LieError(f"no closed-form minimizer for {rs.name}")
 
 
+def missing_point_bound_check(rs: RootSystem, lam: Weight, a: int,
+                              n_range: Iterable[int]) -> dict:
+    """Check (mu^,mu^) + 2(mu^, mu_min) >= n^2 over every missing point.
+
+    Returns the per-n missing counts and the minimum slack; raises with a
+    witness on violation (that would indicate a hull or normalization bug).
+    """
+    if rs.rank != 2:
+        raise LieError("bound check is for the rank-2 algebras")
+    report = {"algebra": rs.name, "lambda": lam, "a": a, "per_n": {},
+              "min_slack": None}
+    # scaled by gram_scale throughout; divided once for the report
+    scale = rs.gram_scale
+    min_slack: int | None = None
+    for n in n_range:
+        ln = tuple(n * c for c in lam)
+        mu_min = minimizer_closed_form(rs, ln, a)
+        misses = missing_points(rs, ln, a)
+        for mu in misses:
+            hat = tuple(mu[i] - mu_min[i] for i in range(rs.rank))
+            value = rs.norm2_int(hat) + 2 * rs.inner_int(hat, mu_min)
+            slack = value - scale * n * n
+            if slack < 0:
+                raise AssertionError(
+                    f"missing-point bound violated: {rs.name} lambda={lam} "
+                    f"a={a} n={n} mu={mu}: {Fraction(value, scale)} "
+                    f"< {n * n}")
+            if min_slack is None or slack < min_slack:
+                min_slack = slack
+        report["per_n"][n] = len(misses)
+    report["min_slack"] = (None if min_slack is None
+                           else Fraction(min_slack, scale))
+    return report
+
+
+def _extremizer_knot(a: int, b: int | None) -> TorusKnot:
+    """T(a, b) for the brute-force extremizers, b by default the smallest
+    b > a coprime to a."""
+    if b is None:
+        b = a + 1
+        while gcd(a, b) != 1:
+            b += 1
+    return TorusKnot(a, b)
+
+
 def minimizer_bruteforce(rs: RootSystem, lam: Weight, a: int,
                          b: int | None = None) -> Weight:
     """argmin of f* over the nonzero-multiplicity part of S_{lambda,a}.
@@ -181,11 +228,7 @@ def minimizer_bruteforce(rs: RootSystem, lam: Weight, a: int,
     The minimizer location is independent of the coprime exponent b; any
     valid b gives the same answer, so default to the smallest one.
     """
-    if b is None:
-        b = a + 1
-        while gcd(a, b) != 1:
-            b += 1
-    knot = TorusKnot(a, b)
+    knot = _extremizer_knot(a, b)
     f_star, _ = quadratic_forms(rs, knot, lam)
     support = [mu for mu, m in summation_set(rs, lam, a).items() if m != 0]
     if not support:
@@ -201,11 +244,7 @@ def minimizer_bruteforce(rs: RootSystem, lam: Weight, a: int,
 def maximizer_bruteforce(rs: RootSystem, lam: Weight, a: int,
                          b: int | None = None) -> tuple[Weight, int]:
     """argmax of f over all of S_{lambda,a}, with its multiplicity."""
-    if b is None:
-        b = a + 1
-        while gcd(a, b) != 1:
-            b += 1
-    knot = TorusKnot(a, b)
+    knot = _extremizer_knot(a, b)
     _, f_max = quadratic_forms(rs, knot, lam)
     sset = summation_set(rs, lam, a)
     values = sorted(((f_max(mu), mu) for mu in sset), reverse=True)
@@ -299,8 +338,7 @@ def colored_jones(rs: RootSystem, knot: TorusKnot, lam: Weight
         raise LieError("only rank <= 2 algebras are supported")
     if not rs.is_dominant(lam):
         raise LieError("color must be dominant")
-    acc = _numerator(rs, knot, lam,
-                     _summation_scatter(rs, lam, knot.a).items(), 0)
+    acc = _numerator(rs, knot, lam, summation_set(rs, lam, knot.a).items(), 0)
     poly = div_binomial_series(acc, _denominator_shifts(rs, knot, lam),
                                _exponent_denominator(rs, knot))
     if poly.is_zero:

@@ -9,8 +9,8 @@ rely on.
 The hot loops run on integers.  Each root system derives from its ``gram``
 an integer Gram matrix ``gram_int = gram_scale * gram`` (the scale is the
 lcm of the denominators: A1 x2, A2 x3, B2 x2, G2 x1), so ``inner_int`` and
-``norm2_int`` are exact scaled inner products; ``inner`` and ``norm2`` divide
-by the scale and return ``Fraction``s.  Likewise ``root_coords_int`` gives
+``norm2_int`` are exact scaled inner products, the only ones the package
+computes.  Likewise ``root_coords_int`` gives
 the coordinates over the simple roots times ``root_det`` (the determinant of
 the simple-root matrix), so root-lattice membership and the dominance order
 are divisibility and sign tests.
@@ -96,14 +96,6 @@ class RootSystem:
         return (1,) * self.rank
 
     # -- inner product -----------------------------------------------------
-
-    def inner(self, mu: Weight, nu: Weight) -> Fraction:
-        if len(mu) != self.rank or len(nu) != self.rank:
-            raise LieError(f"weights of wrong rank for {self.name}")
-        return Fraction(self.inner_int(mu, nu), self.gram_scale)
-
-    def norm2(self, mu: Weight) -> Fraction:
-        return self.inner(mu, mu)
 
     def inner_int(self, mu: Weight, nu: Weight) -> int:
         """gram_scale * (mu, nu), an integer."""

@@ -13,16 +13,18 @@ multiplicity (``weight_mult``, ``plethysm_mult``, ``summation_set`` and the
 jet kernel of ``jones``) is one integer Kostant sum, ``_kostant_sum``, at
 any weight, over the bounded per-lambda table ``_kostant_tops``; one
 divisibility test on its first top returns 0 off lambda's root-lattice
-coset.  No multiplicity is kept in a process-wide table.  One scatter,
-``_summation_scatter``, scans the dominant nu <= lambda only, takes
-m_lambda^nu once for each, and adds sign * m_lambda^nu at
+coset.  No multiplicity is kept in a process-wide table.  S_{lambda,a} is
+one scatter, ``summation_set``: it scans the dominant nu <= lambda only,
+takes m_lambda^nu once for each, and adds sign * m_lambda^nu at
 mu = a*nu' - (rho - sigma(rho)) over the W-images nu' of nu (formed only
 near the walls, where one can land) and the orbit pairs, so it needs no
-weight system and no per-point Weyl-group sum.  ``colored_jones`` and
-``missing_points`` read its unsorted dict; ``summation_set`` sorts it.
-``plethysm_mult`` is the per-point route.  The lattice L_{lambda,a} is held
-as residues of integer root coordinates mod a*root_det (``LatticeHull``),
-and the hull points are the dominant weights of V_(a*lambda) on it.  The
+weight system and no per-point Weyl-group sum.  Its dict is unsorted;
+``colored_jones``, ``missing_points`` and the brute-force extremizers read
+it as it is, and only the CLI sorts it, to print it.  ``plethysm_mult`` is
+the per-point route.  The lattice L_{lambda,a} is held as residues of
+integer root coordinates mod a*root_det (``LatticeHull``), and its one
+membership test, ``in_lattice``, is the one the stable limit reads too;
+the hull points are the dominant weights of V_(a*lambda) on it.  The
 Adams oracle peels psi_a(ch_lambda) once per (lambda, a) into a table kept
 in a bounded cache, and so are the Freudenthal tables it reads.
 """
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 # OracleLimitError lives in kostant, whose DP guard raises it too
 from .kostant import OracleLimitError, kostant
@@ -234,7 +236,7 @@ def _adams_table(rs: RootSystem, lam: Weight, a: int) -> dict[Weight, int]:
 
 
 def summation_set(rs: RootSystem, lam: Weight, a: int) -> dict[Weight, int]:
-    """S_{lambda,a} with plethysm multiplicities, sorted by mu.
+    """S_{lambda,a} with plethysm multiplicities, unsorted.
 
     Defined geometrically: union over sigma of sigma(rho)-rho + a*Pi_lambda,
     intersected with the dominant cone.  The multiplicities are scattered
@@ -242,13 +244,6 @@ def summation_set(rs: RootSystem, lam: Weight, a: int) -> dict[Weight, int]:
     (-1)^sigma * m_lambda^nu, and these sum to the ``plethysm_mult`` identity
     at every mu.  Members whose multiplicity cancels to 0 are retained (the
     set is support-agnostic).
-    """
-    return dict(sorted(_summation_scatter(rs, lam, a).items()))
-
-
-def _summation_scatter(rs: RootSystem, lam: Weight, a: int
-                       ) -> dict[Weight, int]:
-    """``summation_set`` unsorted, members of multiplicity 0 included.
 
     The scan runs over the dominant nu <= lambda only (``dominant_weights``)
     and computes m_lambda^nu once for each by ``_kostant_sum``, so no weight
@@ -335,45 +330,8 @@ def lattice_hull(rs: RootSystem, lam: Weight, a: int) -> LatticeHull:
 def missing_points(rs: RootSystem, lam: Weight, a: int) -> tuple[Weight, ...]:
     """R_{lambda,a} = (hull points) minus S_{lambda,a}."""
     hull = lattice_hull(rs, lam, a)
-    s = _summation_scatter(rs, lam, a)
+    s = summation_set(rs, lam, a)
     return tuple(mu for mu in hull.points() if mu not in s)
-
-
-def missing_point_bound_check(rs: RootSystem, lam: Weight, a: int,
-                              n_range: Iterable[int]) -> dict:
-    """Check (mu^,mu^) + 2(mu^, mu_min) >= n^2 over every missing point.
-
-    Returns the per-n missing counts and the minimum slack; raises with a
-    witness on violation (that would indicate a hull or normalization bug).
-    """
-    from .jones import minimizer_closed_form
-
-    if rs.rank != 2:
-        raise LieError("bound check is for the rank-2 algebras")
-    report = {"algebra": rs.name, "lambda": lam, "a": a, "per_n": {},
-              "min_slack": None}
-    # scaled by gram_scale throughout; divided once for the report
-    scale = rs.gram_scale
-    min_slack: Optional[int] = None
-    for n in n_range:
-        ln = tuple(n * c for c in lam)
-        mu_min = minimizer_closed_form(rs, ln, a)
-        misses = missing_points(rs, ln, a)
-        for mu in misses:
-            hat = tuple(mu[i] - mu_min[i] for i in range(rs.rank))
-            value = rs.norm2_int(hat) + 2 * rs.inner_int(hat, mu_min)
-            slack = value - scale * n * n
-            if slack < 0:
-                raise AssertionError(
-                    f"missing-point bound violated: {rs.name} lambda={lam} "
-                    f"a={a} n={n} mu={mu}: {Fraction(value, scale)} "
-                    f"< {n * n}")
-            if min_slack is None or slack < min_slack:
-                min_slack = slack
-        report["per_n"][n] = len(misses)
-    report["min_slack"] = (None if min_slack is None
-                           else Fraction(min_slack, scale))
-    return report
 
 
 # -- G2 zero-weight closed forms ---------------------------------------------

@@ -318,7 +318,7 @@ def geometric_inverse(e: Exponent, order: Exponent) -> TruncatedSeries:
 
 
 def div_binomial_series(poly: Mapping[int, Coeff], shifts: Sequence[int],
-                        denom: int = 1, cutoff: Optional[int] = None
+                        denom: int, cutoff: Optional[int] = None
                         ) -> TruncatedSeries:
     """poly / prod_{m in shifts}(1 - q^m) over q^(1/denom), m > 0, with poly
     mapping exponent numerators to coefficients (ints or quasi-polynomials).

@@ -191,7 +191,7 @@ class QuasiPolynomial:
         raise AssertionError("unreachable")
 
     def equal_on_class(self, other: "QuasiPolynomial", n0: int, modulus: int,
-                       start: int = 0) -> bool:
+                       start: int) -> bool:
         """Exact equality as functions on {n >= start, n = n0 mod modulus}."""
         p = lcm(lcm(self.period, other.period), modulus)
         count = (max(self.degree, other.degree) + 1) * (p // modulus) + 1

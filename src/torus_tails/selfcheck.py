@@ -15,12 +15,12 @@ from typing import Callable, Optional
 
 from .jones import (TorusKnot, colored_jones, maximizer_bruteforce,
                     minimizer_bruteforce, minimizer_closed_form,
-                    quadratic_forms)
+                    missing_point_bound_check, quadratic_forms)
 from .kostant import (kostant_closed_A2, kostant_closed_B2, kostant_closed_G2,
                       kostant_dp)
 from .lie import RANK2_ALGEBRAS, get_root_system
-from .mult import (lattice_hull, missing_point_bound_check, missing_points,
-                   plethysm_adams_oracle, plethysm_mult, summation_set)
+from .mult import (lattice_hull, missing_points, plethysm_adams_oracle,
+                   plethysm_mult, summation_set)
 from .qseries import ThetaParams, TruncatedSeries, euler_phi, \
     geometric_inverse, theta
 from .stability import (a1_theta_difference, a1_triple_product,

@@ -447,19 +447,16 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
     poly_req = [i for i in range(2) if rc_top[i] == 0]
 
     # lattice membership, checked at two class members for stability: h is
-    # in the lattice when mu_n + h is on L_{lambda_n,a}, i.e. when its root
-    # coordinates mod a*root_det are a hull residue shifted by those of mu_n
-    step = a * rs.root_det
-    residues = []
+    # in the lattice when mu_n + h is on L_{lambda_n,a}
+    members = []
     for n in ns[:2]:
         lam_n = tuple(n * c for c in ray)
-        shift = rs.root_coords_int(minimizer_closed_form(rs, lam_n, a))
-        residues.append({tuple((r - s) % step for r, s in zip(res, shift))
-                         for res in lattice_hull(rs, lam_n, a).residues})
+        members.append((lattice_hull(rs, lam_n, a),
+                        minimizer_closed_form(rs, lam_n, a)))
 
     def in_lattice(hat: Weight) -> bool:
-        rc = tuple(c % step for c in rs.root_coords_int(hat))
-        votes = [rc in r for r in residues]
+        votes = [hull.in_lattice((mu_n[0] + hat[0], mu_n[1] + hat[1]))
+                 for hull, mu_n in members]
         if votes[0] != votes[1]:
             raise StabilityError("lattice membership not stable on the class")
         return votes[0]

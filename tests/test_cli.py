@@ -155,6 +155,8 @@ def test_summation_set_command(capsys):
                        "--lambda", "3,2", "--a", "3")
     full = json.loads(out)["set"]
     assert any(m == 0 for _, m in full)
+    # the library's set is unsorted; the command prints it sorted by mu
+    assert [mu for mu, _ in full] == sorted(mu for mu, _ in full)
     code, out, _ = run(capsys, "summation-set", "--algebra", "B2",
                        "--lambda", "3,2", "--a", "3", "--drop-zero")
     assert code == 0

@@ -17,6 +17,7 @@ from torus_tails.lie import LieError, get_root_system
 from torus_tails.mult import plethysm_mult, summation_set
 from torus_tails.qseries import TruncatedSeries, exact_div
 from torus_tails.stability import TailSeries, jones_family, tail_closed_T4b
+from weight_systems import inner, norm2
 
 A1 = get_root_system("A1")
 A2 = get_root_system("A2")
@@ -141,7 +142,7 @@ _CHECKED_SUM_CASES = ((A2, TorusKnot(2, 3), (3, 0)),
 
 def _denominator_shifts(rs, lam):
     rho = rs.rho
-    return [rs.inner(tuple(lam[i] + rho[i] for i in range(rs.rank)), al)
+    return [inner(rs, tuple(lam[i] + rho[i] for i in range(rs.rank)), al)
             for al in rs.positive_roots]
 
 
@@ -186,10 +187,10 @@ def _degree_formula(rs, knot, lam, sign, mu):
     ``quadratic_forms`` docstring, in Fractions."""
     a, b = knot.a, knot.b
     rho = rs.rho
-    return Fraction(b, 2 * a) * rs.norm2(mu) \
-        + (Fraction(b, a) + sign) * rs.inner(mu, rho) \
-        - Fraction(a * b, 2) * rs.norm2(lam) \
-        - (a * b + sign) * rs.inner(lam, rho)
+    return Fraction(b, 2 * a) * norm2(rs, mu) \
+        + (Fraction(b, a) + sign) * inner(rs, mu, rho) \
+        - Fraction(a * b, 2) * norm2(rs, lam) \
+        - (a * b + sign) * inner(rs, lam, rho)
 
 
 @pytest.mark.parametrize("rs", [A1, A2, B2, G2], ids=lambda rs: rs.name)
@@ -445,8 +446,8 @@ def test_fault_injection_corrupted_gram():
     rows[1][1] = Fraction(10)  # wrong (lambda2, lambda2): 3*lambda2 no longer
     bad = replace(good, gram=tuple(tuple(r) for r in rows))  # minimizes
     # the integer Gram is derived again from the corrupted one
-    assert bad.inner((0, 1), (0, 1)) == 10 != good.inner((0, 1), (0, 1))
-    assert bad.norm2((1, 1)) != good.norm2((1, 1))
+    assert inner(bad, (0, 1), (0, 1)) == 10 != inner(good, (0, 1), (0, 1))
+    assert norm2(bad, (1, 1)) != norm2(good, (1, 1))
     lam = (5, 2)
     table = minimizer_closed_form(bad, lam, 2)
     try:

@@ -6,8 +6,8 @@ from itertools import product
 import pytest
 
 from torus_tails.lie import LieError, get_root_system
-from weight_systems import (dim_irrep, dominates, to_root_coords,
-                            weight_system)
+from weight_systems import (dim_irrep, dominates, inner, norm2,
+                            to_root_coords, weight_system)
 
 A1 = get_root_system("A1")
 A2 = get_root_system("A2")
@@ -76,15 +76,16 @@ def test_gram_anchored_quadratic_forms():
     for m1 in range(5):
         for m2 in range(5):
             lam = (m1, m2)
-            assert A2.norm2(lam) == Fraction(2, 3) * (m1 * m1 + m1 * m2 + m2 * m2)
-            assert B2.norm2(lam) == m1 * m1 + m1 * m2 + Fraction(m2 * m2, 2)
-            assert G2.norm2(lam) == 2 * m1 * m1 + 6 * m1 * m2 + 6 * m2 * m2
+            assert norm2(A2, lam) == \
+                Fraction(2, 3) * (m1 * m1 + m1 * m2 + m2 * m2)
+            assert norm2(B2, lam) == m1 * m1 + m1 * m2 + Fraction(m2 * m2, 2)
+            assert norm2(G2, lam) == 2 * m1 * m1 + 6 * m1 * m2 + 6 * m2 * m2
 
 
 def test_inner_examples():
-    assert A2.inner((1, 0), (1, 0)) == Fraction(2, 3)
-    assert B2.inner((1, 1), (1, 1)) == Fraction(5, 2)
-    assert A2.inner((0, 0), (3, 1)) == 0
+    assert inner(A2, (1, 0), (1, 0)) == Fraction(2, 3)
+    assert inner(B2, (1, 1), (1, 1)) == Fraction(5, 2)
+    assert inner(A2, (0, 0), (3, 1)) == 0
 
 
 def test_reflections_preserve_inner_product():
@@ -97,7 +98,7 @@ def test_reflections_preserve_inner_product():
                                   for i in range(2))
                     im_nu = tuple(sum(mat[i][j] * nu[j] for j in range(2))
                                   for i in range(2))
-                    assert rs.inner(im_mu, im_nu) == rs.inner(mu, nu)
+                    assert inner(rs, im_mu, im_nu) == inner(rs, mu, nu)
 
 
 def test_root_lattice_membership():
@@ -214,11 +215,11 @@ def test_integer_kernel_matches_fraction_gram():
                    for g, f in zip(row_i, row_f))
         grid = _grid(rs)
         for mu in grid:
-            assert rs.norm2(mu) == _gram_inner(rs, mu, mu)
-            assert rs.norm2_int(mu) == rs.gram_scale * rs.norm2(mu)
+            assert norm2(rs, mu) == _gram_inner(rs, mu, mu)
+            assert rs.norm2_int(mu) == rs.gram_scale * norm2(rs, mu)
             for nu in grid[::5]:
                 ref = _gram_inner(rs, mu, nu)
-                assert rs.inner(mu, nu) == ref, (rs.name, mu, nu)
+                assert inner(rs, mu, nu) == ref, (rs.name, mu, nu)
                 assert rs.inner_int(mu, nu) == rs.gram_scale * ref
 
 

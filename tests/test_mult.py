@@ -6,12 +6,13 @@ import pytest
 
 from torus_tails import mult
 from torus_tails.lie import LieError, get_root_system
+from torus_tails.jones import missing_point_bound_check
 from torus_tails.mult import (OracleLimitError, g2_plethysm_zero_a3,
                               g2_zero_weight_mult, lattice_hull,
-                              missing_point_bound_check, missing_points,
-                              plethysm_adams_oracle, plethysm_mult,
-                              plethysm_sequence, summation_set,
-                              weight_mult, weight_mult_freudenthal)
+                              missing_points, plethysm_adams_oracle,
+                              plethysm_mult, plethysm_sequence,
+                              summation_set, weight_mult,
+                              weight_mult_freudenthal)
 from torus_tails.quasipoly import fit_quasi_polynomial
 from weight_systems import dim_irrep, from_root_coords, weight_system
 
@@ -360,19 +361,15 @@ def test_scatter_summation_set_equals_pointwise(rs):
 
 
 @pytest.mark.parametrize("rs", [A1, A2, B2, G2], ids=lambda rs: rs.name)
-def test_summation_set_is_the_sorted_scatter(rs):
-    # colored_jones and missing_points read the unsorted scatter, the CLI
-    # and the extremizers the sorted summation set: one scatter feeds both,
-    # members that cancel to 0 included
-    from torus_tails.mult import _summation_scatter
+def test_summation_set_keeps_zeros_and_misses_no_member(rs):
+    # colored_jones, missing_points, the extremizers and the CLI all read
+    # the one unsorted summation set, members that cancel to 0 included
     zeros = 0
     for a in (2, 3, 4, 5):
         for lam in product(range(7), repeat=rs.rank):
-            scatter = _summation_scatter(rs, lam, a)
             s = summation_set(rs, lam, a)
-            assert s == scatter and list(s) == sorted(scatter), \
+            assert set(missing_points(rs, lam, a)).isdisjoint(s), \
                 (rs.name, lam, a)
-            assert set(missing_points(rs, lam, a)).isdisjoint(scatter)
             zeros += sum(1 for m in s.values() if m == 0)
     assert zeros or rs.rank == 1
 

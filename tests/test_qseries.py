@@ -356,7 +356,7 @@ def test_div_binomial_series_reduces_past_the_lattice():
         got = div_binomial_series(poly, (1,), 2)
         assert got == TruncatedSeries(1, (0, 1), (coeff, coeff))
         assert got == TruncatedSeries.make(
-            div_binomial_series(poly, (1,)).as_dict(), 2)
+            div_binomial_series(poly, (1,), 1).as_dict(), 2)
     # cancelling coefficients at the bottom of the dividend, and no terms
     assert div_binomial_series({0: 0, 4: 1, 8: -1}, (4,), 8, 12) == \
         TruncatedSeries(2, (1,), (1,), 3)
@@ -369,15 +369,15 @@ def test_div_binomial_remainder_in_any_factor_raises():
     qp = QuasiPolynomial.linear(1, 2)
     for coeff in (1, qp):
         poly = {e: c * coeff for e, c in {0: 1, 1: 1, 2: -1, 3: -1}.items()}
-        assert div_binomial_series(poly, (2,)).as_dict() == \
+        assert div_binomial_series(poly, (2,), 1).as_dict() == \
             {0: coeff, 1: coeff}
         for shifts in ((3,), (2, 3), (3, 2), (2, 2), (1, 2, 2)):
             with pytest.raises(SeriesDivisionError):
-                div_binomial_series(poly, shifts)
+                div_binomial_series(poly, shifts, 1)
         # 1 - q^3 leaves a remainder on 1 - q^2, and what it leaves in the
         # list is divisible by 1 - q^2: only its own check can raise
         with pytest.raises(SeriesDivisionError):
-            div_binomial_series({0: coeff, 2: -coeff}, (3, 2))
+            div_binomial_series({0: coeff, 2: -coeff}, (3, 2), 1)
         # the power series exists for every factor
         assert div_binomial_series(poly, (2, 3), 1, 4).as_dict() == \
             {0: coeff, 1: coeff, 3: coeff}

@@ -175,9 +175,9 @@ def test_equal_on_class():
     alternating = QuasiPolynomial(2, 0, ((0, (Fraction(1),)),
                                          (1, (Fraction(-1),))))
     const = QuasiPolynomial.constant(1)
-    assert alternating.equal_on_class(const, n0=0, modulus=2)
-    assert not alternating.equal_on_class(const, n0=1, modulus=2)
-    assert not alternating.equal_on_class(const, n0=0, modulus=1)
+    assert alternating.equal_on_class(const, n0=0, modulus=2, start=0)
+    assert not alternating.equal_on_class(const, n0=1, modulus=2, start=0)
+    assert not alternating.equal_on_class(const, n0=0, modulus=1, start=0)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,8 +1,9 @@
 """Pins on the shape of the package source: how many parameters have a
-default, that no memo table is unbounded, and that every public name is
-used by the package itself.  A change that adds an option raises
-MAX_DEFAULTED_PARAMETERS in its own diff; a helper only the tests call
-lives under tests/."""
+default, that no memo table is unbounded, that every public name and every
+method of a public class is used by the package itself, and that the
+package's modules import each other without a cycle.  A change that adds an
+option raises MAX_DEFAULTED_PARAMETERS in its own diff; a helper only the
+tests call lives under tests/."""
 
 import ast
 from pathlib import Path
@@ -10,13 +11,21 @@ from types import ModuleType
 
 import torus_tails
 
-MAX_DEFAULTED_PARAMETERS = 22
+MAX_DEFAULTED_PARAMETERS = 20
 
 # public names that no other package code uses, each with why it stays
 UNREACHED_ALLOWED = {
     "weight_mult": "the Kostant weight-multiplicity oracle of the north star",
     "weight_mult_freudenthal": "Freudenthal's recursion, its independent "
                                "oracle",
+}
+
+# methods and properties of public classes that no package code reads
+METHODS_UNREACHED_ALLOWED = {
+    "TailSeries.partial_sum": "the tail verifier of the roadmap needs it",
+    "TailSeries.from_json_obj": "the tail JSON reader, kept so that tails "
+                                "round-trip",
+    "TruncatedSeries.terms": "the benchmark reads it",
 }
 
 
@@ -62,20 +71,29 @@ def test_no_unbounded_memo_table():
     assert unbounded == []
 
 
-def _used_outside(tree: ast.AST, name: str) -> bool:
-    """name is read in tree as a name or an attribute, outside the body of
-    its own definition (docstrings and imports are not reads)."""
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _used_outside(tree: ast.AST, name: str, own, attribute_only: bool
+                  ) -> bool:
+    """name is read in tree as an attribute (or, unless attribute_only, as a
+    name), outside the definitions ``own`` accepts (docstrings and imports
+    are not reads)."""
     stack = [tree]
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)) and node.name == name:
+        if own(node):
             continue
-        if isinstance(node, ast.Name) and node.id == name or \
+        if isinstance(node, ast.Name) and node.id == name and \
+                not attribute_only or \
                 isinstance(node, ast.Attribute) and node.attr == name:
             return True
         stack.extend(ast.iter_child_nodes(node))
     return False
+
+
+def _defines(name: str):
+    return lambda node: isinstance(node, _DEFS) and node.name == name
 
 
 def test_every_public_name_is_reached():
@@ -83,5 +101,68 @@ def test_every_public_name_is_reached():
     public = [name for name in torus_tails.__all__
               if not isinstance(getattr(torus_tails, name), ModuleType)]
     unreached = {name for name in public
-                 if not any(_used_outside(tree, name) for tree in trees)}
+                 if not any(_used_outside(tree, name, _defines(name), False)
+                            for tree in trees)}
     assert unreached == set(UNREACHED_ALLOWED)
+
+
+def test_every_public_method_is_reached():
+    # a method is reached when its name is read as an attribute outside its
+    # own body; dunder methods run by syntax (construction, operators,
+    # hashing), so they are not pinned
+    trees = [tree for _, tree in _trees()]
+    public = set(torus_tails.__all__)
+    unreached = set()
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and cls.name in public):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and \
+                        not item.name.startswith("__") and \
+                        not any(_used_outside(t, item.name,
+                                              lambda node: node is item, True)
+                                for t in trees):
+                    unreached.add(f"{cls.name}.{item.name}")
+    assert unreached == set(METHODS_UNREACHED_ALLOWED)
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """module -> the package modules it imports, at module level and inside
+    functions; ``from . import name`` reads the module name if there is
+    one, else the package's ``__init__``."""
+    modules = {name[:-3] for name, _ in _trees()}
+    graph = {}
+    for name, tree in _trees():
+        targets = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level == 0:
+                continue
+            if node.module is not None:
+                targets.add(node.module.split(".")[0])
+            else:
+                targets.update(a.name if a.name in modules else "__init__"
+                               for a in node.names)
+        graph[name[:-3]] = targets
+    return graph
+
+
+def test_package_imports_are_acyclic():
+    graph = _package_imports()
+    done, path = set(), []
+
+    def cycle_from(module):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return None
+        path.append(module)
+        for target in sorted(graph.get(module, ())):
+            found = cycle_from(target)
+            if found:
+                return found
+        path.pop()
+        done.add(module)
+        return None
+
+    assert next(filter(None, map(cycle_from, sorted(graph))), None) is None

@@ -1,6 +1,7 @@
-"""Weight systems, the dominance order, rational root coordinates and the
-Weyl dimension, for the tests that check orbit counts, scans and
-multiplicities against them; no route of the program uses them."""
+"""Weight systems, the dominance order, rational root coordinates, the
+Fraction inner product and the Weyl dimension, for the tests that check
+orbit counts, scans, degrees and multiplicities against them; no route of
+the program uses them."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -20,6 +21,17 @@ def weight_system(rs: RootSystem, lam: Weight) -> frozenset[Weight]:
     mats = [mat for mat, _ in rs.weyl_elements]
     return frozenset(_mat_apply(mat, mu) for mu in rs.dominant_weights(lam)
                      for mat in mats)
+
+
+def inner(rs: RootSystem, mu: Weight, nu: Weight) -> Fraction:
+    """(mu, nu) as an exact rational: the scaled ``inner_int`` over
+    ``gram_scale``."""
+    return Fraction(rs.inner_int(mu, nu), rs.gram_scale)
+
+
+def norm2(rs: RootSystem, mu: Weight) -> Fraction:
+    """(mu, mu) as an exact rational."""
+    return inner(rs, mu, mu)
 
 
 def to_root_coords(rs: RootSystem, mu: Weight) -> tuple[Fraction, ...]:
@@ -51,7 +63,7 @@ def dim_irrep(rs: RootSystem, lam: Weight) -> int:
     num = Fraction(1)
     for alpha in rs.positive_roots:
         lr = tuple(lam[i] + rho[i] for i in range(rs.rank))
-        num *= Fraction(rs.inner(lr, alpha), rs.inner(rho, alpha))
+        num *= inner(rs, lr, alpha) / inner(rs, rho, alpha)
     if num.denominator != 1:
         raise LieError("Weyl dimension formula gave a non-integer")
     return int(num)
