@@ -21,8 +21,7 @@ from .jones import (JonesError, TorusKnot, colored_jones,
                     quadratic_forms)
 from .kostant import kostant, kostant_dp
 from .lie import LieError, get_root_system
-from .mult import (lattice_hull, missing_points, plethysm_mult,
-                   summation_set)
+from .mult import missing_points, plethysm_mult, summation_set
 from .qseries import SeriesDivisionError, TruncatedSeries
 from .stability import (detect_jones_tail, jones_family, stable_coefficients,
                         tail_closed_T2b, tail_closed_T4b,
@@ -229,10 +228,11 @@ def cmd_missing_points(args) -> int:
     rs = get_root_system(args.algebra)
     lam = _parse_weight(args.lam, rs.rank)
     cfg = RunConfig("missing-points", rs.name, ray=lam, output=args.format)
+    missing = missing_points(rs, lam, args.a)
+    # S lies inside the hull, so the hull is S and R side by side
     _emit({"lambda": list(lam), "a": args.a,
-           "hull_size": len(lattice_hull(rs, lam, args.a).points()),
-           "missing": [list(mu) for mu in missing_points(rs, lam, args.a)]},
-          cfg)
+           "hull_size": len(summation_set(rs, lam, args.a)) + len(missing),
+           "missing": [list(mu) for mu in missing]}, cfg)
     return EXIT_OK
 
 

@@ -241,10 +241,12 @@ def minimizer_bruteforce(rs: RootSystem, lam: Weight, a: int,
     return values[0][1]
 
 
-def maximizer_bruteforce(rs: RootSystem, lam: Weight, a: int,
-                         b: int | None = None) -> tuple[Weight, int]:
-    """argmax of f over all of S_{lambda,a}, with its multiplicity."""
-    knot = _extremizer_knot(a, b)
+def maximizer_bruteforce(rs: RootSystem, lam: Weight, a: int
+                         ) -> tuple[Weight, int]:
+    """argmax of f over all of S_{lambda,a}, with its multiplicity.  It is
+    a*lambda for every b: for dominant mu < a*lambda, f(a*lambda) - f(mu)
+    = (a*lambda - mu, b(a*lambda + mu) + 2(b + a)rho)/2a > 0."""
+    knot = _extremizer_knot(a, None)
     _, f_max = quadratic_forms(rs, knot, lam)
     sset = summation_set(rs, lam, a)
     values = sorted(((f_max(mu), mu) for mu in sset), reverse=True)
@@ -260,12 +262,20 @@ def maximizer_bruteforce(rs: RootSystem, lam: Weight, a: int,
 
 @dataclass(frozen=True)
 class ColoredJonesResult:
+    """J^g_{T(a,b), lambda}(q); delta* and delta are read off it."""
+
     knot: TorusKnot
     algebra: str
     lam: Weight
     polynomial: TruncatedSeries       # exact Laurent polynomial J
-    delta_star: Fraction
-    delta: Fraction
+
+    @property
+    def delta_star(self) -> Fraction:
+        return self.polynomial.min_degree()
+
+    @property
+    def delta(self) -> Fraction:
+        return self.polynomial.max_degree()
 
     @property
     def shifted(self) -> TruncatedSeries:
@@ -343,8 +353,7 @@ def colored_jones(rs: RootSystem, knot: TorusKnot, lam: Weight
                                _exponent_denominator(rs, knot))
     if poly.is_zero:
         raise JonesError("colored Jones polynomial vanished")
-    return ColoredJonesResult(knot, rs.name, lam, poly,
-                              poly.min_degree(), poly.max_degree())
+    return ColoredJonesResult(knot, rs.name, lam, poly)
 
 
 def _jet_multiplicities(rs: RootSystem, lam: Weight, a: int,

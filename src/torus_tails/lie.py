@@ -44,15 +44,16 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Static data of one simple rank <= 2 root system."""
+    """Static data of one simple rank <= 2 root system; the rank (the number
+    of simple roots) and the tables below are derived, not passed in."""
 
     name: str
-    rank: int
     simple_roots: tuple[Weight, ...]          # alpha_i in weight coordinates
     positive_roots: tuple[Weight, ...]        # in weight coordinates
     gram: tuple[tuple[Fraction, ...], ...]    # Gram matrix of fundamental wts
     # derived from the fields above in __post_init__, so that
     # dataclasses.replace derives them again from the replaced fields
+    rank: int = field(init=False, repr=False, compare=False)
     gram_scale: int = field(init=False, repr=False, compare=False)
     gram_int: Matrix = field(init=False, repr=False, compare=False)
     # the Cartan determinant, |weight lattice / root lattice|
@@ -67,6 +68,7 @@ class RootSystem:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "rank", len(self.simple_roots))
         scale = lcm(*(Fraction(g).denominator for row in self.gram
                       for g in row))
         a = self.simple_roots
@@ -226,14 +228,14 @@ def _weight_count(rs: RootSystem, lam: Weight) -> int:
 _SYSTEMS = {
     # A1: one root alpha = 2*lambda1, (alpha,alpha) = 2.
     "A1": RootSystem(
-        name="A1", rank=1,
+        name="A1",
         simple_roots=((2,),),
         positive_roots=((2,),),
         gram=((Fraction(1, 2),),),
     ),
     # A2: all roots length^2 = 2.
     "A2": RootSystem(
-        name="A2", rank=2,
+        name="A2",
         simple_roots=((2, -1), (-1, 2)),
         positive_roots=((2, -1), (-1, 2), (1, 1)),
         gram=((Fraction(2, 3), Fraction(1, 3)),
@@ -241,7 +243,7 @@ _SYSTEMS = {
     ),
     # B2: alpha1 long (length^2 = 2), alpha2 short (length^2 = 1).
     "B2": RootSystem(
-        name="B2", rank=2,
+        name="B2",
         simple_roots=((2, -2), (-1, 2)),
         positive_roots=((2, -2), (-1, 2), (1, 0), (0, 2)),
         gram=((Fraction(1), Fraction(1, 2)),
@@ -249,7 +251,7 @@ _SYSTEMS = {
     ),
     # G2: alpha1 short (length^2 = 2), alpha2 long (length^2 = 6).
     "G2": RootSystem(
-        name="G2", rank=2,
+        name="G2",
         simple_roots=((2, -1), (-3, 2)),
         positive_roots=((2, -1), (-3, 2), (-1, 1), (1, 0), (3, -1), (0, 1)),
         gram=((Fraction(2), Fraction(3)), (Fraction(3), Fraction(6))),

@@ -183,9 +183,6 @@ class TruncatedSeries:
         return _columns(d, exps, coeffs, order)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if (self.is_zero and self.order is None) or \
-           (other.is_zero and other.order is None):
-            return TruncatedSeries.zero()
         d = lcm(self.denom, other.denom)
         e1, o1 = _rescaled(self, d // self.denom)
         e2, o2 = _rescaled(other, d // other.denom)

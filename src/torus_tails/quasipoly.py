@@ -79,22 +79,25 @@ class QuasiPolynomial:
     (c_0, ..., c_d); residues never sampled are absent and evaluating there
     raises.  The constructor keeps the coefficients as given (tests pass
     Fractions); ``canonical``, the named constructors and the ring
-    operations store the integral ones as ints.
+    operations store the integral ones as ints.  The degree is read off
+    the coefficients, so it cannot disagree with them.
     """
 
     period: int
-    degree: int
     coeffs: tuple[tuple[int, tuple[Rat, ...]], ...]
+
+    @property
+    def degree(self) -> int:
+        return max(len(cs) for _, cs in self.coeffs) - 1
 
     @staticmethod
     def _poly(cs: Sequence[Rat]) -> "QuasiPolynomial":
         """The period-1 quasi-polynomial with coefficients cs, trimmed."""
-        cs = _trim(cs)
-        return QuasiPolynomial(1, len(cs) - 1, ((0, cs),))
+        return QuasiPolynomial(1, ((0, _trim(cs)),))
 
     @staticmethod
     def constant(value) -> "QuasiPolynomial":
-        return QuasiPolynomial(1, 0, ((0, (_rat(value),)),))
+        return QuasiPolynomial(1, ((0, (_rat(value),)),))
 
     @staticmethod
     def linear(const, slope) -> "QuasiPolynomial":
@@ -116,10 +119,6 @@ class QuasiPolynomial:
                 return True
         return False
 
-    @property
-    def is_zero(self) -> bool:
-        return not self
-
     # -- ring operations (per-residue, periods aligned to the lcm) ----------
 
     def _aligned(self, period: int) -> dict[int, tuple[Rat, ...]]:
@@ -136,9 +135,8 @@ class QuasiPolynomial:
         residues = sorted(set(t1) & set(t2))
         if not residues:
             raise FitError("quasi-polynomials share no sampled residues")
-        coeffs = tuple((r, fn(t1[r], t2[r])) for r in residues)
-        deg = max(len(cs) for _, cs in coeffs) - 1
-        return QuasiPolynomial(p, deg, coeffs).canonical()
+        return QuasiPolynomial(p, tuple((r, fn(t1[r], t2[r]))
+                                        for r in residues)).canonical()
 
     def __add__(self, other: "QuasiPolynomial") -> "QuasiPolynomial":
         if isinstance(other, int) and other == 0:
@@ -148,9 +146,8 @@ class QuasiPolynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "QuasiPolynomial":
-        return QuasiPolynomial(self.period, self.degree,
-                               tuple((r, tuple(-c for c in cs))
-                                     for r, cs in self.coeffs))
+        return QuasiPolynomial(self.period, tuple((r, tuple(-c for c in cs))
+                                                  for r, cs in self.coeffs))
 
     def __sub__(self, other: "QuasiPolynomial") -> "QuasiPolynomial":
         return self + (-other)
@@ -164,9 +161,9 @@ class QuasiPolynomial:
 
     def scale(self, k) -> "QuasiPolynomial":
         k = _rat(k)
-        return QuasiPolynomial(self.period, self.degree,
-                               tuple((r, tuple(k * c for c in cs))
-                                     for r, cs in self.coeffs)).canonical()
+        return QuasiPolynomial(self.period, tuple(
+            (r, tuple(k * c for c in cs))
+            for r, cs in self.coeffs)).canonical()
 
     def canonical(self) -> "QuasiPolynomial":
         """Minimal period, then minimal degree, trailing zeros trimmed."""
@@ -186,8 +183,7 @@ class QuasiPolynomial:
                     break
                 merged[key] = tab[r]
             if ok:
-                deg = max(len(cs) for cs in merged.values()) - 1
-                return QuasiPolynomial(p, deg, tuple(sorted(merged.items())))
+                return QuasiPolynomial(p, tuple(sorted(merged.items())))
         raise AssertionError("unreachable")
 
     def equal_on_class(self, other: "QuasiPolynomial", n0: int, modulus: int,
@@ -211,10 +207,11 @@ class QuasiPolynomial:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "QuasiPolynomial":
-        return QuasiPolynomial(
-            int(obj["period"]), int(obj["degree"]),
-            tuple((int(r), tuple(_rat(c) for c in cs))
-                  for r, cs in obj["coeffs"]))
+        qp = QuasiPolynomial(int(obj["period"]), tuple(
+            (int(r), tuple(map(_rat, cs))) for r, cs in obj["coeffs"]))
+        if qp.degree != int(obj["degree"]):
+            raise ValueError(f"degree {obj['degree']} disagrees with coeffs")
+        return qp
 
 
 def _interpolate(points: Sequence[tuple[int, Rat]]) -> tuple[Rat, ...]:
@@ -295,8 +292,7 @@ def fit_quasi_polynomial(samples: Sequence[tuple[int, Rat]],
                 coeffs[r] = cs
             if not ok:
                 continue
-            qp = QuasiPolynomial(period, degree,
-                                 tuple(sorted(coeffs.items())))
+            qp = QuasiPolynomial(period, tuple(sorted(coeffs.items())))
             try:
                 if any(qp(n) != v for n, v in validate):
                     continue

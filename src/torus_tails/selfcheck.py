@@ -421,7 +421,7 @@ ALL_CHECKS: tuple[tuple[str, Callable[[], dict]], ...] = (
 )
 
 
-def run_selftest(filter_key: Optional[str] = None) -> list[dict]:
+def run_selftest(filter_key: Optional[str]) -> list[dict]:
     reports = []
     for key, fn in ALL_CHECKS:
         if filter_key and filter_key not in key:

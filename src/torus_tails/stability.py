@@ -96,10 +96,6 @@ class TailSeries:
     threshold: Optional[int] = None    # smallest class member where the
                                        # partial-sum defect held empirically
 
-    @property
-    def x_order(self) -> int:
-        return len(self.phis) - 1
-
     def phi(self, k: int) -> TruncatedSeries:
         return self.phis[k]
 

@@ -11,6 +11,8 @@ import pytest
 
 from torus_tails import cli
 from torus_tails.cli import main
+from torus_tails.lie import get_root_system
+from torus_tails.mult import lattice_hull
 
 
 def run(capsys, *argv):
@@ -168,6 +170,13 @@ def test_missing_points_command(capsys):
                        "--lambda", "1,1", "--a", "2")
     doc = json.loads(out)
     assert [1, 2] in doc["missing"]
+    # the hull size is |S| + |R|, read without scanning the hull again
+    for algebra, lam, a in (("B2", (1, 1), 2), ("G2", (2, 1), 3)):
+        code, out, _ = run(capsys, "missing-points", "--algebra", algebra,
+                           "--lambda", ",".join(map(str, lam)), "--a", str(a))
+        assert code == 0
+        assert json.loads(out)["hull_size"] == \
+            len(lattice_hull(get_root_system(algebra), lam, a).points())
 
 
 # sha256 of the missing-points stdout, recorded with the hull scanning a box

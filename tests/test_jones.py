@@ -407,7 +407,7 @@ def test_a1_smoke_family():
         jh = res.shifted
         assert jh.min_degree() == 0
         assert jh.denom == 1
-        top, mult = maximizer_bruteforce(A1, (n,), 2, 3)
+        top, mult = maximizer_bruteforce(A1, (n,), 2)
         assert top == (2 * n,) and mult == 1
 
 

@@ -48,6 +48,15 @@ def test_mul_identity():
     assert f * TruncatedSeries.one() == f
 
 
+def test_mul_by_exact_zero():
+    # an exact 0 annihilates truncated and q^(1/2) operands alike, and the
+    # product is the exact 0 over q
+    zero = TruncatedSeries.zero()
+    for f in (S({0: 1, 3: 2}), S({-2: 1}, order=7), S({}, order=4),
+              S({Fraction(1, 2): 3}, order=Fraction(9, 2)), zero):
+        assert zero * f == f * zero == zero
+
+
 def test_mul_binomials():
     got = S({0: 1, 1: -1}) * S({0: 1, 2: -1})
     assert got == S({0: 1, 1: -1, 2: -1, 3: 1})
@@ -208,7 +217,7 @@ def quasipolys(draw):
     coeffs = tuple((r, tuple(Fraction(draw(st.integers(-3, 3)))
                              for _ in range(degree + 1)))
                    for r in range(period))
-    return QuasiPolynomial(period, degree, coeffs).canonical()
+    return QuasiPolynomial(period, coeffs).canonical()
 
 
 @st.composite
@@ -243,15 +252,15 @@ def test_qp_arithmetic_commutes_with_evaluation(a, b, n, shift):
 
 
 def test_qp_coefficient_times_int_is_a_scale():
-    qp = QuasiPolynomial(2, 1, ((0, (Fraction(1), Fraction(2))),
-                                (1, (Fraction(0), Fraction(-1)))))
+    qp = QuasiPolynomial(2, ((0, (Fraction(1), Fraction(2))),
+                             (1, (Fraction(0), Fraction(-1)))))
     assert qp * 3 == 3 * qp == qp.scale(3)
     assert not qp * 0 and qp
 
 
 def test_str_of_qp_series():
     f = TruncatedSeries.make({2: QuasiPolynomial.linear(1, 1)}, 1, 5)
-    assert str(f).startswith("+(QuasiPolynomial(period=1, degree=1")
+    assert str(f).startswith("+(QuasiPolynomial(period=1, coeffs=")
     assert str(f).endswith("*q^2 + O(q^5)")
 
 

@@ -11,7 +11,7 @@ from types import ModuleType
 
 import torus_tails
 
-MAX_DEFAULTED_PARAMETERS = 20
+MAX_DEFAULTED_PARAMETERS = 18
 
 # public names that no other package code uses, each with why it stays
 UNREACHED_ALLOWED = {
@@ -78,7 +78,8 @@ def _used_outside(tree: ast.AST, name: str, own, attribute_only: bool
                   ) -> bool:
     """name is read in tree as an attribute (or, unless attribute_only, as a
     name), outside the definitions ``own`` accepts (docstrings and imports
-    are not reads)."""
+    are not reads).  An attribute of ``args``, the CLI's argparse namespace,
+    is an option, not a member of a package class."""
     stack = [tree]
     while stack:
         node = stack.pop()
@@ -86,7 +87,9 @@ def _used_outside(tree: ast.AST, name: str, own, attribute_only: bool
             continue
         if isinstance(node, ast.Name) and node.id == name and \
                 not attribute_only or \
-                isinstance(node, ast.Attribute) and node.attr == name:
+                isinstance(node, ast.Attribute) and node.attr == name and \
+                not (isinstance(node.value, ast.Name)
+                     and node.value.id == "args"):
             return True
         stack.extend(ast.iter_child_nodes(node))
     return False

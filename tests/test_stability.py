@@ -719,7 +719,7 @@ def tails(draw):
         coeffs = tuple(
             (r, tuple(draw(FRACTIONS) for _ in range(degree + 1)))
             for r in range(period))
-        return QuasiPolynomial(period, degree, coeffs).canonical()
+        return QuasiPolynomial(period, coeffs).canonical()
 
     phis = []
     for _ in range(draw(st.integers(1, 3))):
