@@ -21,7 +21,7 @@ from .jones import (JonesError, TorusKnot, colored_jones,
                     quadratic_forms)
 from .kostant import kostant, kostant_dp
 from .lie import LieError, get_root_system
-from .mult import missing_points, plethysm_mult, summation_set
+from .mult import lattice_hull, plethysm_mult, summation_set
 from .qseries import SeriesDivisionError, TruncatedSeries
 from .stability import (detect_jones_tail, jones_family, stable_coefficients,
                         tail_closed_T2b, tail_closed_T4b,
@@ -169,7 +169,7 @@ def cmd_tail(args) -> int:
     else:
         tail = detect_jones_tail(rs, knot, ray, args.n0, args.n_max,
                                  args.x_order, args.q_order)
-    _emit({"tail": tail.to_json_obj(series=_keep)}, cfg)
+    _emit({"tail": tail.to_json_obj()}, cfg)
     return EXIT_OK
 
 
@@ -228,11 +228,11 @@ def cmd_missing_points(args) -> int:
     rs = get_root_system(args.algebra)
     lam = _parse_weight(args.lam, rs.rank)
     cfg = RunConfig("missing-points", rs.name, ray=lam, output=args.format)
-    missing = missing_points(rs, lam, args.a)
-    # S lies inside the hull, so the hull is S and R side by side
-    _emit({"lambda": list(lam), "a": args.a,
-           "hull_size": len(summation_set(rs, lam, args.a)) + len(missing),
-           "missing": [list(mu) for mu in missing]}, cfg)
+    # R = hull points minus S, each built once
+    s = summation_set(rs, lam, args.a)
+    hull = lattice_hull(rs, lam, args.a).points()
+    _emit({"lambda": list(lam), "a": args.a, "hull_size": len(hull),
+           "missing": [list(mu) for mu in hull if mu not in s]}, cfg)
     return EXIT_OK
 
 

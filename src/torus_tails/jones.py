@@ -16,31 +16,31 @@ integer products.  ``colored_jones`` then divides by all the
 denominator factors in one ``div_binomial_series`` over a dense exponent
 array, checking the remainder of each, and reads the series off that array
 in order.  Its summands are ``mult.summation_set`` as it comes, unsorted,
-scattered from the dominant weights of V_lambda alone, each multiplicity by
-one Kostant sum, so the exact path sorts no summation set and leaves no
-process-wide table behind.  The case tables of ``minimizer_closed_form``
-also bound the missing points (``missing_point_bound_check``), so that
-check lives here and ``mult`` imports nothing from this module.
+so the exact path sorts no summation set and leaves no process-wide table
+behind.  The case tables of ``minimizer_closed_form`` also bound the
+missing points (``missing_point_bound_check``), so that check lives here
+and ``mult`` imports nothing from this module.
 ``jones_jet`` gives the shifted J-hat only below a q-order: it assembles just
 the summands with f*(mu) below delta* plus that order and divides by
-truncated geometric series.  Its multiplicities come from a row kernel: each
-row of the dominant cone ends where D*f* reaches the bound
-(``_negative_range``), and the Kostant weight multiplicities are scattered
-over the Weyl-orbit shifts to the row's root-lattice coset points, so no
-point gets its own Weyl-group sum.  Degrees are exact rationals and every
-coefficient either route returns is exact.
+truncated geometric series.  Its multiplicities come from the row scatter
+of the summation set, ``mult.scatter_rows``, with each row of the dominant
+cone ended where D*f* reaches the bound (``_ball_rows``, by
+``_negative_range``), so this module reads no Kostant sum of its own.
+Degrees are exact rationals and every coefficient either route returns is
+exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-from typing import Any, Callable, Iterable
+from itertools import count
+from math import gcd, isqrt
+from typing import Any, Callable, Iterable, Iterator
 
 from .lie import LieError, RootSystem, Weight
-from .mult import (_kostant_sum, _kostant_tops, missing_points,
-                   plethysm_mult, summation_set)
+from .mult import (missing_points, plethysm_mult, scatter_rows,
+                   summation_set)
 from .qseries import TruncatedSeries, div_binomial_series
 
 
@@ -356,65 +356,17 @@ def colored_jones(rs: RootSystem, knot: TorusKnot, lam: Weight
     return ColoredJonesResult(knot, rs.name, lam, poly)
 
 
-def _jet_multiplicities(rs: RootSystem, lam: Weight, a: int,
-                        quad: tuple[int, ...], top: int
-                        ) -> dict[Weight, int]:
-    """mu -> m^mu_{lambda,a} over the dominant mu with D*f*(mu) < top, by
-    rows; mu with multiplicity 0 are left out.
-
-    quad is D*f* from ``_degree_quadratic``, which strictly increases along
-    both fundamental weights on the dominant cone.  Row i therefore ends at
-    the first j with D*f*(i, j) >= top, the end of ``_negative_range`` of the
-    row's quadratic in j, and the rows end at the first empty one.
-    S_{lambda,a} lies in the coset a*lambda + (root lattice), so j steps over
-    the coset's residues mod root_det.  The multiplicities are scattered as
-    in ``summation_set``: each orbit pair (w, sign) with a | i + w_0 adds
-    sign * m_lambda^((mu+w)/a) at the j = -w_1 (mod a) of the coset (one
-    step of lcm(root_det, a)), which sums to the ``plethysm_mult`` identity
-    at every mu of the rows.  m_lambda^nu is ``mult._kostant_sum``, Kostant's
-    formula over the per-lambda table ``_kostant_tops``, valid at every
-    weight nu.
-    """
-    d = rs.root_det
-    step = lcm(d, a)
-    pairs = rs.orbit_pairs
-    tops = _kostant_tops(rs, lam)
-    # per (i mod d, -w_1 mod a): the residues j mod step on the coset with
-    # j = -w_1 (mod a)
-    starts = {(r, t): [j for j in range(t, step, a) if rs.in_root_lattice(
-        (r - a * lam[0], j - a * lam[1]))]
-        for r in range(d) for t in range(a)}
-
-    # m_lambda^nu by Kostant's formula at any weight nu, kept for this call
-    # only: each nu is met from up to |W| mu
-    seen: dict[Weight, int] = {}
-    # D*f*(i, j) - top = cyy*j^2 + (cxy*i + cy)*j + const
+def _ball_rows(quad: tuple[int, ...], top: int) -> Iterator[int]:
+    """The row ends of the dominant mu with D*f*(mu) < top, quad D*f* from
+    ``_degree_quadratic``: row i ends at the end of ``_negative_range`` of
+    its quadratic in j.  That quadratic has its vertex at a j < 0, and D*f*
+    strictly increases along both fundamental weights on the dominant cone,
+    so the first row without a point ends at or below 0, and so do the
+    later ones."""
     cxx, cxy, cyy, cx, cy, c0 = quad
-    out: dict[Weight, int] = {}
-    i = 0
-    while True:
-        const = (cxx * i + cx) * i + c0 - top
-        if const >= 0:   # row i starts past the bound, and so do later rows
-            return out
-        end = _negative_range(cyy, cxy * i + cy, const).stop
-        row: dict[int, int] = {}
-        for (w0, w1), sign in pairs:
-            if (i + w0) % a:
-                continue
-            nu0 = (i + w0) // a
-            for j0 in starts[i % d, -w1 % a]:
-                for j in range(j0, end, step):
-                    nu = (nu0, (j + w1) // a)
-                    m = seen.get(nu)
-                    if m is None:
-                        m = seen[nu] = _kostant_sum(rs, tops,
-                                                    rs.root_coords_int(nu))
-                    if m:
-                        row[j] = row.get(j, 0) + sign * m
-        for j, m in row.items():
-            if m:
-                out[i, j] = m
-        i += 1
+    for i in count():
+        yield _negative_range(cyy, cxy * i + cy,
+                              (cxx * i + cx) * i + c0 - top).stop
 
 
 def jones_jet(rs: RootSystem, knot: TorusKnot, lam: Weight, order: int
@@ -427,12 +379,10 @@ def jones_jet(rs: RootSystem, knot: TorusKnot, lam: Weight, order: int
     f*(mu) < delta* + order contribute.  f* strictly increases along every
     fundamental weight on the dominant cone (the Gram entries are positive
     and b > a), so the rows of the cone, each cut where f* reaches that
-    bound, hold exactly those mu.  ``_jet_multiplicities`` fills each row by
-    scattering the Kostant weight multiplicities over the Weyl-orbit shifts
-    to the row's root-lattice coset points, the ``plethysm_mult`` identity
-    term for term, so no summation set is built and no point gets its own
-    Weyl-group sum.  The rows start at the origin: the mu with f* below
-    delta* are summed too.
+    bound, hold exactly those mu.  ``mult.scatter_rows`` fills those rows
+    (``_ball_rows``), the ``plethysm_mult`` identity term for term, so no
+    summation set is built and no point gets its own Weyl-group sum.  The
+    rows start at the origin: the mu with f* below delta* are summed too.
 
     The exact division's remainder check needs the whole numerator; the jet
     certifies its anchor instead: its lowest term must be q^0 with
@@ -449,7 +399,8 @@ def jones_jet(rs: RootSystem, knot: TorusKnot, lam: Weight, order: int
     shift = _degree_value(quad, mu_min)
     d = _exponent_denominator(rs, knot)
     bound = order * d
-    mults = _jet_multiplicities(rs, lam, a, quad, shift + bound)
+    rows = scatter_rows(rs, lam, a, _ball_rows(quad, shift + bound))
+    mults = {(i, j): m for i, row in rows for j, m in row.items() if m}
     acc = _numerator(rs, knot, lam, mults.items(), shift, bound)
     jet = div_binomial_series(acc, _denominator_shifts(rs, knot, lam), d,
                               bound)

@@ -9,22 +9,23 @@ step at its dominant conjugate, so neither oracle builds a weight system.
 
 Everything runs on the integer kernel of ``lie``: root coordinates scaled by
 ``root_det`` and inner products scaled by ``gram_scale``.  Every weight
-multiplicity (``weight_mult``, ``plethysm_mult``, ``summation_set`` and the
-jet kernel of ``jones``) is one integer Kostant sum, ``_kostant_sum``, at
-any weight, over the bounded per-lambda table ``_kostant_tops``; one
-divisibility test on its first top returns 0 off lambda's root-lattice
-coset.  No multiplicity is kept in a process-wide table.  S_{lambda,a} is
-one scatter, ``summation_set``: it scans the dominant nu <= lambda only,
-takes m_lambda^nu once for each, and adds sign * m_lambda^nu at
-mu = a*nu' - (rho - sigma(rho)) over the W-images nu' of nu (formed only
-near the walls, where one can land) and the orbit pairs, so it needs no
-weight system and no per-point Weyl-group sum.  Its dict is unsorted;
-``colored_jones``, ``missing_points`` and the brute-force extremizers read
-it as it is, and only the CLI sorts it, to print it.  ``plethysm_mult`` is
-the per-point route.  The lattice L_{lambda,a} is held as residues of
-integer root coordinates mod a*root_det (``LatticeHull``), and its one
-membership test, ``in_lattice``, is the one the stable limit reads too;
-the hull points are the dominant weights of V_(a*lambda) on it.  The
+multiplicity (``weight_mult``, ``plethysm_mult`` and ``scatter_rows``) is
+one integer Kostant sum, ``_kostant_sum``, at any weight, over the bounded
+per-lambda table ``_kostant_tops``; one divisibility test on its first top
+returns 0 off lambda's root-lattice coset.  No multiplicity is kept in a
+process-wide table.  ``scatter_rows`` is the one scatter of the
+``plethysm_mult`` identity: row by row of the dominant cone, up to row ends
+its caller gives, it adds sign * m_lambda^nu at mu = a*nu - (rho -
+sigma(rho)) over the orbit pairs, so it needs no weight system and no
+per-point Weyl-group sum.  ``summation_set`` runs it over the polytope of
+dominant mu <= a*lambda, and the jets of ``jones`` over a ball of f*.  The
+summation set's dict is unsorted; ``colored_jones``, ``missing_points`` and
+the brute-force extremizers read it as it is, and only the CLI sorts it, to
+print it.  ``plethysm_mult`` is the per-point route.  The lattice
+L_{lambda,a} is held as residues of integer root coordinates mod
+a*root_det (``LatticeHull``), and its one membership test, ``in_lattice``,
+is the one the stable limit reads too; the hull points are the dominant
+weights of V_(a*lambda) on it.  The
 Adams oracle peels psi_a(ch_lambda) once per (lambda, a) into a table kept
 in a bounded cache, and so are the Freudenthal tables it reads.
 """
@@ -34,7 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from itertools import count
+from math import lcm
+from typing import Iterable, Iterator, Sequence
 
 # OracleLimitError lives in kostant, whose DP guard raises it too
 from .kostant import OracleLimitError, kostant
@@ -235,55 +238,88 @@ def _adams_table(rs: RootSystem, lam: Weight, a: int) -> dict[Weight, int]:
 # -- the summation set and its lattice hull ----------------------------------
 
 
+def scatter_rows(rs: RootSystem, lam: Weight, a: int, ends: Iterable[int]
+                 ) -> Iterator[tuple[int, dict[int, int]]]:
+    """Yield (i, {j: m^mu_{lambda,a}}) over the rows mu = (i, j) of the
+    dominant cone, row i holding the j below the i-th of ends, until ends
+    runs out or one of them is <= 0.  A rank-1 mu = (j,) has row 0 alone,
+    so ends holds one end there.
+
+    Every term of the ``plethysm_mult`` identity is scattered: each orbit
+    pair (w, sign) with a | i + w_0 adds sign * m_lambda^nu, nu = (mu+w)/a,
+    at the j = -w_1 (mod a) of the coset a*lambda + (root lattice), one
+    step of lcm(root_det, a) apart, so no point gets its own Weyl-group
+    sum.  m_lambda^nu is ``_kostant_sum``, valid at every weight nu and 0
+    off Pi_lambda.  A row holds the j that some nonzero m_lambda^nu lands
+    on, members whose terms cancel to 0 included.
+    """
+    d = rs.root_det
+    step = lcm(d, a)
+    # a rank-1 weight (x,) is (0, x) here
+    off = 2 - rs.rank
+    # per i mod a, the orbit pairs (w, sign) with a | i + w_0, each as
+    # (w_0, w_1, sign, -w_1 mod a)
+    pairs = {c: [] for c in range(a)}
+    for w, sign in rs.orbit_pairs:
+        w0, w1 = (0,) * off + w
+        pairs[-w0 % a].append((w0, w1, sign, -w1 % a))
+    coords = rs.root_coords_int if off == 0 else \
+        (lambda nu: rs.root_coords_int(nu[1:]))
+    alam = (0,) * off + tuple(a * c for c in lam)
+    tops = _kostant_tops(rs, lam)
+    # (i mod d, j mod d) on the coset; per (i mod d, -w_1 mod a), the
+    # residues j mod step on the coset with j = -w_1 (mod a)
+    coset = {(r, t) for r in range(d) for t in range(d)
+             if rs.in_root_lattice((r - alam[0], t - alam[1])[off:])}
+    starts = {(r, t): [j for j in range(t, step, a) if (r, j % d) in coset]
+              for r in range(d) for t in range(a)}
+    # m_lambda^nu, kept for this call only: each nu is met from up to |W| mu
+    seen: dict[Weight, int] = {}
+    for i, end in enumerate(ends):
+        if end <= 0:
+            return
+        row: dict[int, int] = {}
+        r = i % d
+        for w0, w1, sign, t in pairs[i % a]:
+            nu0 = (i + w0) // a
+            for j0 in starts[r, t]:
+                for j in range(j0, end, step):
+                    nu = (nu0, (j + w1) // a)
+                    m = seen.get(nu)
+                    if m is None:
+                        m = seen[nu] = _kostant_sum(rs, tops, coords(nu))
+                    if m:
+                        row[j] = row.get(j, 0) + sign * m
+        yield i, row
+
+
 def summation_set(rs: RootSystem, lam: Weight, a: int) -> dict[Weight, int]:
     """S_{lambda,a} with plethysm multiplicities, unsorted.
 
     Defined geometrically: union over sigma of sigma(rho)-rho + a*Pi_lambda,
-    intersected with the dominant cone.  The multiplicities are scattered
-    over the same pairs: mu = a*nu - (rho - sigma(rho)) receives
-    (-1)^sigma * m_lambda^nu, and these sum to the ``plethysm_mult`` identity
-    at every mu.  Members whose multiplicity cancels to 0 are retained (the
-    set is support-agnostic).
-
-    The scan runs over the dominant nu <= lambda only (``dominant_weights``)
-    and computes m_lambda^nu once for each by ``_kostant_sum``, so no weight
-    system is built and no table outlives the call.  Each distinct W-image
-    of nu with a*nu' >= low, low the smallest coordinate of any orbit
-    shift, is scattered.  An image sigma(nu) != nu has a coordinate
-    -(nu, beta^vee) <= -min(nu) for some positive coroot beta^vee, so away
-    from the walls, where a*min(nu) > -low, nu alone can land and its
-    images are not formed.
+    intersected with the dominant cone.  Each of its points mu = a*nu -
+    (rho - sigma(rho)) satisfies mu <= a*lambda, so S is ``scatter_rows``
+    over the polytope of dominant mu <= a*lambda: row i ends where a root
+    coordinate of a*lambda - (i, j) turns negative (every fundamental
+    weight has positive root coordinates).  Members whose multiplicity
+    cancels to 0 are retained (the set is support-agnostic).  No weight
+    system is built and no table outlives the call.
     """
     if not rs.is_dominant(lam):
         raise LieError("highest weight must be dominant")
     if a < 2:
         raise ValueError("Adams parameter a must be >= 2")
-    pairs = rs.orbit_pairs
-    # a*nu_i - w_i >= 0 for some pair needs a*nu_i >= min(w_i)
-    low = min(c for w, _ in pairs for c in w)
-    tops = _kostant_tops(rs, lam)
-    mats = [mat for mat, _ in rs.weyl_elements]
-    out: dict[Weight, int] = {}
-    for nu in rs.dominant_weights(lam):
-        m = _kostant_sum(rs, tops, rs.root_coords_int(nu))
-        images = (nu,) if a * min(nu) > -low else \
-            {_mat_apply(mat, nu) for mat in mats}
-        for image in images:
-            if a * min(image) < low:
-                continue
-            if rs.rank == 1:
-                x = a * image[0]
-                for (w0,), sign in pairs:
-                    if x >= w0:
-                        mu = (x - w0,)
-                        out[mu] = out.get(mu, 0) + sign * m
-                continue
-            x, y = a * image[0], a * image[1]
-            for (w0, w1), sign in pairs:
-                u, v = x - w0, y - w1
-                if u >= 0 and v >= 0:
-                    out[u, v] = out.get((u, v), 0) + sign * m
-    return out
+    top = rs.root_coords_int(tuple(a * c for c in lam))
+    # rc(a*lambda - (i, j)) = top - i*f0 - j*f1, f0 and f1 the root
+    # coordinates of the fundamental weights; a rank-1 mu = (j,) is row 0
+    f0 = rs.root_coords_int((1, 0)[:rs.rank])
+    f1 = rs.root_coords_int((0, 1)[-rs.rank:])
+    rows = scatter_rows(rs, lam, a, (
+        min((t - i * u) // v for t, u, v in zip(top, f0, f1)) + 1
+        for i in (count() if rs.rank == 2 else (0,))))
+    if rs.rank == 1:
+        return {(j,): m for _, row in rows for j, m in row.items()}
+    return {(i, j): m for i, row in rows for j, m in row.items()}
 
 
 @dataclass(frozen=True)

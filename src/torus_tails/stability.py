@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isqrt
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .jones import (TorusKnot, _degree_quadratic, _degree_value,
                     _exponent_denominator, _negative_range, colored_jones,
@@ -139,11 +139,10 @@ class TailSeries:
                     return (k, e)
         return None
 
-    def to_json_obj(self, series: Callable[[TruncatedSeries], Any]
-                    = TruncatedSeries.to_json_obj) -> dict:
+    def to_json_obj(self) -> dict:
         """Integral a + b n coefficients go to series_const and
-        series_linear_n, each encoded by ``series``; every other
-        quasi-polynomial goes whole to series_periodic."""
+        series_linear_n; every other quasi-polynomial goes whole to
+        series_periodic."""
         phis = []
         for k, p in enumerate(self.phis):
             const: dict[int, int] = {}
@@ -159,11 +158,11 @@ class TailSeries:
                 else:
                     extra.append([e, qp.to_json_obj()])
             entry: dict = {"k": k, "q_order": p.order,
-                           "series_const": series(TruncatedSeries.make(
-                               const, 1, p.order))}
+                           "series_const": TruncatedSeries.make(
+                               const, 1, p.order).to_json_obj()}
             if linear:
-                entry["series_linear_n"] = series(TruncatedSeries.make(
-                    linear, 1, p.order))
+                entry["series_linear_n"] = TruncatedSeries.make(
+                    linear, 1, p.order).to_json_obj()
             if extra:
                 entry["series_periodic"] = extra
             phis.append(entry)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from torus_tails import cli
+from torus_tails import cli, mult
 from torus_tails.cli import main
 from torus_tails.lie import get_root_system
 from torus_tails.mult import lattice_hull
@@ -179,6 +179,25 @@ def test_missing_points_command(capsys):
             len(lattice_hull(get_root_system(algebra), lam, a).points())
 
 
+def test_missing_points_command_builds_the_summation_set_once(
+        capsys, monkeypatch):
+    calls, summation_set = [], mult.summation_set
+
+    def counted(*args):
+        calls.append(args)
+        return summation_set(*args)
+
+    # the command's own name and the library's, which missing_points reads
+    monkeypatch.setattr(cli, "summation_set", counted)
+    monkeypatch.setattr(mult, "summation_set", counted)
+    for algebra, lam, a in (("B2", "3,2", "2"), ("G2", "2,1", "3")):
+        calls.clear()
+        code, _, _ = run(capsys, "missing-points", "--algebra", algebra,
+                         "--lambda", lam, "--a", a)
+        assert code == 0
+        assert len(calls) == 1
+
+
 # sha256 of the missing-points stdout, recorded with the hull scanning a box
 # of weights by a polytope test and a per-translate lattice test
 MISSING_POINTS_GOLDEN = {
@@ -278,7 +297,7 @@ def test_tail_closed_accepts_supported_inputs(capsys):
 
 
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):
-    from torus_tails import cli
+    from torus_tails import cli, mult
     from torus_tails.jones import JonesError
     from torus_tails.qseries import SeriesDivisionError
     for exc in (JonesError("minimizer inconsistency"),

@@ -14,7 +14,7 @@ from torus_tails.jones import (JonesError, TorusKnot, colored_jones,
                                minimizer_bruteforce, minimizer_closed_form,
                                quadratic_forms)
 from torus_tails.lie import LieError, get_root_system
-from torus_tails.mult import plethysm_mult, summation_set
+from torus_tails.mult import plethysm_mult, scatter_rows, summation_set
 from torus_tails.qseries import TruncatedSeries, exact_div
 from torus_tails.stability import TailSeries, jones_family, tail_closed_T4b
 from weight_systems import inner, norm2
@@ -240,7 +240,9 @@ def test_jet_kernel_matches_plethysm_mult(rs):
                     quad, minimizer_closed_form(rs, lam, a))
                 for order in (7, 20):
                     top = shift + order * d
-                    got = jones._jet_multiplicities(rs, lam, a, quad, top)
+                    got = {(i, j): m for i, row in scatter_rows(
+                        rs, lam, a, jones._ball_rows(quad, top))
+                        for j, m in row.items() if m}
                     ball = list(_ball(
                         lambda mu: d * _degree_formula(rs, knot, lam, -1, mu),
                         top))

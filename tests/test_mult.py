@@ -335,16 +335,18 @@ def test_plethysm_quasipoly_fit_constant_on_class():
 
 @pytest.mark.parametrize("rs", [A1, A2, B2, G2], ids=lambda rs: rs.name)
 def test_scatter_summation_set_equals_pointwise(rs):
-    # small colors and the wall colors (k, 0), (0, k): their dominant
-    # weights on or near the walls are scattered from W-images too (B2 at
-    # a = 2 and G2 at a <= 4 land images with a coordinate -1 or -2)
+    # the row scatter reads every nu through Kostant's formula, valid at any
+    # weight, so a nu off the dominant cone counts too: B2 at a = 2 and G2
+    # at a <= 4 land weights with a coordinate -1 or -2 in the cone.  Small
+    # colors, and the wall colors (k, 0), (0, k), whose weights crowd the
+    # walls
     if rs.rank == 1:
-        lams = [(k,) for k in range(7)]
+        lams = [(k,) for k in range(13)]
     else:
         lams = [(m1, m2) for m1 in range(3) for m2 in range(3 - m1)]
-        lams += [(k, 0) for k in range(3, 7)] + [(0, k) for k in range(3, 7)]
+        lams += [(k, 0) for k in range(3, 9)] + [(0, k) for k in range(3, 9)]
     zeros = 0
-    for a in (2, 3, 4, 5):
+    for a in range(2, 8):
         for lam in lams:
             s = summation_set(rs, lam, a)
             # the geometric definition, built here independently
