@@ -14,8 +14,7 @@ from .mult import (LatticeHull, lattice_hull, missing_points,
                    plethysm_adams_oracle, plethysm_mult, summation_set,
                    weight_mult, weight_mult_freudenthal)
 from .qseries import (SeriesDivisionError, SeriesError, ThetaParams,
-                      TruncatedSeries, euler_phi, exact_div,
-                      geometric_inverse, pochhammer, theta)
+                      TruncatedSeries, euler_phi, pochhammer, theta)
 from .quasipoly import FitError, QuasiPolynomial, fit_quasi_polynomial
 from .stability import (StabilityError, TailSeries, a1_theta_difference,
                         a1_triple_product, degree_quasipoly_fit,

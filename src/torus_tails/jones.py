@@ -7,8 +7,8 @@ numerators over D = 2*a*gram_scale from the start: D*f*(mu) and
 D*(mu+rho, alpha) are integers computed with the scaled inner product of
 ``lie``.  D*f* is one integer quadratic in mu, its six coefficients from
 ``_degree_quadratic``; the numerator, the jets, the Fraction forms and the
-stable limit of ``stability`` all read it, and ``_negative_range`` is the
-one solver for where such a quadratic is below a bound.
+stable limit of ``stability`` all read it, and ``qseries._negative_range``
+is the one solver for where such a quadratic is below a bound.
 ``colored_jones`` and ``jones_jet`` share one assembly of the numerator:
 D*f*(mu) and the Weyl-identity expansion of the root product are expanded
 once into integer quadratic and linear coefficients, so a term costs a few
@@ -25,7 +25,8 @@ the summands with f*(mu) below delta* plus that order and divides by
 truncated geometric series.  Its multiplicities come from the row scatter
 of the summation set, ``mult.scatter_rows``, with each row of the dominant
 cone ended where D*f* reaches the bound (``_ball_rows``, by
-``_negative_range``), so this module reads no Kostant sum of its own.
+``qseries._negative_range``), so this module reads no Kostant sum of its
+own.
 Degrees are exact rationals and every coefficient either route returns is
 exact.
 """
@@ -35,13 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt
+from math import gcd
 from typing import Any, Callable, Iterable, Iterator
 
 from .lie import LieError, RootSystem, Weight
 from .mult import (missing_points, plethysm_mult, scatter_rows,
                    summation_set)
-from .qseries import TruncatedSeries, div_binomial_series
+from .qseries import TruncatedSeries, _negative_range, div_binomial_series
 
 
 class JonesError(ValueError):
@@ -96,16 +97,6 @@ def _degree_value(quad: tuple[int, ...], mu: Weight) -> int:
     cxx, cxy, cyy, cx, cy, c0 = quad
     x, y = mu[0], mu[-1]
     return (cxx * x + cxy * y + cx) * x + (cyy * y + cy) * y + c0
-
-
-def _negative_range(c2: int, c1: int, c0: int) -> range:
-    """The integers x with c2*x^2 + c1*x + c0 < 0, for c2 > 0: those with
-    (2*c2*x + c1)^2 < c1^2 - 4*c2*c0, read off by isqrt."""
-    disc = c1 * c1 - 4 * c2 * c0
-    if disc <= 0:
-        return range(0)
-    r = isqrt(disc - 1)
-    return range(-((r + c1) // (2 * c2)), (r - c1) // (2 * c2) + 1)
 
 
 def quadratic_forms(rs: RootSystem, knot: TorusKnot, lam: Weight

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 # OracleLimitError lives in kostant, whose DP guard raises it too
@@ -247,42 +246,40 @@ def scatter_rows(rs: RootSystem, lam: Weight, a: int, ends: Iterable[int]
 
     Every term of the ``plethysm_mult`` identity is scattered: each orbit
     pair (w, sign) with a | i + w_0 adds sign * m_lambda^nu, nu = (mu+w)/a,
-    at the j = -w_1 (mod a) of the coset a*lambda + (root lattice), one
-    step of lcm(root_det, a) apart, so no point gets its own Weyl-group
-    sum.  m_lambda^nu is ``_kostant_sum``, valid at every weight nu and 0
-    off Pi_lambda.  A row holds the j that some nonzero m_lambda^nu lands
-    on, members whose terms cancel to 0 included.
+    at the j = a*c - w_1 (mod a*root_det) over the residues c that put
+    nu = (nu_0, c) on lambda's coset lambda + (root lattice), so no point
+    gets its own Weyl-group sum.  m_lambda^nu is ``_kostant_sum``, valid at
+    every weight nu and 0 off Pi_lambda.  A row holds the j that some
+    nonzero m_lambda^nu lands on, members whose terms cancel to 0 included.
     """
     d = rs.root_det
-    step = lcm(d, a)
+    step = a * d
     # a rank-1 weight (x,) is (0, x) here
     off = 2 - rs.rank
+    lam2 = (0,) * off + tuple(lam)
+    # per nu_0 mod d, the residues c mod d that put (nu_0, c) on the coset
+    coset = [[c for c in range(d)
+              if rs.in_root_lattice((r - lam2[0], c - lam2[1])[off:])]
+             for r in range(d)]
     # per i mod a, the orbit pairs (w, sign) with a | i + w_0, each as
-    # (w_0, w_1, sign, -w_1 mod a)
+    # (w_0, w_1, sign, the residues j mod step of each nu_0 mod d)
     pairs = {c: [] for c in range(a)}
     for w, sign in rs.orbit_pairs:
         w0, w1 = (0,) * off + w
-        pairs[-w0 % a].append((w0, w1, sign, -w1 % a))
+        pairs[-w0 % a].append((w0, w1, sign, [
+            sorted((a * c - w1) % step for c in cs) for cs in coset]))
     coords = rs.root_coords_int if off == 0 else \
         (lambda nu: rs.root_coords_int(nu[1:]))
-    alam = (0,) * off + tuple(a * c for c in lam)
     tops = _kostant_tops(rs, lam)
-    # (i mod d, j mod d) on the coset; per (i mod d, -w_1 mod a), the
-    # residues j mod step on the coset with j = -w_1 (mod a)
-    coset = {(r, t) for r in range(d) for t in range(d)
-             if rs.in_root_lattice((r - alam[0], t - alam[1])[off:])}
-    starts = {(r, t): [j for j in range(t, step, a) if (r, j % d) in coset]
-              for r in range(d) for t in range(a)}
     # m_lambda^nu, kept for this call only: each nu is met from up to |W| mu
     seen: dict[Weight, int] = {}
     for i, end in enumerate(ends):
         if end <= 0:
             return
         row: dict[int, int] = {}
-        r = i % d
-        for w0, w1, sign, t in pairs[i % a]:
+        for w0, w1, sign, starts in pairs[i % a]:
             nu0 = (i + w0) // a
-            for j0 in starts[r, t]:
+            for j0 in starts[nu0 % d]:
                 for j in range(j0, end, step):
                     nu = (nu0, (j + w1) // a)
                     m = seen.get(nu)

@@ -14,6 +14,12 @@ The coefficient ring R is the integers or the quasi-polynomials in n (the
 tails' phi_k(n, q)).  The algebra needs only +, -, * and truthiness of the
 coefficients, and an int times a coefficient; ``evaluate`` maps a
 quasi-polynomial series to the integer series of one n.
+
+``div_binomial_series`` is the one exact division: a polynomial, given by
+exponent numerators, over a product of binomials 1 - q^m.  The special
+series ``theta``, ``pochhammer`` and ``euler_phi`` take integer exponents and
+orders; ``theta`` sums the s that the one row solver, ``_negative_range``,
+finds below the order.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 Exponent = Union[int, Fraction]
@@ -71,22 +77,6 @@ class TruncatedSeries:
             kept = {e: c for e, c in terms.items() if e < order and c}
         exps = sorted(kept)
         return _columns(denom, exps, map(kept.__getitem__, exps), order)
-
-    @staticmethod
-    def from_exponents(terms: Mapping[Exponent, int],
-                       order: Optional[Exponent] = None) -> "TruncatedSeries":
-        """Build a series from rational exponents."""
-        fracs = {_as_fraction(e): c for e, c in terms.items()}
-        denom = 1
-        for e in fracs:
-            denom = lcm(denom, e.denominator)
-        o = None
-        if order is not None:
-            of = _as_fraction(order)
-            denom = lcm(denom, of.denominator)
-            o = int(of * denom)
-        return TruncatedSeries.make(
-            {int(e * denom): c for e, c in fracs.items()}, denom, o)
 
     @staticmethod
     def zero() -> "TruncatedSeries":
@@ -145,10 +135,6 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self._merged(other, other.coeffs)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.denom, self.exps,
-                               tuple(-c for c in self.coeffs), self.order)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self._merged(other, tuple(-c for c in other.coeffs))
@@ -306,12 +292,19 @@ def _min_order(o1: Optional[int], o2: Optional[int]) -> Optional[int]:
     return min(o1, o2)
 
 
-# -- special series ---------------------------------------------------------
+def _negative_range(c2: int, c1: int, c0: int) -> range:
+    """The integers x with c2*x^2 + c1*x + c0 < 0, for c2 > 0: those with
+    (2*c2*x + c1)^2 < c1^2 - 4*c2*c0, read off by isqrt.  The one row
+    solver: ``theta`` cuts its sum with it, and so do the jets of ``jones``
+    and the stable limit of ``stability``."""
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc <= 0:
+        return range(0)
+    r = isqrt(disc - 1)
+    return range(-((r + c1) // (2 * c2)), (r - c1) // (2 * c2) + 1)
 
 
-def geometric_inverse(e: Exponent, order: Exponent) -> TruncatedSeries:
-    """1/(1-q^e) = sum_{j>=0} q^(je), truncated below order."""
-    return exact_div(TruncatedSeries.one(), e, order)
+# -- the exact division and the special series --------------------------------
 
 
 def div_binomial_series(poly: Mapping[int, Coeff], shifts: Sequence[int],
@@ -365,30 +358,6 @@ def div_binomial_series(poly: Mapping[int, Coeff], shifts: Sequence[int],
                     None if cutoff is None else cutoff // h)
 
 
-def exact_div(f: TruncatedSeries, e: Exponent,
-              order: Optional[Exponent] = None) -> TruncatedSeries:
-    """f / (1 - q^e), e > 0.
-
-    Without ``order`` f must be a polynomial that (1 - q^e) divides: a
-    remainder raises SeriesDivisionError.  With it, the power series quotient
-    f * sum_j q^(je), exact below min(f's order, order).  Both are one
-    ``div_binomial_series`` with a single shift, on its dense lattice array.
-    """
-    ef = _as_fraction(e)
-    if ef <= 0:
-        raise SeriesError("non-expandable denominator")
-    if order is None and f.order is not None:
-        raise SeriesError("exact division needs a finitely-supported series")
-    of = None if order is None else _as_fraction(order)
-    d = lcm(f.denom, ef.denominator, 1 if of is None else of.denominator)
-    fac = d // f.denom
-    cut = _min_order(None if f.order is None else f.order * fac,
-                     None if of is None else int(of * d))
-    return div_binomial_series({ex * fac: c
-                                for ex, c in zip(f.exps, f.coeffs)},
-                               (int(ef * d),), d, cut)
-
-
 @dataclass(frozen=True)
 class ThetaParams:
     """Parameters of theta_{b,c}(q) = sum_s (-1)^s q^{(b/2)s^2 + c s}.
@@ -411,50 +380,32 @@ class ThetaParams:
         if b.denominator != 1 or (c - b / 2).denominator != 1:
             raise SeriesError("non-integral exponent encountered")
 
-    def exponent(self, s: int) -> int:
-        e = self.b / 2 * s * s + self.c * s
-        assert e.denominator == 1
-        return int(e)
+
+def theta(params: ThetaParams, order: int) -> TruncatedSeries:
+    """theta_{b,c} summed over every s whose exponent lies below order: the
+    s with b*s^2 + 2c*s < 2*order, one ``_negative_range``."""
+    b, c2 = int(params.b), int(2 * params.c)
+    terms: dict[int, int] = {}
+    for s in _negative_range(b, c2, -2 * order):
+        e = (b * s + c2) * s // 2
+        terms[e] = terms.get(e, 0) + (1 if s % 2 == 0 else -1)
+    return TruncatedSeries.make(terms, 1, order)
 
 
-def theta(params: ThetaParams, order: Exponent) -> TruncatedSeries:
-    """theta_{b,c} summed over every s whose exponent lies below order."""
-    of = _as_fraction(order)
-    vertex = -params.c / params.b
-    terms: dict[Fraction, int] = {}
-    for stride in (1, -1):
-        s = 0 if stride == 1 else -1
-        while True:
-            e = params.exponent(s)
-            if e < of:
-                fe = Fraction(e)
-                terms[fe] = terms.get(fe, 0) + (1 if s % 2 == 0 else -1)
-            elif (stride == 1 and s > vertex) or (stride == -1 and s < vertex):
-                # exponent grows monotonically past the parabola vertex
-                break
-            s += stride
-    return TruncatedSeries.from_exponents(terms, order=of)
-
-
-def pochhammer(a: Exponent, order: Exponent, step: Exponent = 1) -> TruncatedSeries:
+def pochhammer(a: int, order: int, step: int = 1) -> TruncatedSeries:
     """(q^a; q^step)_inf = prod_{k>=0} (1 - q^(a+k*step)), truncated.
 
     Factors with exponent >= order are identically 1 below the order, so the
     product is finite; a and step must be positive for convergence.
     """
-    af, sf = _as_fraction(a), _as_fraction(step)
-    if af <= 0 or sf <= 0:
+    if a <= 0 or step <= 0:
         raise SeriesError("divergent Pochhammer parameters")
-    of = _as_fraction(order)
-    out = TruncatedSeries.one().truncated(of)
-    k = 0
-    while af + k * sf < of:
-        factor = TruncatedSeries.from_exponents({0: 1, af + k * sf: -1})
-        out = out * factor
-        k += 1
-    return out.truncated(of)
+    out = TruncatedSeries.one().truncated(order)
+    for e in range(a, order, step):
+        out = out * TruncatedSeries.make({0: 1, e: -1})
+    return out.truncated(order)
 
 
-def euler_phi(order: Exponent) -> TruncatedSeries:
+def euler_phi(order: int) -> TruncatedSeries:
     """(q)_inf = (q; q)_inf."""
     return pochhammer(1, order)

@@ -283,9 +283,6 @@ def fit_quasi_polynomial(samples: Sequence[tuple[int, Rat]],
                 members.sort()
                 use = members[-(degree + 1):]
                 cs = _interpolate(use)
-                if len(cs) - 1 > degree:
-                    ok = False
-                    break
                 if any(_horner(cs, n) != v for n, v in members):
                     ok = False
                     break

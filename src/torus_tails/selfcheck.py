@@ -21,8 +21,7 @@ from .kostant import (kostant_closed_A2, kostant_closed_B2, kostant_closed_G2,
 from .lie import RANK2_ALGEBRAS, get_root_system
 from .mult import (lattice_hull, missing_points, plethysm_adams_oracle,
                    plethysm_mult, summation_set)
-from .qseries import ThetaParams, TruncatedSeries, euler_phi, \
-    geometric_inverse, theta
+from .qseries import ThetaParams, TruncatedSeries, euler_phi, theta
 from .stability import (a1_theta_difference, a1_triple_product,
                         degree_quasipoly_fit, detect_jones_tail,
                         stable_coefficients, t4b_series, tail_closed_T2b,
@@ -140,7 +139,8 @@ def check_trefoil_theta_tail() -> dict:
     q_order = 50
     t = tail_closed_T2b(3, 2, q_order)
     phi_inf = euler_phi(q_order)
-    inv1 = geometric_inverse(1, q_order)
+    inv1 = TruncatedSeries.make(dict.fromkeys(range(q_order), 1), 1,
+                                q_order)   # 1/(1-q), not by division
     num = {0: phi_inf, 1: phi_inf.shifted(1).scaled(-1),
            2: phi_inf.shifted(3)}
     bad = []

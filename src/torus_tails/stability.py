@@ -10,11 +10,13 @@ Three independent routes produce tails for the supported families: empirical
 detection from the computed polynomials, evaluation of the structural
 lattice-sum limit, and the closed theta-quotient forms.  The lattice-sum
 limit takes its q-exponents from the one degree quadratic of ``jones``
-(``_degree_quadratic``, re-centred at the minimizer) and its row bounds from
-the one row solver there (``_negative_range``).  The stable limit and both
-closed forms are each one numerator over prod (1 - x^c q^d), divided out
-by the one quotient ``_tail_quotient``; detection keeps each member's
-residual as a series whose order is its exactness window.
+(``_degree_quadratic``, re-centred at the minimizer) and its row bounds
+from the one row solver of ``qseries`` (``_negative_range``).  The stable
+limit and both closed forms are each one numerator over prod
+(1 - x^c q^d), divided out by the one quotient ``_tail_quotient``, which
+divides an x-free factor 1 - q^d by the one exact division,
+``div_binomial_series``; detection keeps each member's residual as a series
+whose order is its exactness window.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ from math import inf, isqrt
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .jones import (TorusKnot, _degree_quadratic, _degree_value,
-                    _exponent_denominator, _negative_range, colored_jones,
-                    jones_jet, minimizer_closed_form)
+                    _exponent_denominator, colored_jones, jones_jet,
+                    minimizer_closed_form)
 from .lie import LieError, RootSystem, Weight, get_root_system
 from .mult import lattice_hull, plethysm_sequence
 from .quasipoly import FitError, QuasiPolynomial, fit_quasi_polynomial
-from .qseries import (ThetaParams, TruncatedSeries, _min_order, euler_phi,
-                      exact_div, pochhammer, theta)
+from .qseries import (ThetaParams, TruncatedSeries, _min_order,
+                      _negative_range, div_binomial_series, euler_phi,
+                      pochhammer, theta)
 
 
 class StabilityError(ValueError):
@@ -221,8 +224,10 @@ def _tail_quotient(residue: tuple[int, int],
         if c:
             tail = lemma_FG_transform(tail, c, d)
         else:
-            tail = TailSeries(residue, tuple(exact_div(p, d, q_order)
-                                             for p in tail.phis))
+            tail = TailSeries(residue, tuple(
+                div_binomial_series(p.as_dict(), (d,), 1,
+                                    _min_order(p.order, q_order))
+                for p in tail.phis))
     return TailSeries(residue, tuple(p.truncated(q_order) for p in tail.phis))
 
 
@@ -412,7 +417,7 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
     D*Q(h) + low(v) < D*q_order, low(v) the sum of min(0, 2a (v, alpha)).
     With low bounded by its row value plus a linear term on each side of
     u2 = 0, a row is where one of two convex quadratics in u2 is below
-    D*q_order (``jones._negative_range``); their minima over u2 bound u1.
+    D*q_order (``qseries._negative_range``); their minima over u2 bound u1.
     """
     _check_orders("x_order", x_order, q_order)
     if rs.rank != 2:
@@ -624,6 +629,6 @@ def a1_triple_product(b: int, q_order: int) -> TruncatedSeries:
         * pochhammer(15, q_order, 15)
     p2 = pochhammer(13, q_order, 15) * pochhammer(15, q_order, 15) \
         * pochhammer(17, q_order, 15)
-    corr = TruncatedSeries.from_exponents({1: 1, 3: -1})  # q(1-q^2)
+    corr = TruncatedSeries.make({1: 1, 3: -1})  # q(1-q^2)
     inner = p1 - (corr * p2).truncated(q_order)
     return (euler_phi(q_order) * inner).truncated(q_order)

@@ -362,6 +362,31 @@ def test_scatter_summation_set_equals_pointwise(rs):
     assert zeros or rs.rank == 1
 
 
+def test_scatter_reads_only_lambdas_coset(monkeypatch):
+    # every nu the row scatter reads lies on lambda + (root lattice), where
+    # m_lambda^nu can be nonzero: on A1 (1200,) at a = 2 that is the 601
+    # even nu in [0, 1200], each read once.  A walk over mu's coset
+    # a*lambda + (root lattice) reads the odd nu too, 1 202 sums in all
+    reads = []
+    kostant_sum = mult._kostant_sum
+
+    def counted(rs, tops, rc):
+        reads.append(rc)
+        return kostant_sum(rs, tops, rc)
+
+    monkeypatch.setattr(mult, "_kostant_sum", counted)
+    summation_set(A1, (1200,), 2)
+    assert len(reads) == 601
+    for rs, lam, a in ((A1, (7,), 3), (A2, (4, 2), 3), (B2, (3, 5), 2),
+                       (G2, (2, 3), 4)):
+        reads.clear()
+        s = summation_set(rs, lam, a)
+        rc_lam = rs.root_coords_int(lam)
+        assert reads and s
+        assert all((c - c0) % rs.root_det == 0
+                   for rc in reads for c, c0 in zip(rc, rc_lam)), rs.name
+
+
 @pytest.mark.parametrize("rs", [A1, A2, B2, G2], ids=lambda rs: rs.name)
 def test_summation_set_keeps_zeros_and_misses_no_member(rs):
     # colored_jones, missing_points, the extremizers and the CLI all read

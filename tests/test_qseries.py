@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from torus_tails.qseries import (SeriesDivisionError, SeriesError,
                                  ThetaParams, TruncatedSeries,
-                                 div_binomial_series, euler_phi, exact_div,
-                                 geometric_inverse, pochhammer, theta)
+                                 div_binomial_series, euler_phi, pochhammer,
+                                 theta)
 from torus_tails.quasipoly import QuasiPolynomial
 from torus_tails.stability import TailSeries, lemma_FG_transform
-
-
-def S(terms, order=None):
-    return TruncatedSeries.from_exponents(terms, order=order)
+from reference_series import from_exponents as S
+from reference_series import geometric
 
 
 def test_add_cancellation():
@@ -40,7 +38,7 @@ def test_add_order_is_min():
 
 def test_mul_geometric_inverse_is_one():
     f = S({0: 1, 1: -1})
-    assert (f * geometric_inverse(1, 12)).as_dict() == {0: 1}
+    assert (f * geometric(1, 12)).as_dict() == {0: 1}
 
 
 def test_mul_identity():
@@ -76,27 +74,34 @@ def test_min_degree_additive():
 
 
 def test_geometric_inverse_examples():
-    assert geometric_inverse(1, 4).as_dict() == {0: 1, 1: 1, 2: 1, 3: 1}
-    assert geometric_inverse(2, 5).as_dict() == {0: 1, 2: 1, 4: 1}
+    # 1/(1 - q^m) is the division of 1 with a cutoff
+    assert div_binomial_series({0: 1}, (1,), 1, 4).as_dict() == \
+        {0: 1, 1: 1, 2: 1, 3: 1}
+    assert div_binomial_series({0: 1}, (2,), 1, 5).as_dict() == \
+        {0: 1, 2: 1, 4: 1}
+    for m, cutoff in ((1, 4), (2, 5), (3, 20), (5, 0), (4, -3)):
+        assert div_binomial_series({0: 1}, (m,), 1, cutoff) == \
+            geometric(m, cutoff)
     f = S({0: 1, 3: -1})
-    assert (f * geometric_inverse(3, 20)).as_dict() == {0: 1}
+    assert (f * geometric(3, 20)).as_dict() == {0: 1}
     with pytest.raises(SeriesError):
-        geometric_inverse(0, 5)
+        div_binomial_series({0: 1}, (0,), 1, 5)
     with pytest.raises(SeriesError):
-        geometric_inverse(-1, 5)
+        div_binomial_series({0: 1}, (-1,), 1, 5)
 
 
 def test_exact_div_examples():
-    assert exact_div(S({0: 1, 2: -1}), 1).as_dict() == {0: 1, 1: 1}
-    assert exact_div(TruncatedSeries.zero(), 1).is_zero
+    assert div_binomial_series({0: 1, 2: -1}, (1,), 1).as_dict() == \
+        {0: 1, 1: 1}
+    assert div_binomial_series({}, (1,), 1).is_zero
     with pytest.raises(SeriesDivisionError):
-        exact_div(S({0: 1, 2: -1, 3: 1}), 1)
+        div_binomial_series({0: 1, 2: -1, 3: 1}, (1,), 1)
 
 
 def test_exact_div_roundtrip_laurent():
     f = S({-3: 2, 0: -2, 4: 1, 5: -1})
     prod = f * S({0: 1, 2: -1})
-    assert exact_div(prod, 2) == f
+    assert div_binomial_series(prod.as_dict(), (2,), 1) == f
 
 
 def test_theta_pentagonal():
@@ -114,6 +119,28 @@ def test_theta_identities():
     lhs = theta(ThetaParams(b, c), 60)
     rhs = theta(ThetaParams(b, b + c), 60).shifted(b / 2 + c).scaled(-1)
     assert lhs.agrees_with(rhs, 50)
+
+
+def test_theta_is_the_plain_sum_below_the_order():
+    # theta_{b,c} against the sum of (-1)^s q^((b s^2 + 2c s)/2) over
+    # |s| <= 400, term by term, keeping the exponents below the order: every
+    # b <= 8 and 2c = b (mod 2) with |c| <= 3b, at every order <= 80, so an
+    # exponent equal to the order, negative c and runs of s that miss 0 all
+    # occur
+    for b in range(1, 9):
+        for c2 in range(-6 * b, 6 * b + 1):
+            if (c2 - b) % 2:
+                continue
+            terms = sorted(((b * s * s + c2 * s) // 2, (-1) ** s)
+                           for s in range(-400, 401))
+            for order in range(81):
+                want = {}
+                for e, sign in terms:
+                    if e >= order:
+                        break
+                    want[e] = want.get(e, 0) + sign
+                assert theta(ThetaParams(b, Fraction(c2, 2)), order) == \
+                    TruncatedSeries.make(want, 1, order), (b, c2, order)
 
 
 def test_theta_rejects_non_integral():
@@ -190,7 +217,7 @@ def test_mul_distributes(d1, d2, d3):
 def test_exact_div_inverts_mul(d, e):
     f = S(d)
     prod = f * S({0: 1, e: -1})
-    assert exact_div(prod, e) == f
+    assert div_binomial_series(prod.as_dict(), (e,), 1) == f
 
 
 @settings(max_examples=100, deadline=None)
@@ -275,19 +302,17 @@ def test_evaluate_rejects_non_integer_values():
 @given(small_polys.map(lambda d: {e + 6: c for e, c in d.items()}),
        st.integers(1, 4), st.integers(0, 20))
 def test_div_binomial_cutoff_is_geometric_product_int(poly, m, cutoff):
-    want = (TruncatedSeries.make(poly) * geometric_inverse(m, cutoff)
+    want = (TruncatedSeries.make(poly) * geometric(m, cutoff)
             ).truncated(cutoff)
     assert div_binomial_series(poly, (m,), 1, cutoff) == want
-    assert exact_div(TruncatedSeries.make(poly), m, cutoff) == want
 
 
 @settings(max_examples=60, deadline=None)
 @given(qp_series(min_exp=0), st.integers(1, 4), st.integers(0, 16))
 def test_div_binomial_cutoff_is_geometric_product_qp(f, m, cutoff):
     cut = cutoff if f.order is None else min(f.order, cutoff)
-    want = (f * geometric_inverse(m, cutoff)).truncated(cut)
+    want = (f * geometric(m, cutoff)).truncated(cut)
     assert div_binomial_series(dict(f.terms), (m,), 1, cut) == want
-    assert exact_div(f, m, cutoff) == want
 
 
 # -- division by several binomials at once ------------------------------------
@@ -326,7 +351,7 @@ def test_div_binomial_several_shifts_int(d, shifts, cutoff):
         other = {e: c + 1 for e, c in poly.items()}
         inverse = TruncatedSeries.one()
         for m in shifts:
-            inverse = inverse * geometric_inverse(m, max(cutoff, 1) + 8)
+            inverse = inverse * geometric(m, max(cutoff, 1) + 8)
         assert div_binomial_series(other, shifts, 1, cutoff) == \
             (TruncatedSeries.make(other) * inverse).truncated(cutoff)
 

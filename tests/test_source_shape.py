@@ -11,7 +11,7 @@ from types import ModuleType
 
 import torus_tails
 
-MAX_DEFAULTED_PARAMETERS = 17
+MAX_DEFAULTED_PARAMETERS = 15
 
 # public names that no other package code uses, each with why it stays
 UNREACHED_ALLOWED = {
