@@ -139,6 +139,42 @@ def test_a1_jones_at_a_large_color(capsys):
     assert json.loads(out)["result"]["lambda"] == [1000]
 
 
+# sha256 of stdout and of stderr, and the exit code, of A1 commands,
+# recorded when the package ran A1 on rank-1 code; A1 now runs as A1 x A1
+# with the CLI reading and writing its one-coordinate weights
+A1_GOLDEN = {
+    "jones --algebra A1 --knot 2,3 --lambda 1 --n 12": (
+        0, "afaeca12ede4d39316177922397acf3d34bfb691b5b22c437504e30bb7c99af4"),
+    "jones --algebra A1 --knot 3,4 --lambda 1 --n 7 --format csv": (
+        0, "d43c3e54fe42051a225bb418a1b6dcbc18e60927add4adec662dbbaa90c586d5"),
+    "degree --algebra A1 --knot 2,5 --lambda 1 --n-max 8": (
+        0, "b407e41954c7a4cb4a76666023c68a695a339b21189e141f1ab08613b10fadc1"),
+    "summation-set --algebra A1 --lambda 7 --a 3": (
+        0, "f64c6cd3fb6606b06771a3a90f9fe28250c3fd47ecb6952abc7e2c8d1c53f08b"),
+    "missing-points --algebra A1 --lambda 5 --a 2": (
+        0, "069c0fa07ae6a7e36c7dc60acfc7255ba8cd2840f91cf7d9d3adfc59025db0d0"),
+    "kostant --algebra A1 --alpha 5": (
+        0, "ae5ee39c2309fef5bdd403ca87533cb5b866da9590f8b4e126b88dce118e8133"),
+    "kostant --algebra A1 --alpha=-1": (
+        0, "b4636fbfdaa6223bc00f5fbee87c40137367aee983919c8f7302637e5996316c"),
+    "plethysm --algebra A1 --lambda 3 --a 2 --mu 2": (
+        0, "16a6dd74429db7e6aacc7afb701aadd6a1b2e2d945ed7e8bacd901acbcd23b44"),
+    "stable-coeffs --algebra A1 --knot 2,3 --ray 1 --n-max 6 --k-max 3": (
+        0, "d08867b3a697c1829b99cf34340cf607ab07c9340ecbd18dc6eb28ac763de681"),
+    "selftest --format json": (
+        0, "856a65bfa958f48b2a1082a12ff309d7b350bff6c481aaf9351a9b9a35a55be4"),
+}
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+
+
+@pytest.mark.parametrize("argv", sorted(A1_GOLDEN))
+def test_a1_output_golden(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(err.encode()).hexdigest()) == \
+        (*A1_GOLDEN[argv], EMPTY_SHA256)
+
+
 def test_plethysm_command(capsys):
     code, out, _ = run(capsys, "plethysm", "--algebra", "A2",
                        "--lambda", "1,1", "--a", "4", "--mu", "0,0")
