@@ -12,7 +12,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 from . import __version__
@@ -20,7 +20,7 @@ from .jones import (JonesError, TorusKnot, colored_jones,
                     minimizer_bruteforce, minimizer_closed_form,
                     quadratic_forms)
 from .kostant import kostant, kostant_dp
-from .lie import LieError, get_root_system
+from .lie import LieError, RootSystem, Weight, get_root_system
 from .mult import lattice_hull, plethysm_mult, summation_set
 from .qseries import SeriesDivisionError, TruncatedSeries
 from .stability import (detect_jones_tail, jones_family, stable_coefficients,
@@ -48,11 +48,37 @@ class RunConfig:
     output: str = "json"
 
 
-def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
+def _parse_ints(text: str, count: int) -> tuple[int, ...]:
     parts = [int(p.strip()) for p in text.split(",")]
-    if len(parts) != rank:
-        raise ValueError(f"expected {rank} coordinates, got {text!r}")
+    if len(parts) != count:
+        raise ValueError(f"expected {count} coordinates, got {text!r}")
     return tuple(parts)
+
+
+# The package runs A1 as A1 x A1, its color (n) as (n, 0): the command line
+# reads and writes an A1 weight, or root coordinates, as the first factor's
+# one coordinate.
+def _shown(rs: RootSystem, mu: Weight) -> Weight:
+    return tuple(mu[:1] if rs.name == "A1" else mu)
+
+
+def _parse_weight(text: str, rs: RootSystem) -> Weight:
+    parts = _parse_ints(text, len(_shown(rs, rs.rho)))
+    return parts + (0,) * (rs.rank - len(parts))
+
+
+def _parse_ray(text: str, rs: RootSystem) -> Weight:
+    """'rho' (every coordinate 1) or the ray's coordinates."""
+    return _parse_weight(",".join(map(str, _shown(rs, rs.rho)))
+                         if text == "rho" else text, rs)
+
+
+def _color(args) -> tuple[RootSystem, Weight, RunConfig]:
+    """The root system, --lambda as the package takes it, and the config."""
+    rs = get_root_system(args.algebra)
+    lam = _parse_weight(args.lam, rs)
+    return rs, lam, RunConfig(args.command, rs.name, ray=_shown(rs, lam),
+                              output=args.format)
 
 
 # terms per json.dumps call when a series' terms list is written out
@@ -112,10 +138,10 @@ def _emit_csv(rows, header: Sequence[str]) -> None:
 
 def cmd_jones(args) -> int:
     rs = get_root_system(args.algebra)
-    knot = TorusKnot(*_parse_weight(args.knot, 2))
-    ray = _parse_weight(args.ray, rs.rank)
-    cfg = RunConfig("jones", rs.name, (knot.a, knot.b), ray, n=args.n,
-                    output=args.format)
+    knot = TorusKnot(*_parse_ints(args.knot, 2))
+    ray = _parse_weight(args.ray, rs)
+    cfg = RunConfig("jones", rs.name, (knot.a, knot.b), _shown(rs, ray),
+                    n=args.n, output=args.format)
     lam = tuple(args.n * c for c in ray)
     res = colored_jones(rs, knot, lam)
     if args.format == "csv":
@@ -123,24 +149,24 @@ def cmd_jones(args) -> int:
         _emit_csv(((e, p.denom, c) for e, c in zip(p.exps, p.coeffs)),
                   ("exponent_numerator", "denom", "coefficient"))
     else:
-        _emit({"result": res.to_json_obj(series=_keep)}, cfg,
-              res.polynomial.denom)
+        doc = res.to_json_obj(series=_keep)
+        doc["lambda"] = _shown(rs, res.lam)
+        _emit({"result": doc}, cfg, res.polynomial.denom)
     return EXIT_OK
 
 
 def cmd_degree(args) -> int:
     rs = get_root_system(args.algebra)
-    knot = TorusKnot(*_parse_weight(args.knot, 2))
-    ray = _parse_weight(args.ray, rs.rank)
-    cfg = RunConfig("degree", rs.name, (knot.a, knot.b), ray,
+    knot = TorusKnot(*_parse_ints(args.knot, 2))
+    ray = _parse_weight(args.ray, rs)
+    cfg = RunConfig("degree", rs.name, (knot.a, knot.b), _shown(rs, ray),
                     n_max=args.n_max, output=args.format)
     rows = []
     for n in range(0, args.n_max + 1):
         lam = tuple(n * c for c in ray)
         f_star, f_max = quadratic_forms(rs, knot, lam)
-        mu = minimizer_closed_form(rs, lam, knot.a) if rs.rank == 2 \
-            else minimizer_bruteforce(rs, lam, knot.a, knot.b)
-        rows.append({"n": n, "minimizer": list(mu),
+        mu = minimizer_closed_form(rs, lam, knot.a)
+        rows.append({"n": n, "minimizer": _shown(rs, mu),
                      "delta_star": str(f_star(mu)),
                      "delta": str(f_max(tuple(knot.a * c for c in lam)))})
     _emit({"degrees": rows}, cfg)
@@ -149,20 +175,25 @@ def cmd_degree(args) -> int:
 
 def cmd_tail(args) -> int:
     rs = get_root_system(args.algebra)
-    knot = TorusKnot(*_parse_weight(args.knot, 2))
-    ray = (1, 1) if args.ray == "rho" else _parse_weight(args.ray, rs.rank)
-    cfg = RunConfig("tail", rs.name, (knot.a, knot.b), ray, n_max=args.n_max,
-                    x_order=args.x_order, q_order=args.q_order,
-                    method=args.method, output=args.format)
+    knot = TorusKnot(*_parse_ints(args.knot, 2))
+    ray = _parse_ray(args.ray, rs)
+    cfg = RunConfig("tail", rs.name, (knot.a, knot.b), _shown(rs, ray),
+                    n_max=args.n_max, x_order=args.x_order,
+                    q_order=args.q_order, method=args.method,
+                    output=args.format)
     if args.method == "closed":
         closed = {(2, (1, 0)): tail_closed_T2b, (4, (1, 1)): tail_closed_T4b}
         fn = closed.get((knot.a, ray)) if rs.name == "A2" else None
         if fn is None:
-            print(f"no closed tail for {rs.name} {knot} on ray "
-                  f"{','.join(map(str, ray))}: closed forms exist for A2 "
-                  f"T(2,b) on 1,0 and A2 T(4,b) on rho", file=sys.stderr)
+            shown = ",".join(map(str, _shown(rs, ray)))
+            print(f"no closed tail for {rs.name} {knot} on ray {shown}: "
+                  f"closed forms exist for A2 T(2,b) on 1,0 and A2 T(4,b) "
+                  f"on rho", file=sys.stderr)
             return EXIT_BAD_INPUT
         tail = fn(knot.b, args.x_order, args.q_order)
+        if fn is tail_closed_T2b and args.n0 % 2:
+            # the T(2,b) tail is the even class's; the odd class has -1 times
+            tail = replace(tail.scale(-1), residue=(1, 2))
     elif args.method == "stable-limit":
         tail = tail_eval_stable_limit(rs, knot, ray, args.n0, args.x_order,
                                       args.q_order, args.n_max)
@@ -175,15 +206,16 @@ def cmd_tail(args) -> int:
 
 def cmd_stable_coeffs(args) -> int:
     rs = get_root_system(args.algebra)
-    knot = TorusKnot(*_parse_weight(args.knot, 2))
-    ray = (1, 1) if args.ray == "rho" else _parse_weight(args.ray, rs.rank)
-    cfg = RunConfig("stable-coeffs", rs.name, (knot.a, knot.b), ray,
-                    n_max=args.n_max, k_max=args.k_max, output=args.format)
+    knot = TorusKnot(*_parse_ints(args.knot, 2))
+    ray = _parse_ray(args.ray, rs)
+    cfg = RunConfig("stable-coeffs", rs.name, (knot.a, knot.b),
+                    _shown(rs, ray), n_max=args.n_max, k_max=args.k_max,
+                    output=args.format)
     if args.k_max < 0:
         raise ValueError("--k-max must be >= 0")
-    # a_k(n) for k <= k_max lies below q^(k_max+1); jets are rank 2 only
+    # a_k(n) for k <= k_max lies below q^(k_max+1)
     fam = jones_family(rs, knot, ray, range(1, args.n_max + 1),
-                       order=args.k_max + 1 if rs.rank == 2 else None)
+                       order=args.k_max + 1)
     table = stable_coefficients(fam, args.k_max)
     if args.format == "csv":
         _emit_csv(((k, n, v) for (k, n), v in sorted(table.items())),
@@ -196,57 +228,50 @@ def cmd_stable_coeffs(args) -> int:
 
 def cmd_kostant(args) -> int:
     rs = get_root_system(args.algebra)
-    alpha = _parse_weight(args.alpha, rs.rank)
+    alpha = _parse_weight(args.alpha, rs)
     cfg = RunConfig("kostant", rs.name, output=args.format)
-    _emit({"alpha": list(alpha), "closed": kostant(rs, alpha),
+    _emit({"alpha": _shown(rs, alpha), "closed": kostant(rs, alpha),
            "dp": kostant_dp(rs, alpha)}, cfg)
     return EXIT_OK
 
 
 def cmd_plethysm(args) -> int:
-    rs = get_root_system(args.algebra)
-    lam = _parse_weight(args.lam, rs.rank)
-    mu = _parse_weight(args.mu, rs.rank)
-    cfg = RunConfig("plethysm", rs.name, ray=lam, output=args.format)
-    _emit({"lambda": list(lam), "a": args.a, "mu": list(mu),
+    rs, lam, cfg = _color(args)
+    mu = _parse_weight(args.mu, rs)
+    _emit({"lambda": cfg.ray, "a": args.a, "mu": _shown(rs, mu),
            "multiplicity": plethysm_mult(rs, lam, args.a, mu)}, cfg)
     return EXIT_OK
 
 
 def cmd_summation_set(args) -> int:
-    rs = get_root_system(args.algebra)
-    lam = _parse_weight(args.lam, rs.rank)
-    cfg = RunConfig("summation-set", rs.name, ray=lam, output=args.format)
+    rs, lam, cfg = _color(args)
     s = sorted(summation_set(rs, lam, args.a).items())
-    _emit({"lambda": list(lam), "a": args.a,
-           "set": [[list(mu), m] for mu, m in s
+    _emit({"lambda": cfg.ray, "a": args.a,
+           "set": [[_shown(rs, mu), m] for mu, m in s
                    if m or not args.drop_zero]}, cfg)
     return EXIT_OK
 
 
 def cmd_missing_points(args) -> int:
-    rs = get_root_system(args.algebra)
-    lam = _parse_weight(args.lam, rs.rank)
-    cfg = RunConfig("missing-points", rs.name, ray=lam, output=args.format)
+    rs, lam, cfg = _color(args)
     # R = hull points minus S, each built once
     s = summation_set(rs, lam, args.a)
     hull = lattice_hull(rs, lam, args.a).points()
-    _emit({"lambda": list(lam), "a": args.a, "hull_size": len(hull),
-           "missing": [list(mu) for mu in hull if mu not in s]}, cfg)
+    _emit({"lambda": cfg.ray, "a": args.a, "hull_size": len(hull),
+           "missing": [_shown(rs, mu) for mu in hull if mu not in s]}, cfg)
     return EXIT_OK
 
 
 def cmd_minimizer(args) -> int:
-    rs = get_root_system(args.algebra)
-    lam = _parse_weight(args.lam, rs.rank)
-    cfg = RunConfig("minimizer", rs.name, ray=lam, output=args.format)
+    rs, lam, cfg = _color(args)
     table = minimizer_closed_form(rs, lam, args.a)
     brute = minimizer_bruteforce(rs, lam, args.a)
     if table != brute:
-        print(f"minimizer cross-check failed: table {table} vs brute {brute}",
-              file=sys.stderr)
+        print(f"minimizer cross-check failed: table {_shown(rs, table)} vs "
+              f"brute {_shown(rs, brute)}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    _emit({"lambda": list(lam), "a": args.a, "minimizer": list(table)}, cfg)
+    _emit({"lambda": cfg.ray, "a": args.a, "minimizer": _shown(rs, table)},
+          cfg)
     return EXIT_OK
 
 
@@ -272,6 +297,9 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if all(r["ok"] for r in reports) else EXIT_FAILURE
 
 
+LAMBDA_HELP = "highest weight c1,c2, or c1 for A1"
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="torus-tails",
@@ -285,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="A1, A2, B2 or G2 (case-insensitive)")
         sp.add_argument("--knot", required=True, help="a,b (0<a<b coprime)")
         sp.add_argument("--lambda", dest="ray", required=True,
-                        help="ray coefficients c1,c2 (color is n*(c1,c2))")
+                        help="ray coefficients c1,c2, or c1 for A1 (the "
+                             "color is n times the ray)")
         sp.add_argument("--format", choices=formats, default="json")
 
     sp = sub.add_parser("jones", help="one colored Jones polynomial")
@@ -302,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--algebra", required=True)
     sp.add_argument("--knot", required=True)
     sp.add_argument("--ray", default="rho",
-                    help="'rho' or ray coefficients c1,c2")
+                    help="'rho' or ray coefficients c1,c2, or c1 for A1")
     sp.add_argument("--method", choices=("detect", "stable-limit", "closed"),
                     default="closed")
     sp.add_argument("--x-order", type=int, default=2)
@@ -324,13 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("kostant", help="Kostant partition function value")
     sp.add_argument("--algebra", required=True)
-    sp.add_argument("--alpha", required=True, help="root coordinates u,v")
+    sp.add_argument("--alpha", required=True,
+                    help="root coordinates u,v, or u for A1")
     sp.add_argument("--format", choices=("json",), default="json")
     sp.set_defaults(fn=cmd_kostant)
 
     sp = sub.add_parser("plethysm", help="one plethysm multiplicity")
     sp.add_argument("--algebra", required=True)
-    sp.add_argument("--lambda", dest="lam", required=True)
+    sp.add_argument("--lambda", dest="lam", required=True, help=LAMBDA_HELP)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--mu", required=True)
     sp.add_argument("--format", choices=("json",), default="json")
@@ -338,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("summation-set", help="S_{lambda,a} with multiplicities")
     sp.add_argument("--algebra", required=True)
-    sp.add_argument("--lambda", dest="lam", required=True)
+    sp.add_argument("--lambda", dest="lam", required=True, help=LAMBDA_HELP)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--drop-zero", action="store_true")
     sp.add_argument("--format", choices=("json",), default="json")
@@ -346,14 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("missing-points", help="hull points outside S")
     sp.add_argument("--algebra", required=True)
-    sp.add_argument("--lambda", dest="lam", required=True)
+    sp.add_argument("--lambda", dest="lam", required=True, help=LAMBDA_HELP)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--format", choices=("json",), default="json")
     sp.set_defaults(fn=cmd_missing_points)
 
     sp = sub.add_parser("minimizer", help="closed-form vs brute-force minimizer")
     sp.add_argument("--algebra", required=True)
-    sp.add_argument("--lambda", dest="lam", required=True)
+    sp.add_argument("--lambda", dest="lam", required=True, help=LAMBDA_HELP)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--format", choices=("json",), default="json")
     sp.set_defaults(fn=cmd_minimizer)

@@ -78,12 +78,9 @@ def _degree_quadratic(rs: RootSystem, knot: TorusKnot, lam: Weight, sign: int
     = cxx*x^2 + cxy*x*y + cyy*y^2 + cx*x + cy*y + c0 at mu = (x, y).
 
     That is b*|mu|^2 + 2(b + sign*a)(mu, rho) + c0 in scaled inner products.
-    A rank-1 weight (x,) is read as (x, x) against a Gram matrix padded with
-    zeros, which gives y no coefficients.
     """
     a, b = knot.a, knot.b
-    g = rs.gram_int
-    (g00, g01), (g10, g11) = g if rs.rank == 2 else ((g[0][0], 0), (0, 0))
+    (g00, g01), (g10, g11) = rs.gram_int
     lin = 2 * (b + sign * a)
     c0 = -a * (a * b * rs.norm2_int(lam)
                + 2 * (a * b + sign) * rs.inner_int(lam, rs.rho))
@@ -93,9 +90,9 @@ def _degree_quadratic(rs: RootSystem, knot: TorusKnot, lam: Weight, sign: int
 
 def _degree_value(quad: tuple[int, ...], mu: Weight) -> int:
     """The quadratic (cxx, cxy, cyy, cx, cy, c0) of ``_degree_quadratic`` at
-    mu = (x, y), or at (x, x) for a rank-1 mu."""
+    mu = (x, y)."""
     cxx, cxy, cyy, cx, cy, c0 = quad
-    x, y = mu[0], mu[-1]
+    x, y = mu
     return (cxx * x + cxy * y + cx) * x + (cyy * y + cy) * y + c0
 
 
@@ -127,13 +124,16 @@ def quadratic_forms(rs: RootSystem, knot: TorusKnot, lam: Weight
 
 def minimizer_closed_form(rs: RootSystem, lam: Weight, a: int) -> Weight:
     """mu_{lambda,a} from the rank-2 case tables."""
-    if rs.rank != 2:
-        raise LieError(f"no closed-form minimizer for {rs.name}")
     if not rs.is_dominant(lam):
         raise LieError("weight must be dominant")
     if a < 2:
         raise ValueError("need a >= 2")
     m1, m2 = lam
+    if rs.name == "A1":
+        # per factor of A1 x A1 the summands are a*nu - w, nu = m, m-2, ...
+        # and w in {0, alpha}: the least dominant one is 0 for an even color
+        # and a - 2 (nu = 1, w = alpha) for an odd one
+        return ((a - 2) * (m1 % 2), (a - 2) * (m2 % 2))
     if rs.name == "A2":
         if a == 2:
             return (0, m1 - m2) if m1 >= m2 else (m2 - m1, 0)
@@ -174,8 +174,6 @@ def missing_point_bound_check(rs: RootSystem, lam: Weight, a: int,
     Returns the per-n missing counts and the minimum slack; raises with a
     witness on violation (that would indicate a hull or normalization bug).
     """
-    if rs.rank != 2:
-        raise LieError("bound check is for the rank-2 algebras")
     report = {"algebra": rs.name, "lambda": lam, "a": a, "per_n": {},
               "min_slack": None}
     # scaled by gram_scale throughout; divided once for the report
@@ -287,61 +285,64 @@ class ColoredJonesResult:
         }
 
 
-def _numerator(rs: RootSystem, knot: TorusKnot, lam: Weight,
-               summands: Iterable[tuple[Weight, int]], shift: int,
-               cutoff: int | None = None) -> dict[int, int]:
+def _assemble(rs: RootSystem, knot: TorusKnot, lam: Weight,
+              summands: Iterable[tuple[Weight, int]], shift: int,
+              cutoff: int | None) -> TruncatedSeries:
     """sum of m q^{f*(mu)} prod_{alpha>0}(1 - q^{(mu+rho,alpha)}) over the
-    (mu, m) in summands, as exponent numerators over D lowered by shift,
-    dropping exponents >= cutoff.  Coefficients that cancel stay as 0.
+    (mu, m) in summands, divided by prod_{alpha>0}(1 - q^{(lambda+rho,
+    alpha)}): exponent numerators over D lowered by shift, below cutoff, or
+    the whole exact quotient for cutoff None: the one assembly of
+    ``colored_jones`` and ``jones_jet``.
 
     The product is expanded by the Weyl denominator identity
     prod_{alpha>0}(1 - e^alpha) = sum_sigma (-1)^sigma e^{rho - sigma(rho)},
-    one term per orbit pair (w, sign) of ``rs.orbit_pairs``, with exponent
+    one term per orbit pair (w, sign), with exponent
     D*f*(mu) + 2a*(mu + rho, w) - shift.  That is quad(mu) + cx*x + cy*y + k
     at mu = (x, y): quad the quadratic part of ``_degree_quadratic``, and per
-    pair (cx, cy, k, sign), its linear part plus that of 2a*(mu, w), padded
-    for rank 1 as there.  So a point costs a few integer products.
+    pair (cx, cy, k, sign), its linear part plus that of 2a*(mu, w).  So a
+    point costs a few integer products.
+
+    A simple root alpha_i orthogonal to the other splits off an A1 factor
+    (A1 x A1's second).  Where lam_i = 0 every summand has mu_i = 0, so that
+    factor's 1 - q^{(mu+rho, alpha_i)} is one constant in every summand and
+    in the denominator: alpha_i is dropped, with the orbit pairs that have
+    w_i != 0 (the Weyl elements reflecting in alpha_i).
     """
+    simple = rs.simple_roots
+    cut = [i for i, al in enumerate(simple) if not lam[i] and not any(
+        rs.inner_int(al, other) for other in simple if other is not al)]
+    pairs = [(w, s) for w, s in rs.orbit_pairs if not any(w[i] for i in cut)]
+    roots = [al for al in rs.positive_roots if not any(al[i] for i in cut)]
     qxx, qxy, qyy, lx, ly, c0 = _degree_quadratic(rs, knot, lam, -1)
     two_a = 2 * knot.a
-    g = rs.gram_int
-    (g00, g01), (g10, g11) = g if rs.rank == 2 else ((g[0][0], 0), (0, 0))
+    (g00, g01), (g10, g11) = rs.gram_int
     forms = []
-    for w, sign in rs.orbit_pairs:
-        wx, wy = two_a * w[0], two_a * w[-1]
+    for (wx, wy), sign in pairs:
+        wx, wy = two_a * wx, two_a * wy
         forms.append((lx + g00 * wx + g01 * wy, ly + g10 * wx + g11 * wy,
-                      c0 - shift + two_a * rs.inner_int(rs.rho, w), sign))
+                      c0 - shift + rs.inner_int(rs.rho, (wx, wy)), sign))
     acc: dict[int, int] = {}
-    for mu, m in summands:
+    for (x, y), m in summands:
         if not m:
             continue
-        x, y = mu[0], mu[-1]
         quad = (qxx * x + qxy * y) * x + qyy * y * y
         for cx, cy, k, sign in forms:
             e = quad + cx * x + cy * y + k
             if cutoff is None or e < cutoff:
                 acc[e] = acc.get(e, 0) + sign * m
-    return acc
-
-
-def _denominator_shifts(rs: RootSystem, knot: TorusKnot, lam: Weight
-                        ) -> list[int]:
-    """D*(lambda+rho, alpha) over the positive roots alpha."""
-    rho = rs.rho
-    lr = tuple(lam[i] + rho[i] for i in range(rs.rank))
-    return [2 * knot.a * rs.inner_int(lr, al) for al in rs.positive_roots]
+    lr = tuple(c + r for c, r in zip(lam, rs.rho))
+    return div_binomial_series(acc, [two_a * rs.inner_int(lr, al)
+                                     for al in roots],
+                               _exponent_denominator(rs, knot), cutoff)
 
 
 def colored_jones(rs: RootSystem, knot: TorusKnot, lam: Weight
                   ) -> ColoredJonesResult:
     """Evaluate J^g_{T(a,b), lambda}(q) exactly."""
-    if rs.rank > 2:
-        raise LieError("only rank <= 2 algebras are supported")
     if not rs.is_dominant(lam):
         raise LieError("color must be dominant")
-    acc = _numerator(rs, knot, lam, summation_set(rs, lam, knot.a).items(), 0)
-    poly = div_binomial_series(acc, _denominator_shifts(rs, knot, lam),
-                               _exponent_denominator(rs, knot))
+    poly = _assemble(rs, knot, lam, summation_set(rs, lam, knot.a).items(), 0,
+                     None)
     if poly.is_zero:
         raise JonesError("colored Jones polynomial vanished")
     return ColoredJonesResult(knot, rs.name, lam, poly)
@@ -368,9 +369,9 @@ def jones_jet(rs: RootSystem, knot: TorusKnot, lam: Weight, order: int
     forming the whole polynomial.  Each summand starts at q^{f*(mu)} and the
     denominator expands as 1 + O(q), so only dominant mu with
     f*(mu) < delta* + order contribute.  f* strictly increases along every
-    fundamental weight on the dominant cone (the Gram entries are positive
-    and b > a), so the rows of the cone, each cut where f* reaches that
-    bound, hold exactly those mu.  ``mult.scatter_rows`` fills those rows
+    fundamental weight on the dominant cone (the Gram entries are >= 0, the
+    diagonal ones > 0, and b > a), so the rows of the cone, each cut where
+    f* reaches that bound, hold exactly those mu.  ``mult.scatter_rows`` fills those rows
     (``_ball_rows``), the ``plethysm_mult`` identity term for term, so no
     summation set is built and no point gets its own Weyl-group sum.  The
     rows start at the origin: the mu with f* below delta* are summed too.
@@ -388,13 +389,10 @@ def jones_jet(rs: RootSystem, knot: TorusKnot, lam: Weight, order: int
     mu_min = minimizer_closed_form(rs, lam, a)
     quad = _degree_quadratic(rs, knot, lam, -1)
     shift = _degree_value(quad, mu_min)
-    d = _exponent_denominator(rs, knot)
-    bound = order * d
+    bound = order * _exponent_denominator(rs, knot)
     rows = scatter_rows(rs, lam, a, _ball_rows(quad, shift + bound))
     mults = {(i, j): m for i, row in rows for j, m in row.items() if m}
-    acc = _numerator(rs, knot, lam, mults.items(), shift, bound)
-    jet = div_binomial_series(acc, _denominator_shifts(rs, knot, lam), d,
-                              bound)
+    jet = _assemble(rs, knot, lam, mults.items(), shift, bound)
     lead = plethysm_mult(rs, lam, a, mu_min)
     if jet.exps[:1] != (0,) or jet.coeffs[0] != lead:
         raise JonesError(

@@ -2,11 +2,11 @@
 
 ``kostant_dp`` counts the ways of writing u*alpha1 + v*alpha2 as a
 nonnegative integer combination of positive roots.  It reads one table per
-root system over the box [0, U] x [0, V] (a 1-D box in rank 1), filled by one
-coin-change pass per positive root with the rows in increasing u; a query
-outside the box refills it at least to the query and at most twice as large
-per coordinate, and a box above ``MAX_DP_CELLS`` raises ``OracleLimitError``.
-The closed forms (A1, and the chamber formulas for A2, B2 and G2) are the
+root system over the box [0, U] x [0, V], filled by one coin-change pass per
+positive root with the rows in increasing u; a query outside the box refills
+it at least to the query and at most twice as large per coordinate, and a
+box above ``MAX_DP_CELLS`` raises ``OracleLimitError``.
+The closed forms (A1 x A1, and the chamber formulas for A2, B2 and G2) are the
 production route; the DP reads no closed form, and is the independent oracle
 they are tested against on the full 0..40 grid.
 """
@@ -36,8 +36,7 @@ def kostant_dp(rs: RootSystem, alpha: RootCoords) -> int:
     """Partition count of alpha (root coordinates) over positive roots."""
     if any(c < 0 for c in alpha):
         return 0
-    # a rank-1 box is the single row u = 0 of a rank-2 one
-    u, v = alpha if rs.rank == 2 else (0, alpha[0])
+    u, v = alpha
     table = _tables.get(rs.name)
     if table is None or u >= len(table) or v >= len(table[0]):
         table = _tables[rs.name] = _grow(rs.positive_roots_rc, table, u, v)
@@ -70,7 +69,7 @@ def _fill(roots: tuple[RootCoords, ...], rows: int, cols: int
     table = [[0] * cols for _ in range(rows)]
     table[0][0] = 1
     for root in roots:
-        r0, r1 = root if len(root) == 2 else (0, root[0])
+        r0, r1 = root
         if r1 >= cols:
             continue
         if r0 == 0:
@@ -85,8 +84,10 @@ def _fill(roots: tuple[RootCoords, ...], rows: int, cols: int
 
 
 def kostant_closed_A1(alpha: RootCoords) -> int:
-    """p(u) = 1 for u >= 0: u*alpha1 is the only combination."""
-    return 1 if alpha[0] >= 0 else 0
+    """A1 x A1: p(u,v) = 1 on the positive quadrant, u*alpha1 + v*alpha2
+    being the only combination."""
+    u, v = alpha
+    return 1 if u >= 0 and v >= 0 else 0
 
 
 def kostant_closed_A2(alpha: RootCoords) -> int:

@@ -1,7 +1,11 @@
 """Root-system data and elementary operations for A1, A2, B2 and G2.
 
-Weights are integer tuples over the fundamental-weight basis, so the pairing
-with a coroot is just a coordinate.  The inner product normalization is pinned
+Every system has rank 2: A1 is held as A1 x A1, its color (n) the weight
+(n, 0).  The colored Jones polynomial of a direct sum factors and the
+trivial color contributes 1, so the rank-2 code runs A1 with no branch of
+its own.  Weights are integer tuples over the fundamental-weight basis, so
+the pairing with a coroot is just a coordinate; ``check_weight`` refuses a
+weight of the wrong length.  The inner product normalization is pinned
 by hard-coded Gram matrices of the fundamental weights; the invariant tests
 check them against the quadratic forms (lambda,lambda) the degree formulas
 rely on.
@@ -21,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import gcd, lcm
+from itertools import count
+from math import lcm
+from typing import Iterator
 
 Weight = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -44,8 +49,9 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Static data of one simple rank <= 2 root system; the rank (the number
-    of simple roots) and the tables below are derived, not passed in."""
+    """Static data of one rank-2 root system (A2, B2, G2, or A1 x A1); the
+    rank (the number of simple roots) and the tables below are derived, not
+    passed in."""
 
     name: str
     simple_roots: tuple[Weight, ...]          # alpha_i in weight coordinates
@@ -72,8 +78,7 @@ class RootSystem:
         scale = lcm(*(Fraction(g).denominator for row in self.gram
                       for g in row))
         a = self.simple_roots
-        det = a[0][0] if self.rank == 1 else \
-            a[0][0] * a[1][1] - a[1][0] * a[0][1]
+        det = a[0][0] * a[1][1] - a[1][0] * a[0][1]
         object.__setattr__(self, "gram_scale", scale)
         object.__setattr__(self, "gram_int", tuple(
             tuple(int(g * scale) for g in row) for row in self.gram))
@@ -102,8 +107,6 @@ class RootSystem:
     def inner_int(self, mu: Weight, nu: Weight) -> int:
         """gram_scale * (mu, nu), an integer."""
         g = self.gram_int
-        if self.rank == 1:
-            return g[0][0] * mu[0] * nu[0]
         return (g[0][0] * mu[0] + g[1][0] * mu[1]) * nu[0] \
             + (g[0][1] * mu[0] + g[1][1] * mu[1]) * nu[1]
 
@@ -116,8 +119,6 @@ class RootSystem:
     def root_coords_int(self, mu: Weight) -> Weight:
         """root_det * (coordinates of mu over the simple roots): integers."""
         a = self.simple_roots
-        if self.rank == 1:
-            return (mu[0],)
         return (mu[0] * a[1][1] - mu[1] * a[1][0],
                 a[0][0] * mu[1] - a[0][1] * mu[0])
 
@@ -147,39 +148,47 @@ class RootSystem:
             else:
                 return nu
 
+    def check_weight(self, mu: Weight) -> None:
+        """Raise LieError unless mu has one coordinate per simple root."""
+        if len(mu) != self.rank:
+            raise LieError(f"{self.name} weights have {self.rank} "
+                           f"coordinates, got {tuple(mu)}")
+
     def is_dominant(self, mu: Weight) -> bool:
+        self.check_weight(mu)
         return all(c >= 0 for c in mu)
 
     # -- dominant weights ----------------------------------------------------
 
-    def dominant_weights(self, lam: Weight) -> list[Weight]:
-        """The dominant mu <= lam, the dominant weights of V_lambda, sorted.
+    def row_ends(self, lam: Weight) -> Iterator[int]:
+        """For the rows i = 0, 1, ... of the polytope of dominant mu <= lam,
+        the end of the j with rc(lam - (i, j)) >= 0.  The root coordinates
+        of the fundamental weights are >= 0, not all 0, so the ends fall,
+        and a row ends at or below 0 from the first empty one on.  A zero
+        coordinate of the second one (a factor of A1 x A1) bounds i, not j:
+        the rows stop past it."""
+        cols = list(zip(self.root_coords_int(lam),
+                        self.root_coords_int((1, 0)),
+                        self.root_coords_int((0, 1))))
+        rows = [t // u + 1 for t, u, v in cols if not v]
+        for i in range(rows[0]) if rows else count():
+            yield min((t - i * u) // v for t, u, v in cols if v) + 1
 
-        Every fundamental weight has positive root coordinates, so
-        rc(lam - mu) >= 0 bounds each coordinate of a dominant mu.  With
-        the other coordinates fixed, the last one runs up to the end of its
-        row, over one residue class (lam + root lattice): no test per point.
-        """
+    def dominant_weights(self, lam: Weight) -> list[Weight]:
+        """The dominant mu <= lam, the dominant weights of V_lambda, sorted:
+        the rows of ``row_ends``, each over one residue class (lam + root
+        lattice) stepped by the least s with (0, s) in the root lattice, so
+        no point gets a test."""
         if not self.is_dominant(lam):
             raise LieError("highest weight must be dominant")
-        d = self.root_det
-        top = self.root_coords_int(lam)
-        funds = [self.root_coords_int(tuple(int(i == j)
-                                            for i in range(self.rank)))
-                 for j in range(self.rank)]
-        last = funds[-1]
-        step = lcm(*(d // gcd(d, f) for f in last))
+        step = next(s for s in count(1) if self.in_root_lattice((0, s)))
         out: list[Weight] = []
-        for head in product(*(range(min(t // f for t, f in zip(top, fund))
-                                    + 1) for fund in funds[:-1])):
-            rest = tuple(t - r for t, r in
-                         zip(top, self.root_coords_int(head + (0,))))
-            end = min(r // f for r, f in zip(rest, last))
-            for first in range(step):
-                if all((r - first * f) % d == 0 for r, f in zip(rest, last)):
-                    out.extend(head + (x,)
-                               for x in range(first, end + 1, step))
-                    break
+        for i, end in enumerate(self.row_ends(lam)):
+            if end <= 0:
+                break
+            first = next((j for j in range(step) if self.in_root_lattice(
+                (lam[0] - i, lam[1] - j))), end)
+            out.extend((i, j) for j in range(first, end, step))
         return out
 
     def orbit_size(self, mu: Weight) -> int:
@@ -226,12 +235,13 @@ def _weight_count(rs: RootSystem, lam: Weight) -> int:
 
 
 _SYSTEMS = {
-    # A1: one root alpha = 2*lambda1, (alpha,alpha) = 2.
+    # A1 as A1 x A1: two orthogonal roots alpha_i = 2*lambda_i with
+    # (alpha_i, alpha_i) = 2; A1's color (n) is (n, 0).
     "A1": RootSystem(
         name="A1",
-        simple_roots=((2,),),
-        positive_roots=((2,),),
-        gram=((Fraction(1, 2),),),
+        simple_roots=((2, 0), (0, 2)),
+        positive_roots=((2, 0), (0, 2)),
+        gram=((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))),
     ),
     # A2: all roots length^2 = 2.
     "A2": RootSystem(

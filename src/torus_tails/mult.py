@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 # OracleLimitError lives in kostant, whose DP guard raises it too
@@ -53,6 +52,7 @@ def weight_mult(rs: RootSystem, lam: Weight, mu: Weight) -> int:
     """m_lambda^mu via the Kostant multiplicity formula, at any weight mu."""
     if not rs.is_dominant(lam):
         raise LieError("highest weight must be dominant")
+    rs.check_weight(mu)
     return _kostant_sum(rs, _kostant_tops(rs, lam), rs.root_coords_int(mu))
 
 
@@ -69,14 +69,6 @@ def _kostant_sum(rs: RootSystem, tops: tuple[tuple[Weight, int], ...],
     """
     d = rs.root_det
     total = 0
-    if rs.rank == 1:
-        (r0,) = rc
-        if (tops[0][0][0] - r0) % d:
-            return 0
-        for (t0,), sign in tops:
-            if t0 >= r0:
-                total += sign * kostant(rs, ((t0 - r0) // d,))
-        return total
     r0, r1 = rc
     (t0, t1), _ = tops[0]
     if (t0 - r0) % d or (t1 - r1) % d:
@@ -103,6 +95,7 @@ def weight_mult_freudenthal(rs: RootSystem, lam: Weight, mu: Weight) -> int:
     """Independent oracle: Freudenthal's recursion from the top weight."""
     if not rs.is_dominant(lam):
         raise LieError("highest weight must be dominant")
+    rs.check_weight(mu)
     return _freudenthal_table(rs, lam).get(rs.dominant_conjugate(mu), 0)
 
 
@@ -128,24 +121,13 @@ def _freudenthal_table(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     roots = [(alpha, rs.norm2_int(alpha)) for alpha in rs.positive_roots]
     # the simple reflections on the rank-2 coordinates:
     # s_0(x, y) = (-x, y + c0*x), s_1(x, y) = (x + c1*y, -y)
-    c0, c1 = (-rs.simple_roots[0][1], -rs.simple_roots[1][0]) \
-        if rs.rank == 2 else (0, 0)
+    c0, c1 = -rs.simple_roots[0][1], -rs.simple_roots[1][0]
     table = {lam: 1}    # lam alone has the largest shifted norm
     for w in sorted(norms, key=norms.get, reverse=True)[1:]:
         num = 0
         for alpha, step in roots:
             # (w + j alpha, alpha) = (w, alpha) + j (alpha, alpha)
             pairing = rs.inner_int(w, alpha)
-            if rs.rank == 1:
-                (x,), (s,) = w, alpha
-                while True:
-                    x += s
-                    m = table.get((abs(x),))
-                    if m is None:
-                        break
-                    pairing += step
-                    num += m * pairing
-                continue
             (x, y), (s, t) = w, alpha
             while True:
                 x += s
@@ -177,11 +159,8 @@ def plethysm_mult(rs: RootSystem, lam: Weight, a: int, mu: Weight) -> int:
         raise ValueError("Adams parameter a must be >= 2")
     if not rs.is_dominant(lam):
         raise LieError("highest weight must be dominant")
+    rs.check_weight(mu)
     tops = _kostant_tops(rs, lam)
-    if rs.rank == 1:
-        return sum(sign * _kostant_sum(rs, tops, rs.root_coords_int(
-            ((mu[0] + w0) // a,))) for (w0,), sign in rs.orbit_pairs
-            if not (mu[0] + w0) % a)
     total = 0
     m0, m1 = mu
     for (w0, w1), sign in rs.orbit_pairs:
@@ -205,6 +184,7 @@ def plethysm_adams_oracle(rs: RootSystem, lam: Weight, a: int, mu: Weight
         raise ValueError("Adams parameter a must be >= 2")
     if rs.weight_count(lam) > MAX_ORACLE_WEIGHTS:
         raise OracleLimitError("oracle size limit")
+    rs.check_weight(mu)
     return _adams_table(rs, lam, a).get(mu, 0)
 
 
@@ -241,8 +221,7 @@ def scatter_rows(rs: RootSystem, lam: Weight, a: int, ends: Iterable[int]
                  ) -> Iterator[tuple[int, dict[int, int]]]:
     """Yield (i, {j: m^mu_{lambda,a}}) over the rows mu = (i, j) of the
     dominant cone, row i holding the j below the i-th of ends, until ends
-    runs out or one of them is <= 0.  A rank-1 mu = (j,) has row 0 alone,
-    so ends holds one end there.
+    runs out or one of them is <= 0.
 
     Every term of the ``plethysm_mult`` identity is scattered: each orbit
     pair (w, sign) with a | i + w_0 adds sign * m_lambda^nu, nu = (mu+w)/a,
@@ -254,22 +233,16 @@ def scatter_rows(rs: RootSystem, lam: Weight, a: int, ends: Iterable[int]
     """
     d = rs.root_det
     step = a * d
-    # a rank-1 weight (x,) is (0, x) here
-    off = 2 - rs.rank
-    lam2 = (0,) * off + tuple(lam)
     # per nu_0 mod d, the residues c mod d that put (nu_0, c) on the coset
     coset = [[c for c in range(d)
-              if rs.in_root_lattice((r - lam2[0], c - lam2[1])[off:])]
+              if rs.in_root_lattice((r - lam[0], c - lam[1]))]
              for r in range(d)]
     # per i mod a, the orbit pairs (w, sign) with a | i + w_0, each as
     # (w_0, w_1, sign, the residues j mod step of each nu_0 mod d)
     pairs = {c: [] for c in range(a)}
-    for w, sign in rs.orbit_pairs:
-        w0, w1 = (0,) * off + w
+    for (w0, w1), sign in rs.orbit_pairs:
         pairs[-w0 % a].append((w0, w1, sign, [
             sorted((a * c - w1) % step for c in cs) for cs in coset]))
-    coords = rs.root_coords_int if off == 0 else \
-        (lambda nu: rs.root_coords_int(nu[1:]))
     tops = _kostant_tops(rs, lam)
     # m_lambda^nu, kept for this call only: each nu is met from up to |W| mu
     seen: dict[Weight, int] = {}
@@ -280,11 +253,14 @@ def scatter_rows(rs: RootSystem, lam: Weight, a: int, ends: Iterable[int]
         for w0, w1, sign, starts in pairs[i % a]:
             nu0 = (i + w0) // a
             for j0 in starts[nu0 % d]:
+                if j0 >= end:
+                    break
                 for j in range(j0, end, step):
                     nu = (nu0, (j + w1) // a)
                     m = seen.get(nu)
                     if m is None:
-                        m = seen[nu] = _kostant_sum(rs, tops, coords(nu))
+                        m = seen[nu] = _kostant_sum(
+                            rs, tops, rs.root_coords_int(nu))
                     if m:
                         row[j] = row.get(j, 0) + sign * m
         yield i, row
@@ -296,9 +272,8 @@ def summation_set(rs: RootSystem, lam: Weight, a: int) -> dict[Weight, int]:
     Defined geometrically: union over sigma of sigma(rho)-rho + a*Pi_lambda,
     intersected with the dominant cone.  Each of its points mu = a*nu -
     (rho - sigma(rho)) satisfies mu <= a*lambda, so S is ``scatter_rows``
-    over the polytope of dominant mu <= a*lambda: row i ends where a root
-    coordinate of a*lambda - (i, j) turns negative (every fundamental
-    weight has positive root coordinates).  Members whose multiplicity
+    over the rows of the polytope of dominant mu <= a*lambda
+    (``RootSystem.row_ends``).  Members whose multiplicity
     cancels to 0 are retained (the set is support-agnostic).  No weight
     system is built and no table outlives the call.
     """
@@ -306,16 +281,7 @@ def summation_set(rs: RootSystem, lam: Weight, a: int) -> dict[Weight, int]:
         raise LieError("highest weight must be dominant")
     if a < 2:
         raise ValueError("Adams parameter a must be >= 2")
-    top = rs.root_coords_int(tuple(a * c for c in lam))
-    # rc(a*lambda - (i, j)) = top - i*f0 - j*f1, f0 and f1 the root
-    # coordinates of the fundamental weights; a rank-1 mu = (j,) is row 0
-    f0 = rs.root_coords_int((1, 0)[:rs.rank])
-    f1 = rs.root_coords_int((0, 1)[-rs.rank:])
-    rows = scatter_rows(rs, lam, a, (
-        min((t - i * u) // v for t, u, v in zip(top, f0, f1)) + 1
-        for i in (count() if rs.rank == 2 else (0,))))
-    if rs.rank == 1:
-        return {(j,): m for _, row in rows for j, m in row.items()}
+    rows = scatter_rows(rs, lam, a, rs.row_ends(tuple(a * c for c in lam)))
     return {(i, j): m for i, row in rows for j, m in row.items()}
 
 

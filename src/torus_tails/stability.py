@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .jones import (TorusKnot, _degree_quadratic, _degree_value,
                     _exponent_denominator, colored_jones, jones_jet,
                     minimizer_closed_form)
-from .lie import LieError, RootSystem, Weight, get_root_system
+from .lie import RootSystem, Weight, get_root_system
 from .mult import lattice_hull, plethysm_sequence
 from .quasipoly import FitError, QuasiPolynomial, fit_quasi_polynomial
 from .qseries import (ThetaParams, TruncatedSeries, _min_order,
@@ -240,7 +240,7 @@ def jones_family(rs: RootSystem, knot: TorusKnot, ray: Weight,
     """Shifted polynomials J-hat for colors n*ray.
 
     With ``order`` the members are the exact jets J-hat mod q^order from
-    ``jones_jet`` (rank 2 only); without it, the whole polynomials.
+    ``jones_jet``; without it, the whole polynomials.
     """
     if order is not None:
         return {n: jones_jet(rs, knot, tuple(n * c for c in ray), order)
@@ -420,8 +420,6 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
     D*q_order (``qseries._negative_range``); their minima over u2 bound u1.
     """
     _check_orders("x_order", x_order, q_order)
-    if rs.rank != 2:
-        raise LieError("stable-limit tails are for the rank-2 algebras")
     a, b = knot.a, knot.b
     rho = rs.rho
     roots = rs.positive_roots
@@ -541,13 +539,14 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
 
 def tail_closed_T2b(b: int, x_order: int, q_order: int) -> TailSeries:
     """(theta_{b,b/2-1}(1+q^3 x^2) + q^3 theta_{b,b/2+2} x) /
-    ((1-q)(1-qx)(1-q^2 x)) for odd b > 2."""
+    ((1-q)(1-qx)(1-q^2 x)) for odd b > 2: the tail of the even n, residue
+    (0, 2); the odd n have -1 times it."""
     if b % 2 == 0 or b <= 2:
         raise ValueError("need odd b > 2")
     _check_orders("x_order", x_order, q_order)
     th1 = theta(ThetaParams(Fraction(b), Fraction(b, 2) - 1), q_order)
     th2 = theta(ThetaParams(Fraction(b), Fraction(b, 2) + 2), q_order)
-    return _tail_quotient((0, 1), [qp_series(th1), qp_series(th2.shifted(3)),
+    return _tail_quotient((0, 2), [qp_series(th1), qp_series(th2.shifted(3)),
                                    qp_series(th1.shifted(3))],
                           [(0, 1), (1, 1), (1, 2)], x_order, q_order)
 

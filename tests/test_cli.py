@@ -175,6 +175,45 @@ def test_a1_output_golden(capsys, argv):
         (*A1_GOLDEN[argv], EMPTY_SHA256)
 
 
+def test_a1_tail_routes_agree(capsys):
+    # A1 reaches the stable limit and detection through the rank-2 code
+    phis = []
+    for method in ("stable-limit", "detect"):
+        code, out, _ = run(capsys, "tail", "--algebra", "A1", "--knot",
+                           "2,5", "--ray", "1", "--method", method,
+                           "--n-max", "60", "--x-order", "1",
+                           "--q-order", "12")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["ray"] == [1]
+        assert doc["tail"]["residue"] == [1, 4]
+        phis.append(doc["tail"]["phi"])
+    assert phis[0] == phis[1]
+
+
+def test_a1_minimizer_and_rho_keep_one_coordinate(capsys):
+    code, out, _ = run(capsys, "minimizer", "--algebra", "A1",
+                       "--lambda", "5", "--a", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["lambda"], doc["minimizer"]) == ([5], [1])
+    # rho is (1,) on A1: the same table as the ray 1
+    tables = []
+    for ray in ("rho", "1"):
+        code, out, _ = run(capsys, "stable-coeffs", "--algebra", "A1",
+                           "--knot", "2,3", "--ray", ray, "--n-max", "4",
+                           "--k-max", "2")
+        assert code == 0
+        tables.append(json.loads(out))
+    assert tables[0] == tables[1]
+    assert tables[0]["config"]["ray"] == [1]
+    # the package's second coordinate is not an option on the command line
+    code, out, err = run(capsys, "jones", "--algebra", "A1", "--knot", "2,3",
+                         "--lambda", "1,0", "--n", "1")
+    assert (code, out) == (2, "")
+    assert "expected 1 coordinates" in err
+
+
 def test_plethysm_command(capsys):
     code, out, _ = run(capsys, "plethysm", "--algebra", "A2",
                        "--lambda", "1,1", "--a", "4", "--mu", "0,0")
@@ -270,12 +309,16 @@ def test_degree_command(capsys):
 
 
 def test_tail_closed_command(capsys):
-    code, out, _ = run(capsys, "tail", "--algebra", "A2", "--knot", "2,3",
-                       "--ray", "1,0", "--method", "closed",
-                       "--x-order", "1", "--q-order", "10")
-    doc = json.loads(out)
-    assert doc["tail"]["residue"] == [0, 1]
-    assert doc["tail"]["phi"][0]["series_const"]["terms"][0] == [0, "1"]
+    # the closed T(2,b) tail is the even class's; --n0 picks the class, and
+    # the odd class (the default n0 = 1) has -1 times it
+    for n0, residue, lead in (("1", [1, 2], "-1"), ("0", [0, 2], "1"),
+                              ("5", [1, 2], "-1")):
+        code, out, _ = run(capsys, "tail", "--algebra", "A2", "--knot",
+                           "2,3", "--ray", "1,0", "--method", "closed",
+                           "--n0", n0, "--x-order", "1", "--q-order", "10")
+        doc = json.loads(out)
+        assert doc["tail"]["residue"] == residue
+        assert doc["tail"]["phi"][0]["series_const"]["terms"][0] == [0, lead]
 
 
 def test_selftest_filter(capsys):
@@ -434,10 +477,15 @@ def test_unimplemented_formats_are_rejected(capsys, command, fmt):
 # sha256 of json.dumps(doc["tail"], sort_keys=True) per (algebra, arguments).
 # The A2 pins were recorded from the QPSeries implementation the generic
 # TruncatedSeries replaced, the G2 pin from the Fraction box scan the integer
-# stable limit replaced.
+# stable limit replaced.  The closed T(2,7) pins were re-recorded when that
+# tail gained its class: the --n0 0 payload is the old one with residue
+# [0, 2] for [0, 1], and the default (--n0 1) one is its negative on [1, 2].
 TAIL_GOLDEN = {
     ("A2", "--knot 2,7 --ray 1,0 --method closed --x-order 3 --q-order 60"):
-        "9947df6617f4f0940e504a4a064731184d528b2a95009d2ab3b55c75a19e05d2",
+        "c06f579f426803e76c0a5eb9d2fa5e92a754fbde4ad024c66da7bdd0a02a2a95",
+    ("A2", "--knot 2,7 --ray 1,0 --method closed --n0 0 --x-order 3 "
+     "--q-order 60"):
+        "75dfd6dd86d3d9140ae7b0590479c4ba400b8640947cbb68fb981f2b8a58ff5c",
     ("A2", "--knot 4,5 --ray rho --method closed --x-order 2 --q-order 40"):
         "5e2e4ec46dd7f8185c5aec082db4c2db602ee0a75b47f619177fa2e9092b2783",
     ("A2", "--knot 2,3 --ray 1,0 --method stable-limit --n0 6 --x-order 2 "

@@ -1,4 +1,4 @@
-"""Jones-Rosso evaluation: degrees, extremizers, checked sums, A1 smoke."""
+"""Jones-Rosso evaluation: degrees, extremizers, checked sums, A1 x A1."""
 
 import hashlib
 import json
@@ -94,8 +94,12 @@ def test_minimizer_closed_form_examples():
     assert minimizer_closed_form(B2, (2, 1), 5) == (0, 1)
     assert minimizer_closed_form(G2, (2, 4), 5) == (0, 0)
     assert minimizer_closed_form(G2, (0, 3), 5) == (0, 0)
+    # A1 as A1 x A1: a - 2 per odd factor, 0 per even one
+    assert minimizer_closed_form(A1, (2, 0), 2) == (0, 0)
+    assert minimizer_closed_form(A1, (3, 0), 5) == (3, 0)
+    assert minimizer_closed_form(A1, (3, 1), 4) == (2, 2)
     with pytest.raises(LieError):
-        minimizer_closed_form(A1, (2,), 2)
+        minimizer_closed_form(A1, (3,), 5)
 
 
 def test_minimizer_corrected_branches():
@@ -106,7 +110,7 @@ def test_minimizer_corrected_branches():
 
 
 def test_bruteforce_matches_table_grid():
-    for rs in (A2, B2, G2):
+    for rs in (A1, A2, B2, G2):
         for a in (2, 3, 4, 5, 6):
             for m1 in range(5):
                 for m2 in range(5 - m1):
@@ -126,17 +130,23 @@ def test_maximizer_is_scaled_color():
 
 def _checked_sum(rs, knot, lam):
     """q^{-delta*} J * prod(1 - q^{(lambda+rho,alpha)}): the numerator over
-    the summation set, exponents relative to mu_min."""
-    mu_min = minimizer_closed_form(rs, lam, knot.a)
-    shift = jones._degree_value(
-        jones._degree_quadratic(rs, knot, lam, -1), mu_min)
-    acc = jones._numerator(rs, knot, lam,
-                           summation_set(rs, lam, knot.a).items(), shift)
-    return TruncatedSeries.make(acc, jones._exponent_denominator(rs, knot),
-                                None)
+    the summation set, summand by summand with every positive root (A1 x
+    A1's trivial factor included), exponents relative to mu_min."""
+    f_star, _ = quadratic_forms(rs, knot, lam)
+    base = f_star(minimizer_closed_form(rs, lam, knot.a))
+    total = TruncatedSeries.zero()
+    for mu, m in summation_set(rs, lam, knot.a).items():
+        term = from_exponents({f_star(mu) - base: m})
+        for al in rs.positive_roots:
+            e = inner(rs, tuple(c + r for c, r in zip(mu, rs.rho)), al)
+            term = term * from_exponents({0: 1, e: -1})
+        total = total + term
+    return total
 
 
-_CHECKED_SUM_CASES = ((A2, TorusKnot(2, 3), (3, 0)),
+_CHECKED_SUM_CASES = ((A1, TorusKnot(2, 3), (3, 0)),
+                      (A1, TorusKnot(3, 4), (2, 1)),
+                      (A2, TorusKnot(2, 3), (3, 0)),
                       (A2, TorusKnot(4, 5), (2, 2)),
                       (B2, TorusKnot(2, 5), (0, 1)),
                       (G2, TorusKnot(2, 3), (1, 0)))
@@ -177,7 +187,7 @@ def test_checked_sum_divides_to_shifted():
         assert out.min_degree() == 0
 
 
-@pytest.mark.parametrize("rs", [A2, B2, G2], ids=lambda rs: rs.name)
+@pytest.mark.parametrize("rs", [A1, A2, B2, G2], ids=lambda rs: rs.name)
 def test_jet_equals_truncated_polynomial(rs):
     for a, b in ((2, 3), (2, 5), (3, 4), (3, 5), (4, 5)):
         knot = TorusKnot(a, b)
@@ -203,18 +213,14 @@ def _degree_formula(rs, knot, lam, sign, mu):
 
 @pytest.mark.parametrize("rs", [A1, A2, B2, G2], ids=lambda rs: rs.name)
 def test_degree_quadratic_is_D_times_the_formula(rs):
-    # mu with negative coordinates too; a rank-1 (x,) is read as (x, x)
-    # against a zero-padded Gram, so y must get no coefficients
-    pts = list(product(range(-5, 6), repeat=rs.rank))
+    # mu with negative coordinates too
+    pts = list(product(range(-5, 6), repeat=2))
     for knot in (TorusKnot(2, 3), TorusKnot(3, 5), TorusKnot(4, 7)):
         d = jones._exponent_denominator(rs, knot)
         for lam in ((0, 0), (1, 0), (0, 1), (2, 3), (5, 1)):
-            lam = lam[:rs.rank]
             f_star, f_max = quadratic_forms(rs, knot, lam)
             for sign, frac in ((-1, f_star), (1, f_max)):
                 quad = jones._degree_quadratic(rs, knot, lam, sign)
-                if rs.rank == 1:
-                    assert quad[1] == quad[2] == quad[4] == 0
                 for mu in pts:
                     want = _degree_formula(rs, knot, lam, sign, mu)
                     assert jones._degree_value(quad, mu) == d * want, \
@@ -300,9 +306,10 @@ def test_jet_certificate_rejects_wrong_anchor(monkeypatch):
 
 
 # sha256 of json.dumps(colored_jones(...).to_json_obj(), sort_keys=True),
-# the document the CLI writes.  The rank-2 digests are the benchmark's
-# baseline ones (bench/workloads.py); the A1 digest was recorded with the
-# earlier dict-based division.
+# the document the CLI writes.  The A2, B2 and G2 digests are the
+# benchmark's baseline ones (bench/workloads.py).  The A1 x A1 document has
+# "lambda": [12, 0]; with [12] in its place it is the document of the
+# rank-1 code, whose digest A1_RANK1_GOLDEN keeps.
 JONES_GOLDEN = {
     ("A2", (4, 5), (3, 3)):
         "dabb35076fc8e8f5ea396556d0f5a8d96c3476fae5445f7ac5633ea347f2454c",
@@ -312,9 +319,11 @@ JONES_GOLDEN = {
         "d86499fcbe1c240d22798b12fabb2f28edcf925447f3534240b6597771242f3e",
     ("A2", (4, 5), (20, 20)):
         "e701fa4ffb4c02a712663dd6543bb6d0144e01ecba4804fba17a7f5b52a9e549",
-    ("A1", (3, 4), (12,)):
-        "096716d15824b8257706e1b5e37226c661fc40e7e1619ff61b2013048fb33408",
+    ("A1", (3, 4), (12, 0)):
+        "eda7b85b837aa6ac0ff77078db001c9dc0a03f7740fb14ec013c552583fb4a2a",
 }
+A1_RANK1_GOLDEN = \
+    "096716d15824b8257706e1b5e37226c661fc40e7e1619ff61b2013048fb33408"
 
 
 @pytest.mark.parametrize("algebra, knot, lam", list(JONES_GOLDEN), ids=[
@@ -323,12 +332,16 @@ JONES_GOLDEN = {
 def test_jones_payload_golden(algebra, knot, lam):
     rs = get_root_system(algebra)
     res = colored_jones(rs, TorusKnot(*knot), lam)
-    doc = json.dumps(res.to_json_obj(), sort_keys=True).encode()
+    obj = res.to_json_obj()
+    doc = json.dumps(obj, sort_keys=True).encode()
     assert hashlib.sha256(doc).hexdigest() == JONES_GOLDEN[algebra, knot, lam]
-    if rs.rank == 2:
-        for order in (1, 10, 40):
-            assert jones_jet(rs, TorusKnot(*knot), lam, order) == \
-                res.shifted.truncated(order)
+    if algebra == "A1":
+        obj["lambda"] = obj["lambda"][:1]
+        doc = json.dumps(obj, sort_keys=True).encode()
+        assert hashlib.sha256(doc).hexdigest() == A1_RANK1_GOLDEN
+    for order in (1, 10, 40):
+        assert jones_jet(rs, TorusKnot(*knot), lam, order) == \
+            res.shifted.truncated(order)
 
 
 def assert_columnar(s):
@@ -411,20 +424,20 @@ def test_multiplicity_routes_leave_unbounded_tables_alone():
 
 
 def test_a1_smoke_family():
-    # same pipeline, |W| = 2; exponents are integral after the shift
+    # same pipeline, A1 as A1 x A1; exponents are integral after the shift
     for n in range(1, 8):
-        res = colored_jones(A1, TorusKnot(2, 3), (n,))
+        res = colored_jones(A1, TorusKnot(2, 3), (n, 0))
         jh = res.shifted
         assert jh.min_degree() == 0
         assert jh.denom == 1
-        top, mult = maximizer_bruteforce(A1, (n,), 2)
-        assert top == (2 * n,) and mult == 1
+        top, mult = maximizer_bruteforce(A1, (n, 0), 2)
+        assert top == (2 * n, 0) and mult == 1
 
 
 def test_a1_trefoil_tail_prefix():
     # the classical trefoil stable series: shifted members approach (q)_inf
     from torus_tails.qseries import euler_phi
-    res = colored_jones(A1, TorusKnot(2, 3), (12,))
+    res = colored_jones(A1, TorusKnot(2, 3), (12, 0))
     jh = res.shifted
     sign = 1 if jh.coefficient(0) > 0 else -1
     assert jh.scaled(sign).agrees_with(euler_phi(12), 12)
@@ -465,3 +478,46 @@ def test_fault_injection_corrupted_gram():
     except JonesError:
         return  # non-unique argmin is an acceptable loud failure
     assert brute != table
+
+
+@pytest.mark.parametrize("rs", [A1, A2, B2, G2], ids=lambda rs: rs.name)
+def test_value_at_one_is_one(rs):
+    # J(1) = 1: the coefficients of every colored Jones polynomial sum to 1
+    rays, n_max = (((1, 0),), 6) if rs is A1 else (((1, 0), (0, 1), (1, 1)),
+                                                   3)
+    for knot in (TorusKnot(2, 3), TorusKnot(2, 5), TorusKnot(3, 4)):
+        for ray in rays:
+            for n in range(n_max + 1):
+                poly = colored_jones(rs, knot, (n * ray[0], n * ray[1]))
+                assert sum(poly.polynomial.coeffs) == 1, (knot, ray, n)
+
+
+def test_a2_colors_are_symmetric():
+    # the diagram automorphism of A2 swaps lambda1 and lambda2 and fixes J
+    for knot in (TorusKnot(2, 3), TorusKnot(2, 5), TorusKnot(3, 4)):
+        for m2 in range(5):
+            for m1 in range(m2):
+                assert colored_jones(A2, knot, (m1, m2)).polynomial == \
+                    colored_jones(A2, knot, (m2, m1)).polynomial, \
+                    (knot, m1, m2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: colored_jones(A2, TorusKnot(2, 3), (2, 1, 7)),
+    lambda: colored_jones(A2, TorusKnot(2, 3), (3,)),
+    lambda: colored_jones(A1, TorusKnot(2, 3), (3,)),
+    lambda: jones_jet(A1, TorusKnot(2, 3), (3,), 5),
+    lambda: jones_jet(G2, TorusKnot(2, 3), (1, 1, 0), 5),
+    lambda: summation_set(A2, (3,), 2),
+    lambda: plethysm_mult(A2, (1, 0), 2, (2,)),
+    lambda: plethysm_mult(A1, (1,), 2, (1, 0)),
+    lambda: mult.weight_mult(B2, (1, 0), (1,)),
+    lambda: mult.weight_mult(B2, (1, 0, 0), (1, 0)),
+    lambda: mult.lattice_hull(A2, (1, 2, 3), 2),
+    lambda: minimizer_closed_form(A1, (3,), 2),
+    lambda: minimizer_closed_form(B2, (1, 1, 1), 3),
+])
+def test_weights_of_the_wrong_length_raise(call):
+    # a weight is never padded, cut or misread: A1 takes (n, 0), not (n,)
+    with pytest.raises(LieError, match="coordinates"):
+        call()

@@ -90,14 +90,14 @@ def test_zero_outside_positive_root_span():
     assert kostant(G2, (0, 3)) == 1
     assert kostant(A2, (0, 5)) == 1
     assert kostant(B2, (4, 0)) == 1
-    assert kostant(A1, (3,)) == 1
-    assert kostant(A1, (-1,)) == 0
+    assert kostant(A1, (3, 0)) == 1 == kostant(A1, (0, 3))
+    assert kostant(A1, (-1, 0)) == 0 == kostant(A1, (2, -1))
 
 
 def test_fast_path_matches_dp_for_a1():
     for u in range(-3, 2001):
-        assert kostant(A1, (u,)) == kostant_closed_A1((u,)) == \
-            kostant_dp(A1, (u,)), u
+        assert kostant(A1, (u, 0)) == kostant_closed_A1((u, 0)) == \
+            kostant_dp(A1, (u, 0)), u
 
 
 def test_package_attribute_is_the_submodule():
@@ -164,12 +164,12 @@ def test_dp_guard_raises_before_filling(monkeypatch):
     with pytest.raises(OracleLimitError, match="exceeds the oracle limit"):
         kostant_dp(G2, (1100, 1000))
     with pytest.raises(OracleLimitError):
-        kostant_dp(A1, (MAX_DP_CELLS,))
+        kostant_dp(A1, (0, MAX_DP_CELLS))
     assert not tables
     # a query that fits alone is answered even when the doubled box would
-    # not fit
-    assert kostant_dp(A1, (MAX_DP_CELLS - 1,)) == 1
-    assert kostant_dp(A1, (MAX_DP_CELLS - 2,)) == 1
+    # not fit; (0, v) keeps the box one row wide
+    assert kostant_dp(A1, (0, MAX_DP_CELLS - 1)) == 1
+    assert kostant_dp(A1, (0, MAX_DP_CELLS - 2)) == 1
     assert issubclass(OracleLimitError, ValueError)
 
 

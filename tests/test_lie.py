@@ -22,7 +22,8 @@ def test_lookup_case_insensitive():
 
 
 def test_weyl_group_orders():
-    assert [len(rs.weyl_elements) for rs in (A1, A2, B2, G2)] == [2, 6, 8, 12]
+    # A1 is held as A1 x A1, whose Weyl group has 2 * 2 elements
+    assert [len(rs.weyl_elements) for rs in (A1, A2, B2, G2)] == [4, 6, 8, 12]
 
 
 def test_positive_roots_sum_to_2rho():
@@ -108,18 +109,19 @@ def test_root_lattice_membership():
     assert B2.in_root_lattice((3, 2))
     for mu in [(0, 0), (1, 0), (0, 1), (2, 3)]:
         assert G2.in_root_lattice(mu)
-    assert A1.in_root_lattice((2,)) and not A1.in_root_lattice((1,))
+    assert A1.in_root_lattice((2, 0)) and not A1.in_root_lattice((1, 0))
 
 
 def test_fundamental_group_orders():
-    # the fundamental group order is the Cartan determinant root_det
+    # the fundamental group order is the Cartan determinant root_det; A1 is
+    # held as A1 x A1, so its 2 is squared
     assert (A2.root_det, B2.root_det, G2.root_det, A1.root_det) \
-        == (3, 2, 1, 2)
+        == (3, 2, 1, 4)
 
 
 def test_positive_roots_in_root_coordinates():
     # derived from the weight coordinates; pinned to the tables once typed in
-    assert A1.positive_roots_rc == ((1,),)
+    assert A1.positive_roots_rc == ((1, 0), (0, 1))
     assert A2.positive_roots_rc == ((1, 0), (0, 1), (1, 1))
     assert B2.positive_roots_rc == ((1, 0), (0, 1), (1, 1), (1, 2))
     assert G2.positive_roots_rc == ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1),
@@ -140,9 +142,7 @@ def test_dominant_weights_match_the_dominance_order():
     # the row scan against the definition on a box that holds every
     # dominant mu <= lam
     for rs in (A1, A2, B2, G2):
-        lams = [(k,) for k in range(9)] if rs.rank == 1 else \
-            [(i, j) for i in range(5) for j in range(5)]
-        for lam in lams:
+        for lam in product(range(5), repeat=2):
             box = product(range(2 * sum(lam) + 2), repeat=rs.rank)
             assert rs.dominant_weights(lam) == \
                 [mu for mu in box if dominates(rs, lam, mu)], (rs.name, lam)
@@ -153,9 +153,7 @@ def test_dominant_weights_match_the_dominance_order():
 def test_weight_count_matches_weight_system():
     # orbit sizes over the dominant weights count Pi_lambda without it
     for rs in (A1, A2, B2, G2):
-        lams = [(k,) for k in range(7)] if rs.rank == 1 else \
-            list(product(range(7), repeat=2))
-        for lam in lams:
+        for lam in product(range(7), repeat=2):
             assert rs.weight_count(lam) == len(weight_system(rs, lam)), \
                 (rs.name, lam)
     with pytest.raises(LieError):
@@ -181,7 +179,8 @@ def test_dimension_oracle_adjoint():
     assert dim_irrep(B2, (0, 2)) == 10     # adjoint, highest root a1+2a2
     assert dim_irrep(G2, (1, 0)) == 7      # alpha1 short in this labeling
     assert dim_irrep(G2, (0, 1)) == 14     # adjoint
-    assert dim_irrep(A1, (3,)) == 4
+    assert dim_irrep(A1, (3, 0)) == 4
+    assert dim_irrep(A1, (3, 2)) == 12     # A1 x A1: the dimensions multiply
 
 
 def test_multiplicity_sums_match_dimension():
@@ -201,10 +200,7 @@ def _gram_inner(rs, mu, nu):
                for i in range(rs.rank) for j in range(rs.rank))
 
 
-def _grid(rs):
-    r = range(-4, 5)
-    return [(u,) for u in r] if rs.rank == 1 else [(u, v) for u in r
-                                                    for v in r]
+GRID = list(product(range(-4, 5), repeat=2))
 
 
 def test_integer_kernel_matches_fraction_gram():
@@ -213,7 +209,7 @@ def test_integer_kernel_matches_fraction_gram():
         assert all(Fraction(g, rs.gram_scale) == f
                    for row_i, row_f in zip(rs.gram_int, rs.gram)
                    for g, f in zip(row_i, row_f))
-        grid = _grid(rs)
+        grid = GRID
         for mu in grid:
             assert norm2(rs, mu) == _gram_inner(rs, mu, mu)
             assert rs.norm2_int(mu) == rs.gram_scale * norm2(rs, mu)
@@ -225,7 +221,7 @@ def test_integer_kernel_matches_fraction_gram():
 
 def test_integer_root_coords_match_fraction_reference():
     for rs in (A1, A2, B2, G2):
-        for mu in _grid(rs):
+        for mu in GRID:
             rc = to_root_coords(rs, mu)
             assert rc == tuple(Fraction(c, rs.root_det)
                                for c in rs.root_coords_int(mu))
@@ -235,7 +231,7 @@ def test_integer_root_coords_match_fraction_reference():
                          for j in range(rs.rank)) == mu, (rs.name, mu)
             assert rs.in_root_lattice(mu) == \
                 all(c.denominator == 1 for c in rc)
-            for lam in _grid(rs)[::3]:
+            for lam in GRID[::3]:
                 diff = to_root_coords(
                     rs, tuple(lam[i] - mu[i] for i in range(rs.rank)))
                 assert dominates(rs, lam, mu) == all(

@@ -67,9 +67,7 @@ def test_freudenthal_table_sums_to_weyl_dimension(rs):
     # each dominant w stands for its W-orbit; the table must hold every
     # dominant weight with its full multiplicity
     from torus_tails.mult import _freudenthal_table
-    lams = [(k,) for k in range(7)] if rs.rank == 1 else \
-        list(product(range(7), repeat=2))
-    for lam in lams:
+    for lam in product(range(7), repeat=2):
         table = _freudenthal_table(rs, lam)
         assert sorted(table) == rs.dominant_weights(lam)
         assert sum(m * rs.orbit_size(w) for w, m in table.items()) == \
@@ -81,9 +79,7 @@ def test_weight_mult_matches_freudenthal_on_and_off_the_coset(rs):
     # a box one step past Pi_lambda holds weights off lambda's root-lattice
     # coset (no G2 weight is off it: root_det is 1), where Kostant's sum
     # returns 0 from its first top and Freudenthal's table has no entry
-    lams = [(k,) for k in range(5)] if rs.rank == 1 else \
-        [(1, 0), (0, 1), (2, 1), (1, 2)]
-    for lam in lams:
+    for lam in ((1, 0), (0, 1), (2, 1), (1, 2), (4, 0)):
         r = max(abs(c) for mu in weight_system(rs, lam) for c in mu) + 1
         off = 0
         for mu in product(range(-r, r + 1), repeat=rs.rank):
@@ -281,12 +277,8 @@ def reference_hull_points(rs, lam, a):
 
 @pytest.mark.parametrize("rs", [A1, A2, B2, G2], ids=lambda rs: rs.name)
 def test_hull_points_match_the_definition(rs):
-    if rs.rank == 1:
-        lams = [(k,) for k in range(7)]
-        box = [(u,) for u in range(-6, 7)]
-    else:
-        lams = [(m1, m2) for m1 in range(4) for m2 in range(4 - m1)]
-        box = list(product(range(-6, 7), repeat=2))
+    lams = [(m1, m2) for m1 in range(4) for m2 in range(4 - m1)]
+    box = list(product(range(-6, 7), repeat=2))
     for a in range(2, 7):
         for lam in lams:
             hull = lattice_hull(rs, lam, a)
@@ -308,6 +300,10 @@ def test_missing_point_bound():
     assert rep["min_slack"] is None or rep["min_slack"] >= 0
     rep = missing_point_bound_check(G2, (1, 0), 2, range(1, 5))
     assert all(isinstance(v, int) for v in rep["per_n"].values())
+    # A1 x A1 has no missing point along (n, 0), so the check passes there
+    for a in (2, 3, 4):
+        rep = missing_point_bound_check(A1, (1, 0), a, range(1, 9))
+        assert set(rep["per_n"].values()) == {0} and rep["min_slack"] is None
 
 
 def test_plethysm_quasipoly_fit_t45():
@@ -340,11 +336,8 @@ def test_scatter_summation_set_equals_pointwise(rs):
     # at a <= 4 land weights with a coordinate -1 or -2 in the cone.  Small
     # colors, and the wall colors (k, 0), (0, k), whose weights crowd the
     # walls
-    if rs.rank == 1:
-        lams = [(k,) for k in range(13)]
-    else:
-        lams = [(m1, m2) for m1 in range(3) for m2 in range(3 - m1)]
-        lams += [(k, 0) for k in range(3, 9)] + [(0, k) for k in range(3, 9)]
+    lams = [(m1, m2) for m1 in range(3) for m2 in range(3 - m1)]
+    lams += [(k, 0) for k in range(3, 9)] + [(0, k) for k in range(3, 9)]
     zeros = 0
     for a in range(2, 8):
         for lam in lams:
@@ -358,13 +351,14 @@ def test_scatter_summation_set_equals_pointwise(rs):
                 assert m == plethysm_mult(rs, lam, a, mu), \
                     (rs.name, lam, a, mu)
                 zeros += m == 0
-    # members whose multiplicity cancels are kept
-    assert zeros or rs.rank == 1
+    # members whose multiplicity cancels are kept; an A1 member a*nu - w
+    # comes from one (nu, w) per factor, so none cancels
+    assert zeros or rs.name == "A1"
 
 
 def test_scatter_reads_only_lambdas_coset(monkeypatch):
     # every nu the row scatter reads lies on lambda + (root lattice), where
-    # m_lambda^nu can be nonzero: on A1 (1200,) at a = 2 that is the 601
+    # m_lambda^nu can be nonzero: on A1 (1200, 0) at a = 2 that is the 601
     # even nu in [0, 1200], each read once.  A walk over mu's coset
     # a*lambda + (root lattice) reads the odd nu too, 1 202 sums in all
     reads = []
@@ -375,10 +369,10 @@ def test_scatter_reads_only_lambdas_coset(monkeypatch):
         return kostant_sum(rs, tops, rc)
 
     monkeypatch.setattr(mult, "_kostant_sum", counted)
-    summation_set(A1, (1200,), 2)
+    summation_set(A1, (1200, 0), 2)
     assert len(reads) == 601
-    for rs, lam, a in ((A1, (7,), 3), (A2, (4, 2), 3), (B2, (3, 5), 2),
-                       (G2, (2, 3), 4)):
+    for rs, lam, a in ((A1, (7, 0), 3), (A1, (3, 4), 2), (A2, (4, 2), 3),
+                       (B2, (3, 5), 2), (G2, (2, 3), 4)):
         reads.clear()
         s = summation_set(rs, lam, a)
         rc_lam = rs.root_coords_int(lam)
@@ -398,7 +392,7 @@ def test_summation_set_keeps_zeros_and_misses_no_member(rs):
             assert set(missing_points(rs, lam, a)).isdisjoint(s), \
                 (rs.name, lam, a)
             zeros += sum(1 for m in s.values() if m == 0)
-    assert zeros or rs.rank == 1
+    assert zeros or rs.name == "A1"
 
 
 def test_adams_oracle_cache_is_bounded_and_stable(monkeypatch):

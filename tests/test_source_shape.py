@@ -188,3 +188,16 @@ def test_package_imports_are_acyclic():
         return None
 
     assert next(filter(None, map(cycle_from, sorted(graph))), None) is None
+
+
+# A1 runs as A1 x A1 through the rank-2 code: no rank-1 branch and no
+# padding of a one-coordinate weight is left in the package
+RANK1_FRAGMENTS = ("rank == 1", "rank != 2", "(0,) * off", "[-rs.rank:]")
+
+
+def test_no_rank1_code():
+    found = [(path.name, lineno, frag)
+             for path in sorted(Path(torus_tails.__file__).parent.glob("*.py"))
+             for lineno, line in enumerate(path.read_text().splitlines(), 1)
+             for frag in RANK1_FRAGMENTS if frag in line]
+    assert found == []

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from torus_tails.jones import TorusKnot, jones_jet
 from torus_tails.lie import get_root_system
-from torus_tails.qseries import TruncatedSeries, _negative_range, euler_phi
+from torus_tails.qseries import (ThetaParams, TruncatedSeries,
+                                 _negative_range, euler_phi, theta)
 from torus_tails.quasipoly import QuasiPolynomial
 from torus_tails.stability import (StabilityError, TailSeries,
                                    a1_theta_difference, a1_triple_product,
@@ -22,6 +23,7 @@ from torus_tails.stability import (StabilityError, TailSeries,
                                    tail_eval_stable_limit)
 from reference_series import from_exponents, geometric
 
+A1 = get_root_system("A1")
 A2 = get_root_system("A2")
 
 
@@ -164,6 +166,20 @@ def test_tail_closed_T2b_trefoil_phi0():
     t = tail_closed_T2b(3, 2, 40)
     want = (euler_phi(40) * geometric(1, 40)).truncated(40)
     assert t.phi(0).evaluate(5).agrees_with(want, 40)
+
+
+@pytest.mark.parametrize("b", [3, 5])
+def test_tail_closed_T2b_is_the_even_class(b):
+    # the closed T(2,b) tail carries its class (0, 2); the odd class has -1
+    # times it, and the stable limit agrees with that on every class
+    closed = tail_closed_T2b(b, 1, 12)
+    assert closed.residue == (0, 2)
+    for n0 in range(6):
+        sl = tail_eval_stable_limit(A2, TorusKnot(2, b), (1, 0), n0, 1, 12,
+                                    40)
+        sign = (-1) ** n0
+        assert sl.agrees_with(closed.scale(sign), 1, 12), n0
+        assert not sl.agrees_with(closed.scale(-sign), 1, 12), n0
 
 
 def test_tail_closed_T2b_rejects_even():
@@ -737,3 +753,52 @@ def tails(draw):
 def test_tail_json_roundtrip(tail):
     obj = tail.to_json_obj()
     assert TailSeries.from_json_obj(json.loads(json.dumps(obj))) == tail
+
+
+# A1 runs as A1 x A1 with colors (n, 0), through the rank-2 tail routes
+A1_KNOTS = [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5)]
+
+
+@pytest.mark.parametrize("knot", A1_KNOTS, ids=lambda k: f"T{k[0]}{k[1]}")
+def test_a1_detection_matches_stable_limit(knot):
+    # detection may run out of horizon, but never returns a tail that
+    # disagrees with the stable limit
+    knot = TorusKnot(*knot)
+    sl = tail_eval_stable_limit(A1, knot, (1, 0), 1, 1, 12, 60)
+    assert sl.residue == (1, 2 * knot.a)
+    try:
+        det = detect_jones_tail(A1, knot, (1, 0), 1, 60, 1, 12)
+    except StabilityError as exc:
+        assert "data horizon" in str(exc)
+        return
+    assert det.residue == sl.residue
+    assert det.first_disagreement(sl, 1, 12) is None
+
+
+@pytest.mark.parametrize("knot", [(2, 3), (2, 5), (3, 4), (3, 5)],
+                         ids=lambda k: f"T{k[0]}{k[1]}")
+def test_a1_stable_limit_matches_jets(knot):
+    # the jets are the independent route: every class member from 7 on
+    # (where q^(3n) is past q^20) equals the partial sum through x^2
+    knot = TorusKnot(*knot)
+    tail = tail_eval_stable_limit(A1, knot, (1, 0), 1, 2, 20, 60)
+    n0, modulus = tail.residue
+    members = [n for n in range(n0, 30, modulus) if n >= 7]
+    assert len(members) >= 4
+    for n in members:
+        jet = jones_jet(A1, knot, (n, 0), 20)
+        assert jet == tail.partial_sum(n, 2), n
+
+
+@pytest.mark.parametrize("b", [3, 5, 7])
+def test_a1_t2b_tail_is_a_theta_series(b):
+    # Armond-Dasbach: the tail of the sl2 colored Jones polynomial of
+    # T(2,b) is theta_{b,b/2-1}, for T(2,3) the Euler function (q)_inf; in
+    # the min-degree normalization of J-hat it is the tail (not the head),
+    # with the class sign (-1)^n
+    want = euler_phi(40) if b == 3 else \
+        theta(ThetaParams(b, Fraction(b, 2) - 1), 40)
+    for n0 in (1, 2, 3, 4):
+        sl = tail_eval_stable_limit(A1, TorusKnot(2, b), (1, 0), n0, 0, 40,
+                                    60)
+        assert sl.phi(0).evaluate(n0) == want.scaled((-1) ** n0), n0
