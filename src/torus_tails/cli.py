@@ -81,6 +81,19 @@ def _color(args) -> tuple[RootSystem, Weight, RunConfig]:
                               output=args.format)
 
 
+def _knot_request(args, parse_ray, **fields
+                  ) -> tuple[RootSystem, TorusKnot, Weight, RunConfig]:
+    """The root system, the knot, the ray as parse_ray reads it for the
+    package, and the config with the command's own fields, read in that
+    order (so a bad request reports its first bad part)."""
+    rs = get_root_system(args.algebra)
+    knot = TorusKnot(*_parse_ints(args.knot, 2))
+    ray = parse_ray(args.ray, rs)
+    return rs, knot, ray, RunConfig(args.command, rs.name, (knot.a, knot.b),
+                                    _shown(rs, ray), output=args.format,
+                                    **fields)
+
+
 # terms per json.dumps call when a series' terms list is written out
 TERMS_CHUNK = 4096
 
@@ -137,11 +150,7 @@ def _emit_csv(rows, header: Sequence[str]) -> None:
 
 
 def cmd_jones(args) -> int:
-    rs = get_root_system(args.algebra)
-    knot = TorusKnot(*_parse_ints(args.knot, 2))
-    ray = _parse_weight(args.ray, rs)
-    cfg = RunConfig("jones", rs.name, (knot.a, knot.b), _shown(rs, ray),
-                    n=args.n, output=args.format)
+    rs, knot, ray, cfg = _knot_request(args, _parse_weight, n=args.n)
     lam = tuple(args.n * c for c in ray)
     res = colored_jones(rs, knot, lam)
     if args.format == "csv":
@@ -156,11 +165,7 @@ def cmd_jones(args) -> int:
 
 
 def cmd_degree(args) -> int:
-    rs = get_root_system(args.algebra)
-    knot = TorusKnot(*_parse_ints(args.knot, 2))
-    ray = _parse_weight(args.ray, rs)
-    cfg = RunConfig("degree", rs.name, (knot.a, knot.b), _shown(rs, ray),
-                    n_max=args.n_max, output=args.format)
+    rs, knot, ray, cfg = _knot_request(args, _parse_weight, n_max=args.n_max)
     rows = []
     for n in range(0, args.n_max + 1):
         lam = tuple(n * c for c in ray)
@@ -174,13 +179,9 @@ def cmd_degree(args) -> int:
 
 
 def cmd_tail(args) -> int:
-    rs = get_root_system(args.algebra)
-    knot = TorusKnot(*_parse_ints(args.knot, 2))
-    ray = _parse_ray(args.ray, rs)
-    cfg = RunConfig("tail", rs.name, (knot.a, knot.b), _shown(rs, ray),
-                    n_max=args.n_max, x_order=args.x_order,
-                    q_order=args.q_order, method=args.method,
-                    output=args.format)
+    rs, knot, ray, cfg = _knot_request(
+        args, _parse_ray, n_max=args.n_max, x_order=args.x_order,
+        q_order=args.q_order, method=args.method)
     if args.method == "closed":
         closed = {(2, (1, 0)): tail_closed_T2b, (4, (1, 1)): tail_closed_T4b}
         fn = closed.get((knot.a, ray)) if rs.name == "A2" else None
@@ -205,12 +206,8 @@ def cmd_tail(args) -> int:
 
 
 def cmd_stable_coeffs(args) -> int:
-    rs = get_root_system(args.algebra)
-    knot = TorusKnot(*_parse_ints(args.knot, 2))
-    ray = _parse_ray(args.ray, rs)
-    cfg = RunConfig("stable-coeffs", rs.name, (knot.a, knot.b),
-                    _shown(rs, ray), n_max=args.n_max, k_max=args.k_max,
-                    output=args.format)
+    rs, knot, ray, cfg = _knot_request(args, _parse_ray, n_max=args.n_max,
+                                       k_max=args.k_max)
     if args.k_max < 0:
         raise ValueError("--k-max must be >= 0")
     # a_k(n) for k <= k_max lies below q^(k_max+1)
@@ -317,6 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
                              "color is n times the ray)")
         sp.add_argument("--format", choices=formats, default="json")
 
+    def color(name, summary, fn, *flags):
+        """A command on a color: --algebra, --lambda and --a, then each
+        (option, keywords) of flags, then --format."""
+        sp = sub.add_parser(name, help=summary)
+        sp.add_argument("--algebra", required=True)
+        sp.add_argument("--lambda", dest="lam", required=True,
+                        help=LAMBDA_HELP)
+        sp.add_argument("--a", type=int, required=True)
+        for option, keywords in flags:
+            sp.add_argument(option, **keywords)
+        sp.add_argument("--format", choices=("json",), default="json")
+        sp.set_defaults(fn=fn)
+
     sp = sub.add_parser("jones", help="one colored Jones polynomial")
     common(sp, ("json", "csv"))
     sp.add_argument("--n", type=int, required=True)
@@ -358,35 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("json",), default="json")
     sp.set_defaults(fn=cmd_kostant)
 
-    sp = sub.add_parser("plethysm", help="one plethysm multiplicity")
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--lambda", dest="lam", required=True, help=LAMBDA_HELP)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--mu", required=True)
-    sp.add_argument("--format", choices=("json",), default="json")
-    sp.set_defaults(fn=cmd_plethysm)
-
-    sp = sub.add_parser("summation-set", help="S_{lambda,a} with multiplicities")
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--lambda", dest="lam", required=True, help=LAMBDA_HELP)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--drop-zero", action="store_true")
-    sp.add_argument("--format", choices=("json",), default="json")
-    sp.set_defaults(fn=cmd_summation_set)
-
-    sp = sub.add_parser("missing-points", help="hull points outside S")
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--lambda", dest="lam", required=True, help=LAMBDA_HELP)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--format", choices=("json",), default="json")
-    sp.set_defaults(fn=cmd_missing_points)
-
-    sp = sub.add_parser("minimizer", help="closed-form vs brute-force minimizer")
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--lambda", dest="lam", required=True, help=LAMBDA_HELP)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--format", choices=("json",), default="json")
-    sp.set_defaults(fn=cmd_minimizer)
+    color("plethysm", "one plethysm multiplicity", cmd_plethysm,
+          ("--mu", {"required": True}))
+    color("summation-set", "S_{lambda,a} with multiplicities",
+          cmd_summation_set, ("--drop-zero", {"action": "store_true"}))
+    color("missing-points", "hull points outside S", cmd_missing_points)
+    color("minimizer", "closed-form vs brute-force minimizer", cmd_minimizer)
 
     sp = sub.add_parser("selftest", help="run the acceptance suite")
     sp.add_argument("--filter", default=None,

@@ -57,6 +57,8 @@ class TorusKnot:
     def __post_init__(self):
         if not (0 < self.a < self.b):
             raise ValueError("torus knot needs 0 < a < b")
+        if self.a == 1:
+            raise ValueError("torus knot needs a >= 2: T(1,b) is the unknot")
         if gcd(self.a, self.b) != 1:
             raise ValueError("torus knot parameters must be coprime")
 

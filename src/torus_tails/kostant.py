@@ -2,10 +2,12 @@
 
 ``kostant_dp`` counts the ways of writing u*alpha1 + v*alpha2 as a
 nonnegative integer combination of positive roots.  It reads one table per
-root system over the box [0, U] x [0, V], filled by one coin-change pass per
-positive root with the rows in increasing u; a query outside the box refills
-it at least to the query and at most twice as large per coordinate, and a
-box above ``MAX_DP_CELLS`` raises ``OracleLimitError``.
+root system over the box [0, U] x [0, V], stored with its longer side as the
+inner lists (a tall box transposed, its roots swapped) and filled by one
+coin-change pass per positive root, rows in increasing order; a query
+outside the box refills it at least to the query and at most twice as large
+per coordinate, and a box above ``MAX_DP_CELLS`` raises
+``OracleLimitError``.
 The closed forms (A1 x A1, and the chamber formulas for A2, B2 and G2) are the
 production route; the DP reads no closed form, and is the independent oracle
 they are tested against on the full 0..40 grid.
@@ -28,27 +30,33 @@ class OracleLimitError(ValueError):
     """An oracle refused an input above its size guard."""
 
 
-# root-system name -> rows of its filled box
-_tables: dict[str, list[list[int]]] = {}
+# root-system name -> (transposed, rows of its filled box): a transposed
+# table holds (u, v) at [v][u]
+_tables: dict[str, tuple[bool, list[list[int]]]] = {}
 
 
 def kostant_dp(rs: RootSystem, alpha: RootCoords) -> int:
     """Partition count of alpha (root coordinates) over positive roots."""
     if any(c < 0 for c in alpha):
         return 0
-    u, v = alpha
-    table = _tables.get(rs.name)
-    if table is None or u >= len(table) or v >= len(table[0]):
-        table = _tables[rs.name] = _grow(rs.positive_roots_rc, table, u, v)
-    return table[u][v]
+    flip, table = _tables.get(rs.name, (False, None))
+    i, j = alpha[::-1] if flip else alpha
+    if table is None or i >= len(table) or j >= len(table[0]):
+        flip, table = _tables[rs.name] = _grow(rs.positive_roots_rc, flip,
+                                               table, *alpha)
+        i, j = alpha[::-1] if flip else alpha
+    return table[i][j]
 
 
-def _grow(roots: tuple[RootCoords, ...], table: list[list[int]] | None,
-          u: int, v: int) -> list[list[int]]:
+def _grow(roots: tuple[RootCoords, ...], flip: bool,
+          table: list[list[int]] | None, u: int, v: int
+          ) -> tuple[bool, list[list[int]]]:
     """A filled box holding (u, v): each side that misses the query grows
     to it and at least doubles; if that is above the guard, the box of the
-    query alone."""
-    rows, cols = (0, 0) if table is None else (len(table), len(table[0]))
+    query alone.  It is stored transposed when it has more rows than
+    columns."""
+    sides = (0, 0) if table is None else (len(table), len(table[0]))
+    rows, cols = sides[::-1] if flip else sides
     shape = (max(u + 1, 2 * rows) if u >= rows else rows,
              max(v + 1, 2 * cols) if v >= cols else cols)
     if shape[0] * shape[1] > MAX_DP_CELLS:
@@ -57,7 +65,9 @@ def _grow(roots: tuple[RootCoords, ...], table: list[list[int]] | None,
             raise OracleLimitError(
                 f"Kostant DP box of {shape[0]} x {shape[1]} cells exceeds "
                 f"the oracle limit of {MAX_DP_CELLS} cells")
-    return _fill(roots, *shape)
+    if shape[0] > shape[1]:
+        return True, _fill(tuple(r[::-1] for r in roots), *shape[::-1])
+    return False, _fill(roots, *shape)
 
 
 def _fill(roots: tuple[RootCoords, ...], rows: int, cols: int

@@ -10,10 +10,11 @@ reported.  Exponent arithmetic is pure integer arithmetic on the numerators;
 orders propagate to the tightest provably-exact bound.  A sum or difference
 is one merge of the two exponent columns, each cut at the common order.
 
-The coefficient ring R is the integers or the quasi-polynomials in n (the
-tails' phi_k(n, q)).  The algebra needs only +, -, * and truthiness of the
-coefficients, and an int times a coefficient; ``evaluate`` maps a
-quasi-polynomial series to the integer series of one n.
+The coefficients are integers or quasi-polynomials in n (the tails'
+phi_k(n, q)).  Sums, differences and ``scaled`` need only +, - and
+truthiness of the coefficients and an int times one, so they take either; a
+product multiplies two coefficients, which only integers do.  ``evaluate``
+maps a quasi-polynomial series to the integer series of one n.
 
 ``div_binomial_series`` is the one exact division: a polynomial, given by
 exponent numerators, over a product of binomials 1 - q^m.  The special

@@ -12,8 +12,9 @@ A coefficient is stored as an ``int`` whenever it is integral and as a
 and coefficients are almost all integers, and int arithmetic is many times
 cheaper than ``Fraction`` arithmetic.  Since ``Fraction(2) == 2`` with equal
 hashes and equal ``str``, the representation changes no value, comparison
-or serialization.  Ring operations on two period-1 operands skip the period
-alignment.
+or serialization.  A sum or difference of two period-1 operands skips the
+period alignment.  Nothing multiplies two quasi-polynomials: the tails' series
+only add, subtract and scale their coefficients by ints.
 """
 
 from __future__ import annotations
@@ -62,15 +63,6 @@ def _add(a: tuple[Rat, ...], b: tuple[Rat, ...]) -> tuple[Rat, ...]:
     return tuple(map(add, a, b)) + a[len(b):]
 
 
-def _mul(a: tuple[Rat, ...], b: tuple[Rat, ...]) -> list[Rat]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 @dataclass(frozen=True)
 class QuasiPolynomial:
     """Periodic-coefficient polynomial, exact on the residues it was built on.
@@ -78,9 +70,9 @@ class QuasiPolynomial:
     ``coeffs`` maps residue r (mod period) to the coefficient tuple
     (c_0, ..., c_d); residues never sampled are absent and evaluating there
     raises.  The constructor keeps the coefficients as given (tests pass
-    Fractions); ``canonical``, the named constructors and the ring
-    operations store the integral ones as ints.  The degree is read off
-    the coefficients, so it cannot disagree with them.
+    Fractions); ``canonical``, the named constructors and the arithmetic
+    store the integral ones as ints.  The degree is read off the
+    coefficients, so it cannot disagree with them.
     """
 
     period: int
@@ -119,29 +111,26 @@ class QuasiPolynomial:
                 return True
         return False
 
-    # -- ring operations (per-residue, periods aligned to the lcm) ----------
+    # -- arithmetic (per-residue, periods aligned to the lcm) ---------------
 
     def _aligned(self, period: int) -> dict[int, tuple[Rat, ...]]:
         tab = dict(self.coeffs)
         return {r: tab[r % self.period] for r in range(period)
                 if r % self.period in tab}
 
-    def _binop(self, other: "QuasiPolynomial", fn) -> "QuasiPolynomial":
+    def __add__(self, other: "QuasiPolynomial") -> "QuasiPolynomial":
+        if isinstance(other, int) and other == 0:
+            return self   # the empty slots of a dense coefficient list
         if self.period == other.period == 1 and self.coeffs and other.coeffs:
-            return QuasiPolynomial._poly(fn(self.coeffs[0][1],
-                                            other.coeffs[0][1]))
+            return QuasiPolynomial._poly(_add(self.coeffs[0][1],
+                                              other.coeffs[0][1]))
         p = lcm(self.period, other.period)
         t1, t2 = self._aligned(p), other._aligned(p)
         residues = sorted(set(t1) & set(t2))
         if not residues:
             raise FitError("quasi-polynomials share no sampled residues")
-        return QuasiPolynomial(p, tuple((r, fn(t1[r], t2[r]))
+        return QuasiPolynomial(p, tuple((r, _add(t1[r], t2[r]))
                                         for r in residues)).canonical()
-
-    def __add__(self, other: "QuasiPolynomial") -> "QuasiPolynomial":
-        if isinstance(other, int) and other == 0:
-            return self   # the empty slots of a dense coefficient list
-        return self._binop(other, _add)
 
     __radd__ = __add__
 
@@ -153,9 +142,10 @@ class QuasiPolynomial:
         return self + (-other)
 
     def __mul__(self, other) -> "QuasiPolynomial":
+        """An int times the quasi-polynomial; nothing multiplies two."""
         if isinstance(other, int):
             return self.scale(other)
-        return self._binop(other, _mul)
+        return NotImplemented
 
     __rmul__ = __mul__
 

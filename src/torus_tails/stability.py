@@ -407,7 +407,7 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
     ``jones``: D*Q(h) is D*f*(nu0+h) - D*f*(nu0), the quadratic of
     ``jones._degree_quadratic`` re-centred at nu0, and D*L(h) = 2b (h, nu1)
     in the scaled inner product.  The root product is the Weyl denominator
-    identity ``jones._numerator`` uses, applied to
+    identity ``jones._assemble`` uses, applied to
     alpha -> q^{(v,alpha)} x^{(nu1,alpha)} with v = h+nu0+rho:
     the sum over sigma of (-1)^sigma q^{(v,w)} x^{(nu1,w)} with
     w = rho - sigma(rho).

@@ -1,5 +1,6 @@
 """CLI: argument handling, exit codes, output stability and schemas."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -44,6 +45,22 @@ def test_non_coprime_knot_exits_2(capsys):
                        "--lambda", "1,0", "--n", "1")
     assert code == 2
     assert "coprime" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("jones", "--lambda", "1,0", "--n", "1"),
+    ("degree", "--lambda", "1,1"),
+    ("tail",),
+    ("tail", "--method", "stable-limit"),
+    ("tail", "--method", "detect"),
+    ("stable-coeffs",)], ids=" ".join)
+def test_a_equal_to_one_is_refused_with_one_message(capsys, argv):
+    # T(1,b) is the unknot: the knot itself refuses it, before any command
+    # reaches a route of its own
+    code, out, err = run(capsys, argv[0], "--algebra", "A2", "--knot", "1,2",
+                         *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: torus knot needs a >= 2: T(1,b) is the unknot\n"
 
 
 def test_bad_algebra_exits_2(capsys):
@@ -472,6 +489,103 @@ def test_unimplemented_formats_are_rejected(capsys, command, fmt):
                               "--format", fmt)
     assert code == 2
     assert "invalid choice" in err
+
+
+# Every subcommand's (help, handler) and, in declaration order, each of its
+# actions as (option strings, dest, default, required, choices, type name,
+# help).  Unlike a hash of --help it reads no terminal width and no
+# Python-version wording beyond argparse's own -h line.
+HELP_ACTION = (("-h", "--help"), "help", "==SUPPRESS==", False, None, None,
+               "show this help message and exit")
+ALGEBRA_HELP = "A1, A2, B2 or G2 (case-insensitive)"
+RAY_HELP = ("ray coefficients c1,c2, or c1 for A1 (the color is n times the "
+            "ray)")
+COLOR_HELP = "highest weight c1,c2, or c1 for A1"
+PARSER_SURFACE = {
+    "jones": (("one colored Jones polynomial", "cmd_jones"), [
+        (("--algebra",), "algebra", None, True, None, None, ALGEBRA_HELP),
+        (("--knot",), "knot", None, True, None, None, "a,b (0<a<b coprime)"),
+        (("--lambda",), "ray", None, True, None, None, RAY_HELP),
+        (("--format",), "format", "json", False, ("json", "csv"), None, None),
+        (("--n",), "n", None, True, None, "int", None)]),
+    "degree": (("q-degrees along a ray", "cmd_degree"), [
+        (("--algebra",), "algebra", None, True, None, None, ALGEBRA_HELP),
+        (("--knot",), "knot", None, True, None, None, "a,b (0<a<b coprime)"),
+        (("--lambda",), "ray", None, True, None, None, RAY_HELP),
+        (("--format",), "format", "json", False, ("json",), None, None),
+        (("--n-max",), "n_max", 10, False, None, "int", None)]),
+    "tail": (("tail of a colored Jones family", "cmd_tail"), [
+        (("--algebra",), "algebra", None, True, None, None, None),
+        (("--knot",), "knot", None, True, None, None, None),
+        (("--ray",), "ray", "rho", False, None, None,
+         "'rho' or ray coefficients c1,c2, or c1 for A1"),
+        (("--method",), "method", "closed", False,
+         ("detect", "stable-limit", "closed"), None, None),
+        (("--x-order",), "x_order", 2, False, None, "int", None),
+        (("--q-order",), "q_order", 60, False, None, "int", None),
+        (("--n-max",), "n_max", 30, False, None, "int", None),
+        (("--n0",), "n0", 1, False, None, "int",
+         "residue class representative"),
+        (("--format",), "format", "json", False, ("json",), None, None)]),
+    "stable-coeffs": (("a_k(n) table for a family", "cmd_stable_coeffs"), [
+        (("--algebra",), "algebra", None, True, None, None, None),
+        (("--knot",), "knot", None, True, None, None, None),
+        (("--ray",), "ray", "rho", False, None, None, None),
+        (("--n-max",), "n_max", 20, False, None, "int", None),
+        (("--k-max",), "k_max", 10, False, None, "int", None),
+        (("--format",), "format", "json", False, ("json", "csv"), None,
+         None)]),
+    "kostant": (("Kostant partition function value", "cmd_kostant"), [
+        (("--algebra",), "algebra", None, True, None, None, None),
+        (("--alpha",), "alpha", None, True, None, None,
+         "root coordinates u,v, or u for A1"),
+        (("--format",), "format", "json", False, ("json",), None, None)]),
+    "plethysm": (("one plethysm multiplicity", "cmd_plethysm"), [
+        (("--algebra",), "algebra", None, True, None, None, None),
+        (("--lambda",), "lam", None, True, None, None, COLOR_HELP),
+        (("--a",), "a", None, True, None, "int", None),
+        (("--mu",), "mu", None, True, None, None, None),
+        (("--format",), "format", "json", False, ("json",), None, None)]),
+    "summation-set": (("S_{lambda,a} with multiplicities",
+                       "cmd_summation_set"), [
+        (("--algebra",), "algebra", None, True, None, None, None),
+        (("--lambda",), "lam", None, True, None, None, COLOR_HELP),
+        (("--a",), "a", None, True, None, "int", None),
+        (("--drop-zero",), "drop_zero", False, False, None, None, None),
+        (("--format",), "format", "json", False, ("json",), None, None)]),
+    "missing-points": (("hull points outside S", "cmd_missing_points"), [
+        (("--algebra",), "algebra", None, True, None, None, None),
+        (("--lambda",), "lam", None, True, None, None, COLOR_HELP),
+        (("--a",), "a", None, True, None, "int", None),
+        (("--format",), "format", "json", False, ("json",), None, None)]),
+    "minimizer": (("closed-form vs brute-force minimizer", "cmd_minimizer"), [
+        (("--algebra",), "algebra", None, True, None, None, None),
+        (("--lambda",), "lam", None, True, None, None, COLOR_HELP),
+        (("--a",), "a", None, True, None, "int", None),
+        (("--format",), "format", "json", False, ("json",), None, None)]),
+    "selftest": (("run the acceptance suite", "cmd_selftest"), [
+        (("--filter",), "filter", None, False, None, None,
+         "substring of a check key (e.g. 'kostant')"),
+        (("--format",), "format", "text", False, ("json", "text"), None,
+         None)]),
+}
+
+
+def test_parser_surface_is_pinned():
+    parser = cli.build_parser()
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    helps = {c.dest: c.help for c in sub._choices_actions}
+    surface = {
+        name: ((helps[name], sp.get_default("fn").__name__),
+               [(tuple(a.option_strings), a.dest, a.default, a.required,
+                 a.choices and tuple(a.choices),
+                 getattr(a.type, "__name__", None), a.help)
+                for a in sp._actions])
+        for name, sp in sub.choices.items()}
+    assert list(surface) == list(PARSER_SURFACE)
+    for name, (head, actions) in PARSER_SURFACE.items():
+        assert surface[name] == (head, [HELP_ACTION, *actions]), name
 
 
 # sha256 of json.dumps(doc["tail"], sort_keys=True) per (algebra, arguments).

@@ -138,6 +138,24 @@ def test_dp_equals_brute_force_count(rs, bound, monkeypatch):
             (rs.name, alpha)
 
 
+@pytest.mark.parametrize("rs,bound", [(A1, 30), (A2, 12), (B2, 10),
+                                      (G2, 9)],
+                         ids=["A1", "A2", "B2", "G2"])
+def test_dp_tall_box_is_transposed_and_exact(rs, bound, monkeypatch):
+    # a first query with u > v fills a box with more rows than columns,
+    # stored transposed and filled with the roots' coordinates swapped
+    tables = {}
+    monkeypatch.setattr(kostant_module, "_tables", tables)
+    counts = _brute_force_counts(rs, bound)
+    assert kostant_dp(rs, (bound, 2)) == counts.get((bound, 2), 0)
+    flip, rows = tables[rs.name]
+    assert flip and (len(rows), len(rows[0])) == (3, bound + 1)
+    for alpha in product(range(bound + 1), range(3)):
+        assert kostant_dp(rs, alpha) == counts.get(alpha, 0), \
+            (rs.name, alpha)
+    assert tables[rs.name][1] is rows
+
+
 def test_dp_table_is_bounded_by_the_grid(monkeypatch):
     # each coordinate grows to the query and at most doubles, so the three
     # 0..40 grids leave tables within twice the grid, and asking the grid
@@ -149,13 +167,13 @@ def test_dp_table_is_bounded_by_the_grid(monkeypatch):
         for alpha in grid:
             kostant_dp(rs, alpha)
     assert len(tables) == 3
-    filled = {name: id(rows) for name, rows in tables.items()}
-    for rows in tables.values():
+    filled = {name: id(rows) for name, (_, rows) in tables.items()}
+    for _, rows in tables.values():
         assert 41 <= len(rows) <= 2 * 41 and 41 <= len(rows[0]) <= 2 * 41
     for rs in (A2, B2, G2):
         for alpha in grid:
             kostant_dp(rs, alpha)
-    assert {name: id(rows) for name, rows in tables.items()} == filled
+    assert {name: id(rows) for name, (_, rows) in tables.items()} == filled
 
 
 def test_dp_guard_raises_before_filling(monkeypatch):
@@ -170,6 +188,12 @@ def test_dp_guard_raises_before_filling(monkeypatch):
     # not fit; (0, v) keeps the box one row wide
     assert kostant_dp(A1, (0, MAX_DP_CELLS - 1)) == 1
     assert kostant_dp(A1, (0, MAX_DP_CELLS - 2)) == 1
+    # and (u, 0) one column wide, stored as one row: the longer side is
+    # always the inner list
+    assert kostant_dp(A1, (MAX_DP_CELLS - 1, 0)) == 1
+    assert kostant_dp(A1, (MAX_DP_CELLS - 2, 0)) == 1
+    flip, rows = tables["A1"]
+    assert flip and len(rows) == 1 and len(rows[0]) == MAX_DP_CELLS
     assert issubclass(OracleLimitError, ValueError)
 
 
