@@ -295,6 +295,7 @@ def cmd_selftest(args) -> int:
 
 
 LAMBDA_HELP = "highest weight c1,c2, or c1 for A1"
+KNOT_HELP = "a,b (2<=a<b coprime)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, formats):
         sp.add_argument("--algebra", required=True,
                         help="A1, A2, B2 or G2 (case-insensitive)")
-        sp.add_argument("--knot", required=True, help="a,b (0<a<b coprime)")
+        sp.add_argument("--knot", required=True, help=KNOT_HELP)
         sp.add_argument("--lambda", dest="ray", required=True,
                         help="ray coefficients c1,c2, or c1 for A1 (the "
                              "color is n times the ray)")
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tail", help="tail of a colored Jones family")
     sp.add_argument("--algebra", required=True)
-    sp.add_argument("--knot", required=True)
+    sp.add_argument("--knot", required=True, help=KNOT_HELP)
     sp.add_argument("--ray", default="rho",
                     help="'rho' or ray coefficients c1,c2, or c1 for A1")
     sp.add_argument("--method", choices=("detect", "stable-limit", "closed"),
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("stable-coeffs", help="a_k(n) table for a family")
     sp.add_argument("--algebra", required=True)
-    sp.add_argument("--knot", required=True)
+    sp.add_argument("--knot", required=True, help=KNOT_HELP)
     sp.add_argument("--ray", default="rho")
     sp.add_argument("--n-max", type=int, default=20)
     sp.add_argument("--k-max", type=int, default=10)

@@ -12,21 +12,21 @@ is the one solver for where such a quadratic is below a bound.
 ``colored_jones`` and ``jones_jet`` share one assembly of the numerator:
 D*f*(mu) and the Weyl-identity expansion of the root product are expanded
 once into integer quadratic and linear coefficients, so a term costs a few
-integer products.  ``colored_jones`` then divides by all the
+integer products.  Both read the summands as the (i, {j: m}) rows of
+``mult.scatter_rows`` and build no dict keyed by mu.  ``colored_jones``
+reads the rows of dominant mu <= a*lambda, the summation set unsorted;
+once they and the scatter's table are gone, it divides by all the
 denominator factors in one ``div_binomial_series`` over a dense exponent
 array, checking the remainder of each, and reads the series off that array
-in order.  Its summands are ``mult.summation_set`` as it comes, unsorted,
-so the exact path sorts no summation set and leaves no process-wide table
-behind.  The case tables of ``minimizer_closed_form`` also bound the
+in order.  It sorts nothing and leaves no process-wide table behind.
+The case tables of ``minimizer_closed_form`` also bound the
 missing points (``missing_point_bound_check``), so that check lives here
 and ``mult`` imports nothing from this module.
 ``jones_jet`` gives the shifted J-hat only below a q-order: it assembles just
 the summands with f*(mu) below delta* plus that order and divides by
-truncated geometric series.  Its multiplicities come from the row scatter
-of the summation set, ``mult.scatter_rows``, with each row of the dominant
-cone ended where D*f* reaches the bound (``_ball_rows``, by
-``qseries._negative_range``), so this module reads no Kostant sum of its
-own.
+truncated geometric series.  Its rows of the dominant cone end where D*f*
+reaches the bound (``_ball_rows``, by ``qseries._negative_range``), so this
+module reads no Kostant sum of its own.
 Degrees are exact rationals and every coefficient either route returns is
 exact.
 """
@@ -288,13 +288,14 @@ class ColoredJonesResult:
 
 
 def _assemble(rs: RootSystem, knot: TorusKnot, lam: Weight,
-              summands: Iterable[tuple[Weight, int]], shift: int,
+              rows: Iterable[tuple[int, dict[int, int]]], shift: int,
               cutoff: int | None) -> TruncatedSeries:
     """sum of m q^{f*(mu)} prod_{alpha>0}(1 - q^{(mu+rho,alpha)}) over the
-    (mu, m) in summands, divided by prod_{alpha>0}(1 - q^{(lambda+rho,
-    alpha)}): exponent numerators over D lowered by shift, below cutoff, or
-    the whole exact quotient for cutoff None: the one assembly of
-    ``colored_jones`` and ``jones_jet``.
+    mu = (i, j) with multiplicity m in the rows (i, {j: m}) of
+    ``mult.scatter_rows``, members with m = 0 skipped, divided by
+    prod_{alpha>0}(1 - q^{(lambda+rho, alpha)}): exponent numerators over D
+    lowered by shift, below cutoff, or the whole exact quotient for cutoff
+    None: the one assembly of ``colored_jones`` and ``jones_jet``.
 
     The product is expanded by the Weyl denominator identity
     prod_{alpha>0}(1 - e^alpha) = sum_sigma (-1)^sigma e^{rho - sigma(rho)},
@@ -324,14 +325,15 @@ def _assemble(rs: RootSystem, knot: TorusKnot, lam: Weight,
         forms.append((lx + g00 * wx + g01 * wy, ly + g10 * wx + g11 * wy,
                       c0 - shift + rs.inner_int(rs.rho, (wx, wy)), sign))
     acc: dict[int, int] = {}
-    for (x, y), m in summands:
-        if not m:
-            continue
-        quad = (qxx * x + qxy * y) * x + qyy * y * y
-        for cx, cy, k, sign in forms:
-            e = quad + cx * x + cy * y + k
-            if cutoff is None or e < cutoff:
-                acc[e] = acc.get(e, 0) + sign * m
+    for x, row in rows:
+        for y, m in row.items():
+            if not m:
+                continue
+            quad = (qxx * x + qxy * y) * x + qyy * y * y
+            for cx, cy, k, sign in forms:
+                e = quad + cx * x + cy * y + k
+                if cutoff is None or e < cutoff:
+                    acc[e] = acc.get(e, 0) + sign * m
     lr = tuple(c + r for c, r in zip(lam, rs.rho))
     return div_binomial_series(acc, [two_a * rs.inner_int(lr, al)
                                      for al in roots],
@@ -343,8 +345,9 @@ def colored_jones(rs: RootSystem, knot: TorusKnot, lam: Weight
     """Evaluate J^g_{T(a,b), lambda}(q) exactly."""
     if not rs.is_dominant(lam):
         raise LieError("color must be dominant")
-    poly = _assemble(rs, knot, lam, summation_set(rs, lam, knot.a).items(), 0,
-                     None)
+    rows = scatter_rows(rs, lam, knot.a,
+                        rs.row_ends(tuple(knot.a * c for c in lam)))
+    poly = _assemble(rs, knot, lam, rows, 0, None)
     if poly.is_zero:
         raise JonesError("colored Jones polynomial vanished")
     return ColoredJonesResult(knot, rs.name, lam, poly)
@@ -393,8 +396,7 @@ def jones_jet(rs: RootSystem, knot: TorusKnot, lam: Weight, order: int
     shift = _degree_value(quad, mu_min)
     bound = order * _exponent_denominator(rs, knot)
     rows = scatter_rows(rs, lam, a, _ball_rows(quad, shift + bound))
-    mults = {(i, j): m for i, row in rows for j, m in row.items() if m}
-    jet = _assemble(rs, knot, lam, mults.items(), shift, bound)
+    jet = _assemble(rs, knot, lam, rows, shift, bound)
     lead = plethysm_mult(rs, lam, a, mu_min)
     if jet.exps[:1] != (0,) or jet.coeffs[0] != lead:
         raise JonesError(

@@ -17,11 +17,11 @@ process-wide table.  ``scatter_rows`` is the one scatter of the
 ``plethysm_mult`` identity: row by row of the dominant cone, up to row ends
 its caller gives, it adds sign * m_lambda^nu at mu = a*nu - (rho -
 sigma(rho)) over the orbit pairs, so it needs no weight system and no
-per-point Weyl-group sum.  ``summation_set`` runs it over the polytope of
-dominant mu <= a*lambda, and the jets of ``jones`` over a ball of f*.  The
-summation set's dict is unsorted; ``colored_jones``, ``missing_points`` and
-the brute-force extremizers read it as it is, and only the CLI sorts it, to
-print it.  ``plethysm_mult`` is the per-point route.  The lattice
+per-point Weyl-group sum.  ``colored_jones`` reads its rows over the
+polytope of dominant mu <= a*lambda, and the jets over a ball of f*.
+``summation_set`` keys the same polytope rows by mu, unsorted, for
+``missing_points``, the brute-force extremizers and the CLI, which alone
+sorts it, to print it.  ``plethysm_mult`` is the per-point route.  The lattice
 L_{lambda,a} is held as residues of integer root coordinates mod
 a*root_det (``LatticeHull``), and its one membership test, ``in_lattice``,
 is the one the stable limit reads too; the hull points are the dominant

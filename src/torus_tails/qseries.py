@@ -240,7 +240,7 @@ class TruncatedSeries:
         return {
             "denom": self.denom,
             "order": self.order,
-            "terms": [[e, str(c)] for e, c in zip(self.exps, self.coeffs)],
+            "terms": list(zip(self.exps, map(str, self.coeffs))),
         }
 
     @staticmethod

@@ -501,22 +501,23 @@ ALGEBRA_HELP = "A1, A2, B2 or G2 (case-insensitive)"
 RAY_HELP = ("ray coefficients c1,c2, or c1 for A1 (the color is n times the "
             "ray)")
 COLOR_HELP = "highest weight c1,c2, or c1 for A1"
+KNOT_HELP = "a,b (2<=a<b coprime)"
 PARSER_SURFACE = {
     "jones": (("one colored Jones polynomial", "cmd_jones"), [
         (("--algebra",), "algebra", None, True, None, None, ALGEBRA_HELP),
-        (("--knot",), "knot", None, True, None, None, "a,b (0<a<b coprime)"),
+        (("--knot",), "knot", None, True, None, None, KNOT_HELP),
         (("--lambda",), "ray", None, True, None, None, RAY_HELP),
         (("--format",), "format", "json", False, ("json", "csv"), None, None),
         (("--n",), "n", None, True, None, "int", None)]),
     "degree": (("q-degrees along a ray", "cmd_degree"), [
         (("--algebra",), "algebra", None, True, None, None, ALGEBRA_HELP),
-        (("--knot",), "knot", None, True, None, None, "a,b (0<a<b coprime)"),
+        (("--knot",), "knot", None, True, None, None, KNOT_HELP),
         (("--lambda",), "ray", None, True, None, None, RAY_HELP),
         (("--format",), "format", "json", False, ("json",), None, None),
         (("--n-max",), "n_max", 10, False, None, "int", None)]),
     "tail": (("tail of a colored Jones family", "cmd_tail"), [
         (("--algebra",), "algebra", None, True, None, None, None),
-        (("--knot",), "knot", None, True, None, None, None),
+        (("--knot",), "knot", None, True, None, None, KNOT_HELP),
         (("--ray",), "ray", "rho", False, None, None,
          "'rho' or ray coefficients c1,c2, or c1 for A1"),
         (("--method",), "method", "closed", False,
@@ -529,7 +530,7 @@ PARSER_SURFACE = {
         (("--format",), "format", "json", False, ("json",), None, None)]),
     "stable-coeffs": (("a_k(n) table for a family", "cmd_stable_coeffs"), [
         (("--algebra",), "algebra", None, True, None, None, None),
-        (("--knot",), "knot", None, True, None, None, None),
+        (("--knot",), "knot", None, True, None, None, KNOT_HELP),
         (("--ray",), "ray", "rho", False, None, None, None),
         (("--n-max",), "n_max", 20, False, None, "int", None),
         (("--k-max",), "k_max", 10, False, None, "int", None),

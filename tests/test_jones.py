@@ -374,19 +374,39 @@ def test_jet_and_tail_columns():
 
 def test_polynomial_memory_per_term():
     # two tuple slots and two int objects: about 80 B a term here; one
-    # (e, c) pair per term took about 124 B
+    # (e, c) pair per term took about 124 B.  The peak adds the numerator
+    # and the division's array: about 112 B a term, 125 B when the summation
+    # set was kept through the division.  The JSON terms, (e, str(c)) tuples
+    # on the columns' ints, add about 118 B a term, 135 B as two-slot lists.
     knot, lam = TorusKnot(4, 5), (40, 40)
     colored_jones(A2, knot, lam)      # fill the process-wide tables first
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         res = colored_jones(A2, knot, lam)
-        held = tracemalloc.get_traced_memory()[0] - before
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+        obj = res.polynomial.to_json_obj()
+        encoded = tracemalloc.get_traced_memory()[0] - before - held
     finally:
         tracemalloc.stop()
     terms = len(res.polynomial.exps)
-    assert terms > 30000
+    assert terms > 30000 and len(obj["terms"]) == terms
     assert held < 96 * terms, held / terms
+    assert peak < 118 * terms, peak / terms
+    assert encoded < 127 * terms, encoded / terms
+
+
+def test_colored_jones_builds_no_summation_set(monkeypatch):
+    # the exact path reads the scatter's rows; no dict keyed by mu is built
+    def refuse(*args):
+        raise AssertionError("summation_set called")
+
+    monkeypatch.setattr(jones, "summation_set", refuse)
+    monkeypatch.setattr(mult, "summation_set", refuse)
+    res = colored_jones(A2, TorusKnot(4, 5), (3, 3))
+    doc = json.dumps(res.to_json_obj(), sort_keys=True).encode()
+    assert hashlib.sha256(doc).hexdigest() == \
+        JONES_GOLDEN["A2", (4, 5), (3, 3)]
 
 
 def _unbounded_tables():

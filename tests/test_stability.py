@@ -712,7 +712,7 @@ def test_tail_json_keeps_non_integer_coefficients():
     tail = TailSeries((1, 4), (phi,), threshold=5)
     obj = tail.to_json_obj()
     entry = obj["phi"][0]
-    assert entry["series_const"]["terms"] == [[1, "3"]]
+    assert json.dumps(entry["series_const"]["terms"]) == '[[1, "3"]]'
     assert "series_linear_n" not in entry
     assert entry["series_periodic"] == [[0, {
         "period": 1, "degree": 1, "coeffs": [[0, ["-1/4", "1/4"]]]}]]
