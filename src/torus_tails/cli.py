@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
@@ -102,32 +101,32 @@ def _emit(doc: dict, cfg: RunConfig, denom: int = 1) -> None:
     """Write doc with the run's config, version and denom as one line of
     sorted-key JSON.
 
-    A ``TruncatedSeries`` left in doc is written as its ``to_json_obj``, but
-    its terms list never exists whole: the document is encoded with a
-    numbered placeholder string in its place, and the terms are written at
-    the placeholder TERMS_CHUNK at a time.  Every piece goes through
-    json.dumps, which runs the C encoder (json.dump to a stream never does),
-    with the same separators, so the bytes are those of one json.dumps.
+    The one ``TruncatedSeries`` a document can hold, ``cmd_jones``'s
+    polynomial, is written as its ``to_json_obj``, but its terms list never
+    exists whole: the document is encoded with a one-NUL placeholder string
+    in its place, and the terms are written there TERMS_CHUNK at a time.
+    Every piece goes through json.dumps, which runs the C encoder (json.dump
+    to a stream never does), with the same separators, so the bytes are
+    those of one json.dumps.
     """
     doc = {"config": {k: v for k, v in asdict(cfg).items() if v is not None},
            "version": __version__, "denom": denom, **doc}
-    spliced: list[TruncatedSeries] = []
+    series: list[TruncatedSeries] = []
 
     def encode(obj):
         if not isinstance(obj, TruncatedSeries):
             return str(obj)
+        assert not series, "a document holds one series"
+        series.append(obj)
         head = TruncatedSeries(obj.denom, order=obj.order).to_json_obj()
-        head["terms"] = f"\0{len(spliced)}\0"
-        spliced.append(obj)
+        head["terms"] = "\0"
         return head
 
-    text = json.dumps(doc, sort_keys=True, default=encode)
+    before, _, after = json.dumps(doc, sort_keys=True, default=encode
+                                  ).partition('"\\u0000"')
     out = sys.stdout
-    for i, part in enumerate(re.split(r'"\\u0000(\d+)\\u0000"', text)):
-        if i % 2 == 0:
-            out.write(part)
-            continue
-        s = spliced[int(part)]
+    out.write(before)
+    for s in series:
         out.write("[")
         for j in range(0, len(s.exps), TERMS_CHUNK):
             chunk = TruncatedSeries(s.denom, s.exps[j:j + TERMS_CHUNK],
@@ -135,7 +134,7 @@ def _emit(doc: dict, cfg: RunConfig, denom: int = 1) -> None:
             out.write((", " if j else "")
                       + json.dumps(chunk.to_json_obj()["terms"])[1:-1])
         out.write("]")
-    out.write("\n")
+    out.write(after + "\n")
 
 
 def _keep(series: TruncatedSeries) -> TruncatedSeries:

@@ -297,7 +297,7 @@ def _negative_range(c2: int, c1: int, c0: int) -> range:
     """The integers x with c2*x^2 + c1*x + c0 < 0, for c2 > 0: those with
     (2*c2*x + c1)^2 < c1^2 - 4*c2*c0, read off by isqrt.  The one row
     solver: ``theta`` cuts its sum with it, and so do the jets of ``jones``
-    and the stable limit of ``stability``."""
+    and the stable limit and T(4,b) numerator of ``stability``."""
     disc = c1 * c1 - 4 * c2 * c0
     if disc <= 0:
         return range(0)

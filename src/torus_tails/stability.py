@@ -23,12 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isqrt
+from math import inf
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .jones import (TorusKnot, _degree_quadratic, _degree_value,
-                    _exponent_denominator, colored_jones, jones_jet,
-                    minimizer_closed_form)
+                    _exponent_denominator, jones_jet, minimizer_closed_form)
 from .lie import RootSystem, Weight, get_root_system
 from .mult import lattice_hull, plethysm_sequence
 from .quasipoly import FitError, QuasiPolynomial, fit_quasi_polynomial
@@ -235,17 +234,10 @@ def _tail_quotient(residue: tuple[int, int],
 
 
 def jones_family(rs: RootSystem, knot: TorusKnot, ray: Weight,
-                 ns: Iterable[int], order: Optional[int] = None
-                 ) -> dict[int, TruncatedSeries]:
-    """Shifted polynomials J-hat for colors n*ray.
-
-    With ``order`` the members are the exact jets J-hat mod q^order from
-    ``jones_jet``; without it, the whole polynomials.
-    """
-    if order is not None:
-        return {n: jones_jet(rs, knot, tuple(n * c for c in ray), order)
-                for n in ns}
-    return {n: colored_jones(rs, knot, tuple(n * c for c in ray)).shifted
+                 ns: Iterable[int], order: int) -> dict[int, TruncatedSeries]:
+    """The exact jets J-hat_n mod q^order of ``jones_jet`` for the colors
+    n*ray: detection and the stable coefficients read nothing above them."""
+    return {n: jones_jet(rs, knot, tuple(n * c for c in ray), order)
             for n in ns}
 
 
@@ -562,20 +554,19 @@ def t4b_series(b: int, q_order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     a1: dict[int, int] = {}
     top = 12 * q_order
 
-    # the exponent (b/12) Q(u) + (b/4 - 1)(u1 + u2) is >= (b/12) u_i^2, so
-    # this box covers everything below q_order
-    u_bound = isqrt(12 * q_order // b) + 2
+    def run(c1: int, c0: int, r: int, m: int) -> range:
+        """The u >= 0 with u = r mod m and b u^2 + c1 u + c0 < 0."""
+        row = _negative_range(b, c1, c0)
+        lo = max(row.start, 0)
+        return range(lo + (r - lo) % m, row.stop, m)
+
+    # e(u) = b (u1^2 + u1 u2 + u2^2) + (3b - 12)(u1 + u2) grows in u2 >= 0,
+    # so u1 runs below the root of e(u1, 0) = top and u2 over its row
     for (s, t), sign in rs.orbit_pairs:
-        for u1 in range(0, u_bound + 1):
-            if (u1 + s) % 4:
-                continue
-            for u2 in range(0, u_bound + 1):
-                if (u1 - u2 - t + s) % 12:
-                    continue
-                e = b * (u1 * u1 + u1 * u2 + u2 * u2) \
-                    + (3 * b - 12) * (u1 + u2)
-                if e >= top:
-                    continue
+        for u1 in run(3 * b - 12, -top, -s, 4):
+            e1 = b * u1 * u1 + (3 * b - 12) * u1
+            for u2 in run(b * u1 + 3 * b - 12, e1 - top, u1 - t + s, 12):
+                e = e1 + u2 * (b * u2 + b * u1 + 3 * b - 12)
                 if u1 + s >= u2 + t:
                     c = 12 - (2 * u1 + u2 + 2 * s + t)
                 else:

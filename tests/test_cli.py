@@ -14,6 +14,7 @@ from torus_tails import cli, mult
 from torus_tails.cli import main
 from torus_tails.lie import get_root_system
 from torus_tails.mult import lattice_hull
+from reference_series import whole_family
 
 
 def run(capsys, *argv):
@@ -427,7 +428,7 @@ def test_stable_coeffs_jets_match_whole_polynomials(capsys, monkeypatch,
         return stability.jones_family(rs, knot, ray, ns, order)
 
     def whole(rs, knot, ray, ns, order=None):
-        return stability.jones_family(rs, knot, ray, ns)
+        return whole_family(rs, knot, ray, ns)
 
     monkeypatch.setattr(cli, "jones_family", spy)
     code, jets, _ = run(capsys, *argv)

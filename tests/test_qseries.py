@@ -37,7 +37,7 @@ def test_add_order_is_min():
     assert got.order_exponent() == 5
 
 
-def test_mul_geometric_inverse_is_one():
+def test_one_minus_q_times_its_cutoff_quotient_is_one():
     f = S({0: 1, 1: -1})
     assert (f * geometric(1, 12)).as_dict() == {0: 1}
 
@@ -74,7 +74,7 @@ def test_min_degree_additive():
     assert (f * g).min_degree() == f.min_degree() + g.min_degree()
 
 
-def test_geometric_inverse_examples():
+def test_div_binomial_cutoff_gives_geometric_series():
     # 1/(1 - q^m) is the division of 1 with a cutoff
     assert div_binomial_series({0: 1}, (1,), 1, 4).as_dict() == \
         {0: 1, 1: 1, 2: 1, 3: 1}
@@ -91,7 +91,7 @@ def test_geometric_inverse_examples():
         div_binomial_series({0: 1}, (-1,), 1, 5)
 
 
-def test_exact_div_examples():
+def test_div_binomial_exact_quotient_or_remainder_error():
     assert div_binomial_series({0: 1, 2: -1}, (1,), 1).as_dict() == \
         {0: 1, 1: 1}
     assert div_binomial_series({}, (1,), 1).is_zero
@@ -99,7 +99,7 @@ def test_exact_div_examples():
         div_binomial_series({0: 1, 2: -1, 3: 1}, (1,), 1)
 
 
-def test_exact_div_roundtrip_laurent():
+def test_div_binomial_exact_inverts_laurent_product():
     f = S({-3: 2, 0: -2, 4: 1, 5: -1})
     prod = f * S({0: 1, 2: -1})
     assert div_binomial_series(prod.as_dict(), (2,), 1) == f
@@ -216,7 +216,7 @@ def test_mul_distributes(d1, d2, d3):
 
 @settings(max_examples=100, deadline=None)
 @given(small_polys, st.integers(1, 4))
-def test_exact_div_inverts_mul(d, e):
+def test_div_binomial_exact_inverts_mul(d, e):
     f = S(d)
     prod = f * S({0: 1, e: -1})
     assert div_binomial_series(prod.as_dict(), (e,), 1) == f

@@ -16,12 +16,13 @@ from torus_tails.quasipoly import QuasiPolynomial
 from torus_tails.stability import (StabilityError, TailSeries,
                                    a1_theta_difference, a1_triple_product,
                                    degree_quasipoly_fit, detect_cstability,
-                                   detect_jones_tail, jones_family,
-                                   lemma_FG_transform, minimal_class_modulus,
-                                   qp_series, stable_coefficients, t4b_series,
+                                   detect_jones_tail, lemma_FG_transform,
+                                   minimal_class_modulus, qp_series,
+                                   stable_coefficients, t4b_series,
                                    tail_closed_T2b, tail_closed_T4b,
                                    tail_eval_stable_limit)
-from reference_series import from_exponents, geometric
+from reference_series import (from_exponents, geometric, t4b_series_box,
+                              whole_family)
 
 A1 = get_root_system("A1")
 A2 = get_root_system("A2")
@@ -30,7 +31,7 @@ A2 = get_root_system("A2")
 @pytest.fixture(scope="module")
 def trefoil_family():
     # n <= 60 gives detection a comfortable horizon for phi_1 at small orders
-    return jones_family(A2, TorusKnot(2, 3), (1, 0), range(1, 61))
+    return whole_family(A2, TorusKnot(2, 3), (1, 0), range(1, 61))
 
 
 def test_stable_coefficients_monomial_family():
@@ -97,7 +98,7 @@ def test_detect_jones_tail_jets_match_full_family(knot, ray, n0, n_max,
     knot = TorusKnot(*knot)
     modulus = minimal_class_modulus(A2, ray, knot.a, n0)[0]
     ns = range(n0 % modulus or modulus, n_max + 1, modulus)
-    full = detect_cstability(jones_family(A2, knot, ray, ns), n0, modulus, 1,
+    full = detect_cstability(whole_family(A2, knot, ray, ns), n0, modulus, 1,
                              q_order)
     assert detect_jones_tail(A2, knot, ray, n0, n_max, 1, q_order) == full
 
@@ -210,7 +211,7 @@ def test_detect_constant_family():
 
 
 def test_detect_t25_matches_closed():
-    fam = jones_family(A2, TorusKnot(2, 5), (1, 0), range(1, 61))
+    fam = whole_family(A2, TorusKnot(2, 5), (1, 0), range(1, 61))
     det = detect_cstability(fam, 6, 6, 1, 8)
     closed = tail_closed_T2b(5, 1, 8)
     assert det.agrees_with(closed, 1, 8, start=det.threshold or 12)
@@ -224,6 +225,12 @@ def test_t45_series_prefix():
     assert a0.coefficient(3) == 2 and a0.coefficient(4) == -1
     assert a1.coefficient(6) == -1 and a1.coefficient(9) == 2
     assert a1.coefficient(15) == -4
+
+
+@pytest.mark.parametrize("b", range(5, 16, 2))
+def test_t4b_series_matches_box_scan(b):
+    for q_order in (1, 2, 7, 50, 200, 1000):
+        assert t4b_series(b, q_order) == t4b_series_box(b, q_order)
 
 
 # (name, b, x_order, q_order) -> tail_values digest of the closed tail; the
