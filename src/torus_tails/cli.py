@@ -114,8 +114,8 @@ def _emit(doc: dict, cfg: RunConfig, denom: int = 1) -> None:
     series: list[TruncatedSeries] = []
 
     def encode(obj):
-        if not isinstance(obj, TruncatedSeries):
-            return str(obj)
+        assert isinstance(obj, TruncatedSeries), \
+            f"no JSON form for {type(obj).__name__} {obj!r}"
         assert not series, "a document holds one series"
         series.append(obj)
         head = TruncatedSeries(obj.denom, order=obj.order).to_json_obj()

@@ -202,24 +202,14 @@ def missing_point_bound_check(rs: RootSystem, lam: Weight, a: int,
     return report
 
 
-def _extremizer_knot(a: int, b: int | None) -> TorusKnot:
-    """T(a, b) for the brute-force extremizers, b by default the smallest
-    b > a coprime to a."""
-    if b is None:
-        b = a + 1
-        while gcd(a, b) != 1:
-            b += 1
-    return TorusKnot(a, b)
-
-
 def minimizer_bruteforce(rs: RootSystem, lam: Weight, a: int,
                          b: int | None = None) -> Weight:
     """argmin of f* over the nonzero-multiplicity part of S_{lambda,a}.
 
     The minimizer location is independent of the coprime exponent b; any
-    valid b gives the same answer, so default to the smallest one.
+    valid b gives the same answer, so default to the smallest, a + 1.
     """
-    knot = _extremizer_knot(a, b)
+    knot = TorusKnot(a, a + 1 if b is None else b)
     f_star, _ = quadratic_forms(rs, knot, lam)
     support = [mu for mu, m in summation_set(rs, lam, a).items() if m != 0]
     if not support:
@@ -237,7 +227,7 @@ def maximizer_bruteforce(rs: RootSystem, lam: Weight, a: int
     """argmax of f over all of S_{lambda,a}, with its multiplicity.  It is
     a*lambda for every b: for dominant mu < a*lambda, f(a*lambda) - f(mu)
     = (a*lambda - mu, b(a*lambda + mu) + 2(b + a)rho)/2a > 0."""
-    knot = _extremizer_knot(a, None)
+    knot = TorusKnot(a, a + 1)
     _, f_max = quadratic_forms(rs, knot, lam)
     sset = summation_set(rs, lam, a)
     values = sorted(((f_max(mu), mu) for mu in sset), reverse=True)

@@ -18,6 +18,11 @@ computes.  Likewise ``root_coords_int`` gives
 the coordinates over the simple roots times ``root_det`` (the determinant of
 the simple-root matrix), so root-lattice membership and the dominance order
 are divisibility and sign tests.
+
+The Weyl group W is held as signed orbits, not matrices: ``signed_orbit``
+closes a regular weight under the simple reflections ``reflect``, each image
+with its sign (-1)^sigma.  The orbit of rho gives ``orbit_pairs`` (and |W|),
+the orbit of lambda+rho gives mult's Kostant tops.
 """
 
 from __future__ import annotations
@@ -35,16 +40,6 @@ Matrix = tuple[tuple[int, ...], ...]
 
 class LieError(ValueError):
     """Invalid root-system operation."""
-
-
-def _mat_apply(m: Matrix, v: Weight) -> Weight:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -66,9 +61,6 @@ class RootSystem:
     root_det: int = field(init=False, repr=False, compare=False)
     positive_roots_rc: tuple[Weight, ...] = field(   # in root coordinates
         init=False, repr=False, compare=False)
-    # all (matrix, determinant sign) pairs of the Weyl group, sorted
-    weyl_elements: tuple[tuple[Matrix, int], ...] = field(
-        init=False, repr=False, compare=False)
     # (rho - sigma(rho), (-1)^sigma) over the Weyl group, sorted
     orbit_pairs: tuple[tuple[Weight, int], ...] = field(
         init=False, repr=False, compare=False)
@@ -86,12 +78,10 @@ class RootSystem:
         object.__setattr__(self, "positive_roots_rc", tuple(
             tuple(c // det for c in self.root_coords_int(al))
             for al in self.positive_roots))
-        weyl = _weyl_closure(self)
         rho = self.rho
-        object.__setattr__(self, "weyl_elements", weyl)
         object.__setattr__(self, "orbit_pairs", tuple(sorted(
-            (tuple(r - i for r, i in zip(rho, _mat_apply(mat, rho))), sign)
-            for mat, sign in weyl)))
+            (tuple(r - c for r, c in zip(rho, x)), sign)
+            for x, sign in self.signed_orbit(rho))))
 
     def __hash__(self) -> int:
         # the lru_cache tables key on the root system; hashing every field
@@ -128,15 +118,27 @@ class RootSystem:
 
     # -- Weyl group ---------------------------------------------------------
 
-    def simple_reflection(self, i: int) -> Matrix:
-        n = self.rank
-        return tuple(tuple((1 if j == k else 0)
-                           - (self.simple_roots[i][j] if k == i else 0)
-                           for k in range(n)) for j in range(n))
-
     def reflect(self, mu: Weight, i: int) -> Weight:
-        return tuple(mu[j] - mu[i] * self.simple_roots[i][j]
-                     for j in range(self.rank))
+        a0, a1 = self.simple_roots[i]
+        return (mu[0] - mu[i] * a0, mu[1] - mu[i] * a1)
+
+    def signed_orbit(self, v: Weight) -> list[tuple[Weight, int]]:
+        """(sigma(v), (-1)^sigma) over the Weyl group, for a regular v.
+
+        v on no wall has a trivial stabilizer, so sigma -> sigma(v) is one
+        to one and the closure of v under the simple reflections is the
+        group itself; each new image is signed opposite to the point it is
+        reflected from, the parity of its step.
+        """
+        out = [(v, 1)]
+        seen = {v}
+        for x, sign in out:
+            for i in range(self.rank):
+                y = self.reflect(x, i)
+                if y not in seen:
+                    seen.add(y)
+                    out.append((y, -sign))
+        return out
 
     def dominant_conjugate(self, mu: Weight) -> Weight:
         nu = mu
@@ -196,10 +198,10 @@ class RootSystem:
 
         The stabilizer of mu is generated by the simple reflections that
         fix it, one per zero coordinate: it has order 2 for one zero and is
-        all of W at mu = 0.
+        all of W at mu = 0.  |W| is the number of orbit pairs.
         """
         zeros = mu.count(0)
-        return 1 if zeros == self.rank else len(self.weyl_elements) >> zeros
+        return 1 if zeros == self.rank else len(self.orbit_pairs) >> zeros
 
     def weight_count(self, lam: Weight) -> int:
         """|Pi_lambda|, counted over the dominant weights without building
@@ -207,25 +209,6 @@ class RootSystem:
         if not self.is_dominant(lam):
             raise LieError("highest weight must be dominant")
         return _weight_count(self, lam)
-
-
-def _weyl_closure(rs: RootSystem) -> tuple[tuple[Matrix, int], ...]:
-    """All (matrix, determinant sign) pairs, generated by closure."""
-    gens = [rs.simple_reflection(i) for i in range(rs.rank)]
-    ident: Matrix = tuple(tuple(1 if i == j else 0 for j in range(rs.rank))
-                          for i in range(rs.rank))
-    found: dict[Matrix, int] = {ident: 1}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = _mat_mul(g, m)
-                if prod not in found:
-                    found[prod] = -found[m]
-                    nxt.append(prod)
-        frontier = nxt
-    return tuple(sorted(found.items()))
 
 
 # the Adams oracle's size guard asks once per hull point

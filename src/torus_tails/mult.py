@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 
 # OracleLimitError lives in kostant, whose DP guard raises it too
 from .kostant import OracleLimitError, kostant
-from .lie import LieError, RootSystem, Weight, _mat_apply
+from .lie import LieError, RootSystem, Weight
 
 # the Adams oracle's guard: the largest |Pi_lambda| it peels
 MAX_ORACLE_WEIGHTS = 60000
@@ -83,12 +83,12 @@ def _kostant_sum(rs: RootSystem, tops: tuple[tuple[Weight, int], ...],
 def _kostant_tops(rs: RootSystem, lam: Weight
                   ) -> tuple[tuple[Weight, int], ...]:
     """(root_coords_int(sigma(lambda+rho) - rho), (-1)^sigma) over the Weyl
-    group: the Kostant argument at mu is the first entry minus rc(mu)."""
+    group, read off the signed orbit of the regular lambda+rho: the Kostant
+    argument at mu is the first entry minus rc(mu)."""
     rho = rs.rho
-    lr = tuple(lam[i] + rho[i] for i in range(rs.rank))
-    return tuple((rs.root_coords_int(tuple(
-        c - r for c, r in zip(_mat_apply(mat, lr), rho))), sign)
-        for mat, sign in rs.weyl_elements)
+    lr = tuple(c + r for c, r in zip(lam, rho))
+    return tuple((rs.root_coords_int(tuple(c - r for c, r in zip(x, rho))),
+                  sign) for x, sign in rs.signed_orbit(lr))
 
 
 def weight_mult_freudenthal(rs: RootSystem, lam: Weight, mu: Weight) -> int:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,24 @@ def test_a_equal_to_one_is_refused_with_one_message(capsys, argv):
                          *argv[1:])
     assert (code, out) == (2, "")
     assert err == "error: torus knot needs a >= 2: T(1,b) is the unknot\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("tail --algebra B2 --knot 2,5 --ray 0,1 --method detect",
+     "family members must have integer exponents"),
+    ("stable-coeffs --algebra A2 --knot 2,3 --k-max -1",
+     "--k-max must be >= 0"),
+], ids=["tail-b2-detect", "stable-coeffs-negative-k-max"])
+def test_refusals_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_emit_refuses_an_object_with_no_json_form(capsys):
+    # a stray value is an internal inconsistency, not a string to print
+    with pytest.raises(AssertionError, match="Fraction"):
+        cli._emit({"value": Fraction(1, 2)}, cli.RunConfig("jones"))
+    assert capsys.readouterr().out == ""
 
 
 def test_bad_algebra_exits_2(capsys):

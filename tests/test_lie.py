@@ -23,7 +23,7 @@ def test_lookup_case_insensitive():
 
 def test_weyl_group_orders():
     # A1 is held as A1 x A1, whose Weyl group has 2 * 2 elements
-    assert [len(rs.weyl_elements) for rs in (A1, A2, B2, G2)] == [4, 6, 8, 12]
+    assert [len(rs.orbit_pairs) for rs in (A1, A2, B2, G2)] == [4, 6, 8, 12]
 
 
 def test_positive_roots_sum_to_2rho():
@@ -54,14 +54,23 @@ def test_orbit_identity_entry():
 
 
 def test_orbit_pairs_cache_matches_fresh_computation():
+    # the signed orbit of v = lambda + rho, strictly dominant, against its
+    # definition: |W| distinct points, each signed (-1)^l(sigma), where
+    # l(sigma) counts the positive roots alpha with (sigma(v), alpha) < 0
+    orders = {"A1": 4, "A2": 6, "B2": 8, "G2": 12}
     for rs in (A1, A2, B2, G2):
+        for lam in product(range(5), repeat=2):
+            v = tuple(c + r for c, r in zip(lam, rs.rho))
+            orbit = rs.signed_orbit(v)
+            assert len({x for x, _ in orbit}) == len(orbit) == orders[rs.name]
+            for x, sign in orbit:
+                flips = sum(inner(rs, x, alpha) < 0
+                            for alpha in rs.positive_roots)
+                assert sign == (-1) ** flips, (rs.name, v, x)
         rho = rs.rho
-        fresh = []
-        for mat, sign in rs.weyl_elements:
-            im = tuple(sum(row[j] * rho[j] for j in range(rs.rank))
-                       for row in mat)
-            fresh.append((tuple(rho[i] - im[i] for i in range(rs.rank)), sign))
-        assert rs.orbit_pairs == tuple(sorted(fresh))
+        assert rs.orbit_pairs == tuple(sorted(
+            (tuple(r - c for r, c in zip(rho, x)), sign)
+            for x, sign in rs.signed_orbit(rho)))
         assert rs.orbit_pairs is rs.orbit_pairs
 
 
@@ -92,14 +101,12 @@ def test_inner_examples():
 def test_reflections_preserve_inner_product():
     for rs in (A2, B2, G2):
         probes = [(1, 0), (0, 1), (2, 3), (-1, 4)]
-        for mat, _ in rs.weyl_elements:
+        # the simple reflections generate W
+        for i in range(rs.rank):
             for mu in probes:
                 for nu in probes:
-                    im_mu = tuple(sum(mat[i][j] * mu[j] for j in range(2))
-                                  for i in range(2))
-                    im_nu = tuple(sum(mat[i][j] * nu[j] for j in range(2))
-                                  for i in range(2))
-                    assert inner(rs, im_mu, im_nu) == inner(rs, mu, nu)
+                    assert inner(rs, rs.reflect(mu, i), rs.reflect(nu, i)) \
+                        == inner(rs, mu, nu)
 
 
 def test_root_lattice_membership():
@@ -164,11 +171,9 @@ def test_weight_system_closed_under_weyl():
     for rs in (A2, B2, G2):
         for lam in [(1, 0), (1, 1), (0, 2)]:
             system = weight_system(rs, lam)
-            for mat, _ in rs.weyl_elements:
+            for i in range(rs.rank):
                 for mu in system:
-                    im = tuple(sum(mat[i][j] * mu[j] for j in range(2))
-                               for i in range(2))
-                    assert im in system
+                    assert rs.reflect(mu, i) in system
 
 
 def test_dimension_oracle_adjoint():

@@ -76,6 +76,16 @@ def test_detect_data_horizon_error(trefoil_family):
         detect_cstability(trefoil_family, 6, 6, 2, 30)
 
 
+def test_detect_refuses_a_coefficient_that_is_no_quasi_polynomial():
+    # the q^2 coefficient is 1 only at n = 3 (from q^(n-1)), so no fit of
+    # it holds over the tested range
+    fam = {n: TruncatedSeries.make({0: 1, n - 1: 1}, 1, 3 * n)
+           for n in range(3, 80)}
+    with pytest.raises(StabilityError, match="c-stability not detected in "
+                                             "range at x\\^0, q\\^2"):
+        detect_cstability(fam, 0, 1, 1, 5)
+
+
 def test_detect_trefoil_small_order(trefoil_family):
     tail = detect_cstability(trefoil_family, 6, 6, 1, 8)
     closed = tail_closed_T2b(3, 1, 8)
@@ -148,6 +158,19 @@ def test_detect_census_raises_or_matches_stable_limit(algebra, knot, ray):
         return
     assert det.residue == ref.residue
     assert det.first_disagreement(ref, 1, 20, det.threshold or 0) is None
+
+
+# The root cause of the repros above, in isolation: a constant q^0
+# coefficient n^3 over n = 1..39 is "fitted" by a period-13, degree-2
+# quasi-polynomial, trained on all (2+1)*13 = 39 samples with none left to
+# check it.  With 41 members detection raises.
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="ROADMAP item 2: a fit with no spare sample "
+                          "certifies a coefficient")
+def test_detect_refuses_a_fit_with_no_spare_sample():
+    fam = {n: TruncatedSeries.make({0: n ** 3}, 1, n) for n in range(1, 40)}
+    with pytest.raises(StabilityError):
+        detect_cstability(fam, 0, 1, 0, 1)
 
 
 def test_partial_sum_defect_inequality(trefoil_family):

@@ -6,7 +6,7 @@ the program uses them."""
 from fractions import Fraction
 from functools import lru_cache
 
-from torus_tails.lie import LieError, RootSystem, Weight, _mat_apply
+from torus_tails.lie import LieError, RootSystem, Weight
 
 
 @lru_cache(maxsize=64)
@@ -14,13 +14,19 @@ def weight_system(rs: RootSystem, lam: Weight) -> frozenset[Weight]:
     """Pi_lambda: every weight of the irreducible V_lambda.
 
     Every weight of V_lambda is W-conjugate to exactly one dominant
-    mu <= lam, so Pi_lambda is the union of the W-orbits of
-    ``rs.dominant_weights(lam)``, which raises LieError unless lam is
-    dominant.
+    mu <= lam, so Pi_lambda is the closure of ``rs.dominant_weights(lam)``,
+    which raises LieError unless lam is dominant, under the simple
+    reflections.
     """
-    mats = [mat for mat, _ in rs.weyl_elements]
-    return frozenset(_mat_apply(mat, mu) for mu in rs.dominant_weights(lam)
-                     for mat in mats)
+    out = rs.dominant_weights(lam)
+    seen = set(out)
+    for mu in out:
+        for i in range(rs.rank):
+            nu = rs.reflect(mu, i)
+            if nu not in seen:
+                seen.add(nu)
+                out.append(nu)
+    return frozenset(seen)
 
 
 def inner(rs: RootSystem, mu: Weight, nu: Weight) -> Fraction:
