@@ -13,8 +13,8 @@ from .lie import RootSystem, Weight, get_root_system
 from .mult import (LatticeHull, lattice_hull, missing_points,
                    plethysm_adams_oracle, plethysm_mult, summation_set,
                    weight_mult, weight_mult_freudenthal)
-from .qseries import (SeriesDivisionError, SeriesError, ThetaParams,
-                      TruncatedSeries, euler_phi, pochhammer, theta)
+from .qseries import (SeriesDivisionError, SeriesError, TruncatedSeries,
+                      euler_phi, pochhammer, theta)
 from .quasipoly import FitError, QuasiPolynomial, fit_quasi_polynomial
 from .stability import (StabilityError, TailSeries, a1_theta_difference,
                         a1_triple_product, degree_quasipoly_fit,

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 # OracleLimitError lives in kostant, whose DP guard raises it too
 from .kostant import OracleLimitError, kostant
@@ -377,18 +377,4 @@ def g2_plethysm_zero_a3(u: int, v: int) -> int:
     if base.denominator != 1:
         raise ArithmeticError(f"G2 a=3 closed form non-integral at ({u},{v})")
     return int(base)
-
-
-# -- quasi-polynomial structure of the multiplicities ------------------------
-
-
-def plethysm_sequence(rs: RootSystem, lam: Weight, a: int, mu_hat: Weight,
-                      nu: Weight, ns: Sequence[int]) -> list[tuple[int, int]]:
-    """Samples of n -> m^{mu_hat + n*nu}_{n*lambda, a}."""
-    out = []
-    for n in ns:
-        ln = tuple(n * c for c in lam)
-        target = tuple(mu_hat[i] + n * nu[i] for i in range(rs.rank))
-        out.append((n, plethysm_mult(rs, ln, a, target)))
-    return out
 

@@ -19,8 +19,8 @@ maps a quasi-polynomial series to the integer series of one n.
 ``div_binomial_series`` is the one exact division: a polynomial, given by
 exponent numerators, over a product of binomials 1 - q^m.  The special
 series ``theta``, ``pochhammer`` and ``euler_phi`` take integer exponents and
-orders; ``theta`` sums the s that the one row solver, ``_negative_range``,
-finds below the order.
+orders; ``theta(b, c, order)`` checks its two parameters itself and sums the
+s that the one row solver, ``_negative_range``, finds below the order.
 """
 
 from __future__ import annotations
@@ -359,33 +359,17 @@ def div_binomial_series(poly: Mapping[int, Coeff], shifts: Sequence[int],
                     None if cutoff is None else cutoff // h)
 
 
-@dataclass(frozen=True)
-class ThetaParams:
-    """Parameters of theta_{b,c}(q) = sum_s (-1)^s q^{(b/2)s^2 + c s}.
-
-    Only pairs whose exponents are integers for every s are supported; that is
-    b integral and c congruent to b/2 mod 1, which covers every theta arising
-    from the torus-knot tails.
-    """
-
-    b: Fraction
-    c: Fraction
-
-    def __post_init__(self):
-        b = _as_fraction(self.b)
-        c = _as_fraction(self.c)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        if b <= 0:
-            raise SeriesError("theta parameter b must be positive")
-        if b.denominator != 1 or (c - b / 2).denominator != 1:
-            raise SeriesError("non-integral exponent encountered")
-
-
-def theta(params: ThetaParams, order: int) -> TruncatedSeries:
-    """theta_{b,c} summed over every s whose exponent lies below order: the
-    s with b*s^2 + 2c*s < 2*order, one ``_negative_range``."""
-    b, c2 = int(params.b), int(2 * params.c)
+def theta(b: Exponent, c: Exponent, order: int) -> TruncatedSeries:
+    """theta_{b,c}(q) = sum_s (-1)^s q^{(b/2)s^2 + c s} over the s whose
+    exponent lies below order, b*s^2 + 2c*s < 2*order: one ``_negative_range``.
+    Every exponent must be an integer, so b is a positive integer and c is
+    b/2 mod 1; that covers every theta arising from the torus-knot tails."""
+    b, c = _as_fraction(b), _as_fraction(c)
+    if b <= 0:
+        raise SeriesError("theta parameter b must be positive")
+    if b.denominator != 1 or (c - b / 2).denominator != 1:
+        raise SeriesError("non-integral exponent encountered")
+    b, c2 = int(b), int(2 * c)
     terms: dict[int, int] = {}
     for s in _negative_range(b, c2, -2 * order):
         e = (b * s + c2) * s // 2

@@ -21,7 +21,7 @@ from .kostant import (kostant_closed_A2, kostant_closed_B2, kostant_closed_G2,
 from .lie import RANK2_ALGEBRAS, get_root_system
 from .mult import (lattice_hull, missing_points, plethysm_adams_oracle,
                    plethysm_mult, summation_set)
-from .qseries import ThetaParams, TruncatedSeries, euler_phi, theta
+from .qseries import TruncatedSeries, euler_phi, theta
 from .stability import (a1_theta_difference, a1_triple_product,
                         degree_quasipoly_fit, detect_jones_tail,
                         stable_coefficients, t4b_series, tail_closed_T2b,
@@ -99,33 +99,27 @@ def check_three_way_tails() -> dict:
     """Criterion 2: detection, stable-limit evaluation and closed forms agree
     (T(2,3): x^2/q^30 per class with the class sign; T(4,5): x^1/q^60)."""
     A2 = get_root_system("A2")
-    failures = []
-
     closed23 = tail_closed_T2b(3, 2, 30)
+    pairs = []   # (name, n0, detected, reference, x_order, q_order, start)
     for n0 in (6, 1):
         det = detect_jones_tail(A2, TorusKnot(2, 3), (1, 0), n0, 198, 2, 30)
         sign = 1 if n0 % 2 == 0 else -1
-        start = det.threshold or 12
-        if not det.agrees_with(closed23.scale(sign), 2, 30, start=start):
-            failures.append(
-                ("T23 detect vs closed", n0,
-                 det.first_disagreement(closed23.scale(sign), 2, 30, start)))
         sl = tail_eval_stable_limit(A2, TorusKnot(2, 3), (1, 0), n0, 2, 30, 36)
-        if not det.agrees_with(sl, 2, 30, start=start):
-            failures.append(
-                ("T23 detect vs stable-limit", n0,
-                 det.first_disagreement(sl, 2, 30, start)))
-
+        start = det.threshold or 12
+        pairs += [("T23 detect vs closed", n0, det, closed23.scale(sign), 2,
+                   30, start),
+                  ("T23 detect vs stable-limit", n0, det, sl, 2, 30, start)]
     det45 = detect_jones_tail(A2, TorusKnot(4, 5), (1, 1), 1, 145, 1, 60)
-    closed45 = tail_closed_T4b(5, 1, 60)
-    start = det45.threshold or 9
-    if not det45.agrees_with(closed45, 1, 60, start=start):
-        failures.append(("T45 detect vs closed", 1,
-                         det45.first_disagreement(closed45, 1, 60, start)))
     sl45 = tail_eval_stable_limit(A2, TorusKnot(4, 5), (1, 1), 1, 1, 60, 30)
-    if not det45.agrees_with(sl45, 1, 60, start=start):
-        failures.append(("T45 detect vs stable-limit", 1,
-                         det45.first_disagreement(sl45, 1, 60, start)))
+    start = det45.threshold or 9
+    pairs += [("T45 detect vs closed", 1, det45, tail_closed_T4b(5, 1, 60), 1,
+               60, start),
+              ("T45 detect vs stable-limit", 1, det45, sl45, 1, 60, start)]
+    failures = []
+    for name, n0, det, ref, x_order, q_order, start in pairs:
+        where = det.first_disagreement(ref, x_order, q_order, start)
+        if where is not None:
+            failures.append((name, n0, where))
     return {
         "name": "2. three-way tail agreement",
         "ok": not failures,
@@ -375,13 +369,11 @@ def check_theta_identities() -> dict:
              (Fraction(5), Fraction(3, 2)), (Fraction(5), Fraction(7, 2)),
              (Fraction(5), Fraction(9, 2))]
     for b, c in pairs:
-        lhs = theta(ThetaParams(b, c), q_order)
-        rhs = theta(ThetaParams(b, b + c), q_order).shifted(
-            b / 2 + c).scaled(-1)
+        lhs = theta(b, c, q_order)
+        rhs = theta(b, b + c, q_order).shifted(b / 2 + c).scaled(-1)
         if not lhs.agrees_with(rhs, q_order - int(b / 2 + c) - 1):
             failures.append(("shift", str(b), str(c)))
-        neg = theta(ThetaParams(b, -c), q_order)
-        if not neg.agrees_with(theta(ThetaParams(b, c), q_order), q_order):
+        if not theta(b, -c, q_order).agrees_with(lhs, q_order):
             failures.append(("negate", str(b), str(c)))
     _, a1 = t4b_series(5, 60)
     td = a1_theta_difference(5, 60)

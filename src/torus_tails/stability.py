@@ -29,11 +29,10 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .jones import (TorusKnot, _degree_quadratic, _degree_value,
                     _exponent_denominator, jones_jet, minimizer_closed_form)
 from .lie import RootSystem, Weight, get_root_system
-from .mult import lattice_hull, plethysm_sequence
+from .mult import lattice_hull, plethysm_mult
 from .quasipoly import FitError, QuasiPolynomial, fit_quasi_polynomial
-from .qseries import (ThetaParams, TruncatedSeries, _min_order,
-                      _negative_range, div_binomial_series, euler_phi,
-                      pochhammer, theta)
+from .qseries import (TruncatedSeries, _min_order, _negative_range,
+                      div_binomial_series, euler_phi, pochhammer, theta)
 
 
 class StabilityError(ValueError):
@@ -123,21 +122,19 @@ class TailSeries:
         quasi-polynomials differ on {n >= start, n = n0 mod M}, or None.
 
         A coefficient at or beyond either phi_k's order is unknown, so a
-        comparison reaching past one raises instead of comparing it.
+        comparison reaching past the order of their difference raises
+        instead of comparing it.
         """
         n0, modulus = self.residue
         zero = QuasiPolynomial.constant(0)
         for k in range(x_order + 1):
-            p1, p2 = self.phis[k], other.phis[k]
-            if any(p.order is not None and q_order > p.order
-                   for p in (p1, p2)):
+            diff = self.phis[k] - other.phis[k]
+            if diff.order is not None and q_order > diff.order:
                 raise StabilityError("comparison beyond exactness")
-            t1, t2 = p1.as_dict(), p2.as_dict()
-            for e in sorted(set(t1) | set(t2)):
+            for e, qp in zip(diff.exps, diff.coeffs):
                 if e >= q_order:
                     break
-                if not t1.get(e, zero).equal_on_class(t2.get(e, zero), n0,
-                                                      modulus, start):
+                if not qp.equal_on_class(zero, n0, modulus, start):
                     return (k, e)
         return None
 
@@ -243,15 +240,19 @@ def jones_family(rs: RootSystem, knot: TorusKnot, ray: Weight,
 
 def minimal_class_modulus(rs: RootSystem, ray: Weight, a: int, n0: int
                           ) -> tuple[int, Weight, Weight]:
-    """Smallest M | a*d making the minimizer affine and the lattice stable.
+    """Smallest M | a*d on whose class four minimizers step affinely and
+    M*(ray - nu1) lands in a*Lambda_r.
 
     Returns (M, nu1, nu0) with mu_{n*ray,a} = n*nu1 + nu0 on the class
-    n = n0 mod M.  Remark-style modulus a*d always qualifies; smaller ones do
-    whenever the minimizer table is residue-free and M*(ray - nu1) lands in
-    a*Lambda_r.
+    n = n0 mod M, read off four class members.  The a*Lambda_r test is what
+    this function checks, not a proof that the lattice is stable: along the
+    class the lattice of mu_n + h steps by M*(a*ray - nu1), an open point of
+    ROADMAP item 3.
     """
     ad = a * rs.root_det
-    for m in sorted(d for d in range(1, ad + 1) if ad % d == 0):
+    for m in range(1, ad + 1):
+        if ad % m:
+            continue
         base = n0 if n0 > 0 else n0 + m
         ns = [base + i * m for i in range(4)]
         mus = [minimizer_closed_form(rs, tuple(n * c for c in ray), a)
@@ -266,8 +267,7 @@ def minimal_class_modulus(rs: RootSystem, ray: Weight, a: int, n0: int
         nu1 = tuple(s // m for s in step)
         nu0 = tuple(mus[0][j] - ns[0] * nu1[j] for j in range(rs.rank))
         diff = tuple(m * (ray[j] - nu1[j]) for j in range(rs.rank))
-        step = a * rs.root_det
-        if all(c % step == 0 for c in rs.root_coords_int(diff)):
+        if all(c % ad == 0 for c in rs.root_coords_int(diff)):
             return m, nu1, nu0
     raise StabilityError("no stabilizing modulus divides a*d")
 
@@ -374,8 +374,7 @@ def detect_jones_tail(rs: RootSystem, knot: TorusKnot, ray: Weight, n0: int,
                       n_max: int, k_max: int, q_order: int) -> TailSeries:
     """End-to-end detection for the family J-hat_{T(a,b), n*ray}."""
     modulus, _, _ = minimal_class_modulus(rs, ray, knot.a, n0)
-    base = n0 % modulus or modulus
-    ns = range(base, n_max + 1, modulus)
+    ns = range(n0 % modulus or modulus, n_max + 1, modulus)
     # detection reads below q^max(ns) only: stage 0 reads q^m for m < n, later
     # stages are capped below cap_0 = max(ns), and so is the defect horizon
     fam = jones_family(rs, knot, ray, ns, order=max(ns, default=1))
@@ -451,6 +450,12 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
             raise StabilityError("lattice membership not stable on the class")
         return votes[0]
 
+    def samples(mu: Weight, members: Sequence[int]) -> list[tuple[int, int]]:
+        """(n, m^{mu + n*nu1}_{n*ray, a}) over the class members."""
+        return [(n, plethysm_mult(rs, (n * ray[0], n * ray[1]), a,
+                                  (mu[0] + n * nu1[0], mu[1] + n * nu1[1])))
+                for n in members]
+
     top = d * q_order
 
     def low(v: Weight) -> int:
@@ -483,7 +488,7 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
                 continue
             # the late members decide vanishing; the early ones are sampled
             # only for the points that survive
-            late = plethysm_sequence(rs, ray, a, mu, nu1, ns[-split:])
+            late = samples(mu, ns[-split:])
             if not any(m for _, m in late):
                 continue  # multiplicity eventually vanishes on this ray
             if not integral:
@@ -493,9 +498,8 @@ def tail_eval_stable_limit(rs: RootSystem, knot: TorusKnot, ray: Weight,
                     f"summand at {hat} has x-exponent {Fraction(xn, d)}")
             if qn % d:
                 raise StabilityError(f"non-integral tail exponent at {hat}")
-            samples = plethysm_sequence(rs, ray, a, mu, nu1, ns[:-split])
             try:
-                t_fit = fit_quasi_polynomial(samples + late)
+                t_fit = fit_quasi_polynomial(samples(mu, ns[:-split]) + late)
             except FitError as exc:
                 raise StabilityError(
                     f"tail multiplicity at {hat} not quasi-polynomial: {exc}"
@@ -536,8 +540,8 @@ def tail_closed_T2b(b: int, x_order: int, q_order: int) -> TailSeries:
     if b % 2 == 0 or b <= 2:
         raise ValueError("need odd b > 2")
     _check_orders("x_order", x_order, q_order)
-    th1 = theta(ThetaParams(Fraction(b), Fraction(b, 2) - 1), q_order)
-    th2 = theta(ThetaParams(Fraction(b), Fraction(b, 2) + 2), q_order)
+    th1 = theta(b, Fraction(b, 2) - 1, q_order)
+    th2 = theta(b, Fraction(b, 2) + 2, q_order)
     return _tail_quotient((0, 2), [qp_series(th1), qp_series(th2.shifted(3)),
                                    qp_series(th1.shifted(3))],
                           [(0, 1), (1, 1), (1, 2)], x_order, q_order)
@@ -606,8 +610,8 @@ def a1_theta_difference(b: int, q_order: int) -> TruncatedSeries:
     """
     if b != 5:
         raise ValueError("the printed theta-difference form is for b = 5")
-    th1 = theta(ThetaParams(15, Fraction(1, 2)), q_order)
-    th2 = theta(ThetaParams(15, Fraction(19, 2)), q_order)
+    th1 = theta(15, Fraction(1, 2), q_order)
+    th2 = theta(15, Fraction(19, 2), q_order)
     return (euler_phi(q_order) * (th1 + th2.shifted(3))).truncated(q_order)
 
 

@@ -541,3 +541,20 @@ def test_weights_of_the_wrong_length_raise(call):
     # a weight is never padded, cut or misread: A1 takes (n, 0), not (n,)
     with pytest.raises(LieError, match="coordinates"):
         call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: colored_jones(A2, TorusKnot(2, 3), (-1, 1)), LieError,
+     "color must be dominant"),
+    (lambda: jones_jet(A2, TorusKnot(2, 3), (-1, 1), 5), LieError,
+     "color must be dominant"),
+    (lambda: minimizer_closed_form(A2, (-1, 1), 2), LieError,
+     "weight must be dominant"),
+    (lambda: minimizer_closed_form(A2, (1, 1), 1), ValueError,
+     "need a >= 2"),
+], ids=["colored_jones", "jones_jet", "minimizer-dominant", "minimizer-a"])
+def test_out_of_domain_requests_raise(call, error, message):
+    # a request outside the domain fails with its own error and message
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -10,8 +10,7 @@ from torus_tails.jones import missing_point_bound_check
 from torus_tails.mult import (OracleLimitError, g2_plethysm_zero_a3,
                               g2_zero_weight_mult, lattice_hull,
                               missing_points, plethysm_adams_oracle,
-                              plethysm_mult, plethysm_sequence,
-                              summation_set, weight_mult,
+                              plethysm_mult, summation_set, weight_mult,
                               weight_mult_freudenthal)
 from torus_tails.quasipoly import fit_quasi_polynomial
 from weight_systems import dim_irrep, from_root_coords, weight_system
@@ -306,9 +305,16 @@ def test_missing_point_bound():
         assert set(rep["per_n"].values()) == {0} and rep["min_slack"] is None
 
 
+def plethysm_samples(rs, lam, a, mu_hat, nu, ns):
+    """Samples of n -> m^{mu_hat + n*nu}_{n*lambda, a}."""
+    return [(n, plethysm_mult(rs, tuple(n * c for c in lam), a,
+                              tuple(m + n * v for m, v in zip(mu_hat, nu))))
+            for n in ns]
+
+
 def test_plethysm_quasipoly_fit_t45():
     qp = fit_quasi_polynomial(
-        plethysm_sequence(A2, (1, 1), 4, (0, 0), (0, 0), range(1, 17)))
+        plethysm_samples(A2, (1, 1), 4, (0, 0), (0, 0), range(1, 17)))
     assert qp.degree == 1
     assert qp(50) == 51  # m^0_{n rho, 4} = n + 1
 
@@ -317,7 +323,7 @@ def test_plethysm_quasipoly_fit_sign_ray():
     # m^{n*lambda2}_{n*lambda1, 2} = (-1)^n: the parity table's case 2 applies
     # at odd n
     qp = fit_quasi_polynomial(
-        plethysm_sequence(A2, (1, 0), 2, (0, 0), (0, 1), range(1, 17)))
+        plethysm_samples(A2, (1, 0), 2, (0, 0), (0, 1), range(1, 17)))
     assert qp.degree == 0 and qp.period == 2
     assert qp(34) == 1 and qp(33) == -1
 
@@ -325,7 +331,7 @@ def test_plethysm_quasipoly_fit_sign_ray():
 def test_plethysm_quasipoly_fit_constant_on_class():
     # restricted to even n the same ray is constant 1
     qp = fit_quasi_polynomial(
-        plethysm_sequence(A2, (1, 0), 2, (0, 0), (0, 1), range(2, 21, 2)))
+        plethysm_samples(A2, (1, 0), 2, (0, 0), (0, 1), range(2, 21, 2)))
     assert qp.degree == 0 and qp(34) == 1
 
 
@@ -409,3 +415,27 @@ def test_adams_oracle_cache_is_bounded_and_stable(monkeypatch):
     monkeypatch.setattr(mult, "MAX_ORACLE_WEIGHTS", 10)
     with pytest.raises(OracleLimitError):
         plethysm_adams_oracle(A2, lam, a, pts[0])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: summation_set(A2, (-1, 1), 2), LieError,
+     "highest weight must be dominant"),
+    (lambda: lattice_hull(A2, (-1, 1), 2), LieError,
+     "highest weight must be dominant"),
+    (lambda: weight_mult(A2, (-1, 1), (0, 0)), LieError,
+     "highest weight must be dominant"),
+    (lambda: weight_mult_freudenthal(A2, (-1, 1), (0, 0)), LieError,
+     "highest weight must be dominant"),
+    (lambda: summation_set(A2, (1, 1), 1), ValueError,
+     "Adams parameter a must be >= 2"),
+    (lambda: plethysm_mult(A2, (1, 1), 1, (0, 0)), ValueError,
+     "Adams parameter a must be >= 2"),
+    (lambda: plethysm_adams_oracle(A2, (1, 1), 1, (0, 0)), ValueError,
+     "Adams parameter a must be >= 2"),
+], ids=["summation_set-dominant", "lattice_hull", "weight_mult",
+        "freudenthal", "summation_set-a", "plethysm_mult", "adams_oracle"])
+def test_out_of_domain_requests_raise(call, error, message):
+    # a request outside the domain fails with its own error and message
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_tails.qseries import (SeriesDivisionError, SeriesError,
-                                 ThetaParams, TruncatedSeries,
-                                 div_binomial_series, euler_phi, pochhammer,
-                                 theta)
+                                 TruncatedSeries, div_binomial_series,
+                                 euler_phi, pochhammer, theta)
 from torus_tails.quasipoly import QuasiPolynomial
 from torus_tails.stability import TailSeries, lemma_FG_transform
 from reference_series import from_exponents as S
@@ -106,7 +105,7 @@ def test_div_binomial_exact_inverts_laurent_product():
 
 
 def test_theta_pentagonal():
-    th = theta(ThetaParams(Fraction(3), Fraction(1, 2)), 30)
+    th = theta(Fraction(3), Fraction(1, 2), 30)
     assert th.agrees_with(euler_phi(30), 30)
     prefix = {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1, 15: -1, 22: 1, 26: 1}
     assert th.as_dict() == prefix
@@ -114,11 +113,10 @@ def test_theta_pentagonal():
 
 def test_theta_identities():
     b, c = Fraction(5), Fraction(7, 2)
-    assert theta(ThetaParams(b, -c), 50).agrees_with(
-        theta(ThetaParams(b, c), 50), 50)
+    assert theta(b, -c, 50).agrees_with(theta(b, c, 50), 50)
     b, c = Fraction(3), Fraction(1, 2)
-    lhs = theta(ThetaParams(b, c), 60)
-    rhs = theta(ThetaParams(b, b + c), 60).shifted(b / 2 + c).scaled(-1)
+    lhs = theta(b, c, 60)
+    rhs = theta(b, b + c, 60).shifted(b / 2 + c).scaled(-1)
     assert lhs.agrees_with(rhs, 50)
 
 
@@ -140,15 +138,15 @@ def test_theta_is_the_plain_sum_below_the_order():
                     if e >= order:
                         break
                     want[e] = want.get(e, 0) + sign
-                assert theta(ThetaParams(b, Fraction(c2, 2)), order) == \
+                assert theta(b, Fraction(c2, 2), order) == \
                     TruncatedSeries.make(want, 1, order), (b, c2, order)
 
 
 def test_theta_rejects_non_integral():
     with pytest.raises(SeriesError):
-        ThetaParams(Fraction(3), Fraction(1, 3))
+        theta(3, Fraction(1, 3), 5)
     with pytest.raises(SeriesError):
-        ThetaParams(Fraction(5, 2), Fraction(1, 2))
+        theta(Fraction(5, 2), Fraction(1, 2), 5)
 
 
 def test_pochhammer_euler():
@@ -460,3 +458,16 @@ def test_fg_recurrence_equals_its_definition(phis, c, d):
         want = dict_sum([(1, phis[k - j * c].shifted(j * d))
                          for j in range(k // c + 1)], 1)
         assert tail.phi(k) == want, k
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TruncatedSeries.make({0: 1}, 0), "denominator must be positive"),
+    (lambda: div_binomial_series({0: 1}, (1,), 0),
+     "denominator must be positive"),
+    (lambda: theta(0, 0, 5), "theta parameter b must be positive"),
+], ids=["make", "div_binomial_series", "theta"])
+def test_out_of_domain_requests_raise(call, message):
+    # a request outside the domain fails with its own error and message
+    with pytest.raises(SeriesError) as info:
+        call()
+    assert type(info.value) is SeriesError and str(info.value) == message

@@ -207,3 +207,15 @@ def test_fit_recovers_polynomials(period, coeffs):
     qp = fit([(n, f(n)) for n in range(70)], max_period=8)
     for n in range(70, 90):
         assert qp(n) == f(n)
+
+
+@pytest.mark.parametrize("samples", [
+    [(1, 1), (1, 1), (2, 2), (3, 3)],
+    [(1, 1), (2, 2), (3, 3), (2, 5)],
+], ids=["same-value", "other-value"])
+def test_out_of_domain_requests_raise(samples):
+    # a repeated index is refused, whether or not its values agree
+    with pytest.raises(FitError) as info:
+        fit_quasi_polynomial(samples)
+    assert type(info.value) is FitError and \
+        str(info.value) == "duplicate sample indices"

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from torus_tails.jones import TorusKnot, jones_jet
 from torus_tails.lie import get_root_system
-from torus_tails.qseries import (ThetaParams, TruncatedSeries,
-                                 _negative_range, euler_phi, theta)
-from torus_tails.quasipoly import QuasiPolynomial
+from torus_tails.qseries import (TruncatedSeries, _negative_range,
+                                 euler_phi, theta)
+from torus_tails.quasipoly import FitError, QuasiPolynomial
 from torus_tails.stability import (StabilityError, TailSeries,
                                    a1_theta_difference, a1_triple_product,
                                    degree_quasipoly_fit, detect_cstability,
@@ -353,14 +353,26 @@ def test_stable_limit_matches_closed_t45():
 def test_stable_limit_samples_vanishing_points_on_late_members(monkeypatch):
     # a point whose late members all vanish is skipped before its early
     # members are sampled; the surviving points are sampled on every member
-    from torus_tails import mult
+    from torus_tails import stability
     calls = []
-    real = mult.plethysm_mult
-    monkeypatch.setattr(mult, "plethysm_mult",
+    real = stability.plethysm_mult
+    monkeypatch.setattr(stability, "plethysm_mult",
                         lambda *args: calls.append(args) or real(*args))
     tail = tail_eval_stable_limit(A2, TorusKnot(2, 3), (1, 0), 6, 3, 250, 36)
     assert len(calls) == 471
     assert tail.agrees_with(tail_closed_T2b(3, 3, 250), 3, 250)
+
+
+def test_defect_threshold_bound_is_k_times_n_plus_one():
+    # after phi_0 = 1 each member's defect is q^(n+1), inside its horizon
+    # q^(3n): at k = 1 that meets the bound k(n+1) = n+1 on every member, so
+    # no threshold exists; the weaker bound k*n would accept them all
+    from torus_tails.stability import _defect_threshold
+    family = {n: TruncatedSeries.make({0: 1, n + 1: 1}, 1, 3 * n)
+              for n in range(2, 11)}
+    tail = TailSeries((0, 1), (qp_series(TruncatedSeries.make({0: 1}, 1, 20)),
+                               qp_series(TruncatedSeries.make({}, 1, 20))))
+    assert _defect_threshold(family, tail, sorted(family), 1, 5) is None
 
 
 def test_stable_limit_trivial_ray():
@@ -822,9 +834,34 @@ def test_a1_t2b_tail_is_a_theta_series(b):
     # T(2,b) is theta_{b,b/2-1}, for T(2,3) the Euler function (q)_inf; in
     # the min-degree normalization of J-hat it is the tail (not the head),
     # with the class sign (-1)^n
-    want = euler_phi(40) if b == 3 else \
-        theta(ThetaParams(b, Fraction(b, 2) - 1), 40)
+    want = euler_phi(40) if b == 3 else theta(b, Fraction(b, 2) - 1, 40)
     for n0 in (1, 2, 3, 4):
         sl = tail_eval_stable_limit(A1, TorusKnot(2, b), (1, 0), n0, 0, 40,
                                     60)
         assert sl.phi(0).evaluate(n0) == want.scaled((-1) ** n0), n0
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: stable_coefficients(
+        {n: from_exponents({} if n == 3 else {n: 1}) for n in range(1, 6)},
+        2), StabilityError, "family member n=3 is zero"),
+    (lambda: qp_series(TruncatedSeries.make({1: 1}, 2)), StabilityError,
+     "tail series need integer q-exponents"),
+    (lambda: lemma_FG_transform(tail_closed_T4b(5, 1, 5), 0, 1), ValueError,
+     "need c >= 1, d >= 0"),
+    (lambda: lemma_FG_transform(tail_closed_T4b(5, 1, 5), 1, -1), ValueError,
+     "need c >= 1, d >= 0"),
+    (lambda: t4b_series(6, 10), ValueError, "need odd b > 4"),
+    (lambda: degree_quasipoly_fit([(1, Fraction(1)), (2, Fraction(2))]),
+     FitError, "too few points for any candidate period"),
+    (lambda: a1_theta_difference(7, 10), ValueError,
+     "the printed theta-difference form is for b = 5"),
+    (lambda: a1_triple_product(7, 10), ValueError,
+     "the printed product form is for b = 5"),
+], ids=["stable_coefficients", "qp_series", "FG-c", "FG-d", "t4b_series",
+        "degree_fit", "theta_difference", "triple_product"])
+def test_out_of_domain_requests_raise(call, error, message):
+    # a request outside the domain fails with its own error and message
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
